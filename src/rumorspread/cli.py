@@ -10,6 +10,7 @@ $RUMORSPREAD_OUT_DIR when that variable is set.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -306,11 +307,11 @@ def cmd_experiment(args) -> int:
         raise InputError(f"cannot read config {args.config}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"bad JSON in {args.config}: {exc}") from exc
-    if args.trials is not None:
-        data["trials"] = args.trials
-    if args.seed is not None:
-        data["rng_seed"] = args.seed
     cfg = ExperimentConfig.from_json_dict(data)
+    if args.trials is not None:
+        cfg = dataclasses.replace(cfg, trials=args.trials)
+    if args.seed is not None:
+        cfg = dataclasses.replace(cfg, rng_seed=args.seed)
     report, _ = run_experiment(cfg)
     write_points_csv(report, _out_path(args.points_out))
     write_report_json(report, _out_path(args.report_out))

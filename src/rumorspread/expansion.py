@@ -100,6 +100,37 @@ def conductance_set(g: Graph, s: Collection[int]) -> float:
     return cut_size(g, fs) / volume(g, fs)
 
 
+def _boundary_expansion(g: Graph, fs: NodeSet, bd: NodeSet, sampled: NodeSet, one):
+    """Boundary-expansion formula with only ``sampled`` (part of the boundary
+    ``bd`` of ``fs``) sampled, in the arithmetic of ``one``: 1.0 for floats,
+    Fraction(1) for exact rationals."""
+    assert bd, "proper nonempty subset of a connected graph has a boundary"
+    total = one - one
+    for v in boundary(g, fs | bd):
+        miss = one
+        for u in g.adj[v]:
+            if u in sampled:
+                miss *= one - one / len(g.adj[u])
+        total += one - miss
+    return total / len(bd)
+
+
+def _boundary_contacts(g: Graph, fs: NodeSet) -> tuple[list, list, np.ndarray]:
+    """Sorted boundary, sorted boundary of the closure (second shell), and the
+    float32 0/1 matrix whose entry (i, j) marks an edge between the i-th
+    second-shell node and the j-th boundary node."""
+    bd = sorted(boundary(g, fs))
+    bd2 = sorted(boundary(g, fs | frozenset(bd)))
+    bd_index = {u: j for j, u in enumerate(bd)}
+    contact = np.zeros((len(bd2), len(bd)), dtype=np.float32)
+    for i, v in enumerate(bd2):
+        for u in g.adj[v]:
+            j = bd_index.get(u)
+            if j is not None:
+                contact[i, j] = 1.0
+    return bd, bd2, contact
+
+
 def boundary_expansion_exact(g: Graph, s: Collection[int]) -> float:
     """Expected fraction of the closure's boundary hit by a degree-weighted
     random sample of the boundary.
@@ -111,16 +142,7 @@ def boundary_expansion_exact(g: Graph, s: Collection[int]) -> float:
     """
     fs = _check_proper_subset(g, s)
     bd = boundary(g, fs)
-    assert bd, "proper nonempty subset of a connected graph has a boundary"
-    bd2 = boundary(g, fs | bd)
-    total = 0.0
-    for v in bd2:
-        miss = 1.0
-        for u in g.adj[v]:
-            if u in bd:
-                miss *= 1.0 - 1.0 / len(g.adj[u])
-        total += 1.0 - miss
-    return total / len(bd)
+    return _boundary_expansion(g, fs, bd, bd, 1.0)
 
 
 def boundary_expansion_due_to(g: Graph, s: Collection[int], t: Collection[int]) -> float:
@@ -134,17 +156,7 @@ def boundary_expansion_due_to(g: Graph, s: Collection[int], t: Collection[int]) 
     ts = g.check_set(t)
     if not ts <= bd:
         raise InputError("t must be a subset of the boundary")
-    if not ts:
-        return 0.0
-    bd2 = boundary(g, fs | bd)
-    total = 0.0
-    for v in bd2:
-        miss = 1.0
-        for u in g.adj[v]:
-            if u in ts:
-                miss *= 1.0 - 1.0 / len(g.adj[u])
-        total += 1.0 - miss
-    return total / len(bd)
+    return _boundary_expansion(g, fs, bd, ts, 1.0)
 
 
 def boundary_expansion_mc(
@@ -154,38 +166,21 @@ def boundary_expansion_mc(
     fs = _check_proper_subset(g, s)
     if samples < 2:
         raise InputError("need at least 2 samples")
-    bd = sorted(boundary(g, fs))
-    bd2 = sorted(boundary(g, fs | frozenset(bd)))
-    if not bd2:
-        return ExpansionReport(
-            measure="boundary-expansion",
-            value=0.0,
-            witness=None,
-            method="monte-carlo",
-            samples=samples,
-            stderr=0.0,
-        )
-    m = len(bd)
-    p = np.array([1.0 / len(g.adj[u]) for u in bd])
-    bd_index = {u: j for j, u in enumerate(bd)}
-    contact = np.zeros((len(bd2), m), dtype=np.float32)
-    for i, v in enumerate(bd2):
-        for u in g.adj[v]:
-            j = bd_index.get(u)
-            if j is not None:
-                contact[i, j] = 1.0
-    gen = rng.stream(rng_seed, rng.LANE_SAMPLER)
-    values = np.empty(samples, dtype=np.float64)
-    batch = max(1, min(samples, (1 << 22) // max(m, 1)))
-    done = 0
-    while done < samples:
-        b = min(batch, samples - done)
-        sampled = (gen.random((b, m)) < p).astype(np.float32)
-        hits = sampled @ contact.T
-        values[done : done + b] = (hits > 0).sum(axis=1) / m
-        done += b
-    mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(samples))
+    bd, bd2, contact = _boundary_contacts(g, fs)
+    mean = stderr = 0.0  # without a second shell there is nothing to hit
+    if bd2:
+        m = len(bd)
+        p = np.array([1.0 / len(g.adj[u]) for u in bd])
+        gen = rng.stream(rng_seed, rng.LANE_SAMPLER)
+        values = np.empty(samples, dtype=np.float64)
+        batch = max(1, min(samples, (1 << 22) // m))
+        for done in range(0, samples, batch):
+            b = min(batch, samples - done)
+            sampled = (gen.random((b, m)) < p).astype(np.float32)
+            hits = sampled @ contact.T
+            values[done : done + b] = (hits > 0).sum(axis=1) / m
+        mean = float(values.mean())
+        stderr = float(values.std(ddof=1) / math.sqrt(samples))
     return ExpansionReport(
         measure="boundary-expansion",
         value=mean,

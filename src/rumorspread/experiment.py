@@ -86,18 +86,50 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json_dict(data: dict) -> "ExperimentConfig":
-        kwargs = dict(data)
-        if "sweep" in kwargs:
-            kwargs["sweep"] = tuple(dict(p) for p in kwargs["sweep"])
-        for key in ("predictor_values", "quantiles"):
-            if kwargs.get(key) is not None:
-                kwargs[key] = tuple(kwargs[key])
-        if isinstance(kwargs.get("informed"), list):
-            kwargs["informed"] = tuple(kwargs["informed"])
-        unknown = set(kwargs) - set(ExperimentConfig.__dataclass_fields__)
+        if not isinstance(data, dict):
+            raise InputError("experiment config must be a JSON object")
+        unknown = set(data) - set(ExperimentConfig.__dataclass_fields__)
         if unknown:
             raise InputError(f"unknown experiment config keys: {sorted(unknown)}")
+        missing = {"family", "sweep"} - set(data)
+        if missing:
+            raise InputError(f"missing experiment config keys: {sorted(missing)}")
+        for key, value in data.items():
+            if not _json_value_ok(key, value):
+                raise InputError(f"bad value for config key {key!r}: {value!r}")
+        kwargs = {k: tuple(v) if type(v) is list else v for k, v in data.items()}
+        kwargs["sweep"] = tuple(dict(p) for p in data["sweep"])
         return ExperimentConfig(**kwargs)
+
+
+_INT, _NUMBER = (int,), (int, float)
+
+
+def _json_value_ok(key: str, value: Any) -> bool:
+    """Whether a decoded config value has its field's JSON type; null only
+    where the field defaults to None. Types are compared exactly, so JSON
+    true/false never pass as numbers."""
+    if value is None:
+        return ExperimentConfig.__dataclass_fields__[key].default is None
+    if key in ("family", "variant", "bound_model"):
+        return type(value) is str
+    if key == "informed":
+        return type(value) is str or _list_of(value, _INT)
+    if key in ("quantiles", "predictor_values"):
+        return _list_of(value, _NUMBER)
+    if key == "sweep":
+        # the edge probability p is the only non-integer family parameter
+        return type(value) is list and all(
+            type(point) is dict
+            and all(type(v) in (_NUMBER if k == "p" else _INT) for k, v in point.items())
+            for point in value
+        )
+    # trials, rng_seed, max_rounds, enumeration_limit, max_rounds_factor
+    return type(value) in (_NUMBER if key == "max_rounds_factor" else _INT)
+
+
+def _list_of(value: Any, types: tuple) -> bool:
+    return type(value) is list and all(type(x) in types for x in value)
 
 
 @dataclass

@@ -229,9 +229,10 @@ def load_edge_list(path: str) -> tuple[Graph, dict[str, int]]:
 
     Node labels may be arbitrary tokens; they are relabeled to 0..n-1 and the
     label -> id mapping is returned alongside the graph. Labels that all parse
-    as integers are ordered numerically, otherwise lexicographically. Lines
-    starting with ``#`` are ignored. Self-loops and repeated edges are dropped
-    with a warning; a disconnected result is rejected.
+    as integers are ordered numerically (``01`` before ``1``, by the string),
+    otherwise lexicographically. Lines starting with ``#`` are ignored.
+    Self-loops and repeated edges are dropped with a warning; a disconnected
+    result is rejected.
     """
     raw_edges: list[tuple[str, str]] = []
     labels: set[str] = set()
@@ -250,7 +251,8 @@ def load_edge_list(path: str) -> tuple[Graph, dict[str, int]]:
     if not labels:
         raise InputError(f"{path}: no edges found")
     try:
-        ordered = sorted(labels, key=lambda t: (0, int(t), ""))
+        # ties such as 1/01 go by the label string, not by hash-seeded set order
+        ordered = sorted(labels, key=lambda t: (int(t), t))
     except ValueError:
         ordered = sorted(labels)
     mapping = {lab: i for i, lab in enumerate(ordered)}

@@ -24,6 +24,7 @@ from fractions import Fraction
 from typing import Collection, Sequence
 
 from .errors import InputError
+from .expansion import _boundary_expansion
 from .graph import Graph, NodeSet, boundary, closure
 
 _ORDERS = ("lowest", "batch", "random")
@@ -308,15 +309,7 @@ def boundary_expansion_fraction(g: Graph, s: Collection[int]) -> Fraction:
     if not fs or len(fs) == g.n:
         raise InputError("set must be a nonempty proper subset")
     bd = boundary(g, fs)
-    bd2 = boundary(g, fs | bd)
-    total = Fraction(0)
-    for v in bd2:
-        miss = Fraction(1)
-        for u in g.adj[v]:
-            if u in bd:
-                miss *= 1 - Fraction(1, len(g.adj[u]))
-        total += 1 - miss
-    return total / len(bd)
+    return _boundary_expansion(g, fs, bd, bd, Fraction(1))
 
 
 @dataclass

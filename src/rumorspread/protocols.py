@@ -27,6 +27,9 @@ from .errors import IncompleteSpreadError, InputError
 from .graph import Graph, NodeSet
 
 VARIANTS = ("push", "pull", "pushpull")
+# Trials per first_arrival_times block; the block size decides which sampler
+# draws each trial gets, so changing it changes the results.
+_ARRIVAL_BATCH = 4096
 
 
 def default_max_rounds(n: int) -> int:
@@ -121,6 +124,44 @@ class MonteCarloSummary:
         return float(self._t_all_array().mean())
 
 
+def _draw(
+    u: np.ndarray, indptr: np.ndarray, indices: np.ndarray, degs: np.ndarray
+) -> np.ndarray:
+    """Drawn neighbor of every node, from uniforms ``u`` in [0, 1) laid out
+    node by node along the last axis: slot floor(u * deg) of its CSR row."""
+    slots = np.minimum((u * degs).astype(np.int64), degs - 1)
+    return indices[indptr[:-1] + slots]
+
+
+def _step(
+    informed: np.ndarray,
+    drawn: np.ndarray,
+    variant: str,
+    drawers: np.ndarray | None = None,
+) -> np.ndarray:
+    """Mask of the nodes one round informs, under round-start semantics.
+
+    Arrays are flat: position i holds one node of one trial and ``drawn[i]``
+    the position of its draw, so a batch of trials is laid out row after row
+    with each row's offset added to ``drawn``. Only positions set in
+    ``drawers`` (default: all) make contact: an informed drawer pushes, an
+    uninformed drawer pulls.
+    """
+    senders = informed if drawers is None else informed & drawers
+    add = np.zeros_like(informed)
+    if variant in ("push", "pushpull"):
+        add[drawn[senders]] = True
+    if variant in ("pull", "pushpull"):
+        add |= informed[drawn] if drawers is None else informed[drawn] & drawers
+    return add & ~informed
+
+
+def _mask(n: int, nodes: Collection[int]) -> np.ndarray:
+    mask = np.zeros(n, dtype=bool)
+    mask[np.fromiter(nodes, dtype=np.int64, count=len(nodes))] = True
+    return mask
+
+
 class _Engine:
     """Vectorized single-run state: informed mask plus incremental boundary.
 
@@ -153,40 +194,13 @@ class _Engine:
     def draws(self, seed: int, trial: int, round_index: int) -> np.ndarray:
         """One uniform neighbor per node, in ascending node-id order."""
         u = rng.stream(seed, rng.LANE_ROUND, trial, round_index).random(self.g.n)
-        slots = np.minimum((u * self.degs).astype(np.int64), self.degs - 1)
-        return self.indices[self.indptr[:-1] + slots]
+        return _draw(u, self.indptr, self.indices, self.degs)
 
-    def apply_draws(self, drawn: np.ndarray, variant: str) -> np.ndarray:
-        """Newly informed nodes for one round under round-start semantics."""
-        informed = self.informed
-        add = np.zeros(self.g.n, dtype=bool)
-        if variant in ("push", "pushpull"):
-            add[drawn[informed]] = True
-        if variant in ("pull", "pushpull"):
-            add |= informed[drawn]
-        add &= ~informed
-        new_nodes = np.flatnonzero(add)
-        self._absorb(new_nodes)
-        return new_nodes
-
-    def apply_draws_restricted(
-        self, drawn: np.ndarray, active: np.ndarray, participating: np.ndarray
-    ) -> np.ndarray:
-        """Restricted round: only active nodes draw, and a contact counts only
-        if the drawn neighbor is participating. The rumor crosses an effective
-        contact in whichever direction it can."""
-        informed = self.informed
-        targets = drawn[active]
-        effective = participating[targets]
-        add = np.zeros(self.g.n, dtype=bool)
-        outward = active[effective & informed[active]]
-        add[drawn[outward]] = True
-        inward = effective & ~informed[active] & informed[targets]
-        add[active[inward]] = True
-        add &= ~informed
-        new_nodes = np.flatnonzero(add)
-        self._absorb(new_nodes)
-        return new_nodes
+    def apply_draws(
+        self, drawn: np.ndarray, variant: str, drawers: np.ndarray | None = None
+    ) -> None:
+        """Absorb the nodes one round informs, under round-start semantics."""
+        self._absorb(np.flatnonzero(_step(self.informed, drawn, variant, drawers)))
 
     def stats(self) -> tuple[int, int, int, float, float]:
         informed_count = int(self.informed.sum())
@@ -270,7 +284,7 @@ def _simulate(
             engine.apply_draws(drawn, cfg.variant)
         else:
             active, participating = restricted
-            engine.apply_draws_restricted(drawn, active, participating)
+            engine.apply_draws(drawn, "pushpull", active & participating[drawn])
         record(t)
     return trace
 
@@ -304,9 +318,7 @@ def single_round(
         raise InputError("informed set must be nonempty")
     engine = _Engine(g, fs)
     u = generator.random(g.n)
-    slots = np.minimum((u * engine.degs).astype(np.int64), engine.degs - 1)
-    drawn = engine.indices[engine.indptr[:-1] + slots]
-    engine.apply_draws(drawn, variant)
+    engine.apply_draws(_draw(u, engine.indptr, engine.indices, engine.degs), variant)
     return engine.informed_set()
 
 
@@ -336,9 +348,6 @@ def run_restricted(
     g.check_node(origin)
     if origin not in part:
         raise InputError(f"origin {origin} is not participating")
-    active_arr = np.fromiter(sorted(act), dtype=np.int64, count=len(act))
-    part_mask = np.zeros(g.n, dtype=bool)
-    part_mask[np.fromiter(part, dtype=np.int64, count=len(part))] = True
     return _simulate(
         g,
         cfg,
@@ -346,7 +355,7 @@ def run_restricted(
         initial=frozenset([origin]),
         target=s_set,
         stop_at_target=stop_at_target,
-        restricted=(active_arr, part_mask),
+        restricted=(_mask(g.n, act), _mask(g.n, part)),
     )
 
 
@@ -382,12 +391,11 @@ def first_arrival_times(
     trials: int,
     rng_seed: int,
     max_rounds: int | None = None,
-    batch: int = 4096,
 ) -> np.ndarray:
     """First round at which the watched set hears the rumor, per trial.
 
-    Trials run in batches on a dedicated sampler stream, so large trial
-    counts stay cheap; the result is deterministic for fixed arguments.
+    Trials run in fixed-size batches on one sequential sampler stream, so
+    large trial counts stay cheap and the result is fixed by the arguments.
     Raises IncompleteSpreadError if any trial exhausts the round cap first.
     """
     if variant not in VARIANTS:
@@ -401,32 +409,23 @@ def first_arrival_times(
     cap = default_max_rounds(g.n) if max_rounds is None else max_rounds
     indptr, indices = g.csr
     degs = np.diff(indptr)
-    base = indptr[:-1]
     n = g.n
-    start_arr = np.fromiter(sorted(start_set), dtype=np.int64)
+    start_mask = _mask(n, start_set)
     watched_arr = np.fromiter(sorted(watched_set), dtype=np.int64)
     gen = rng.stream(rng_seed, rng.LANE_SAMPLER)
     out = np.empty(trials, dtype=np.int64)
-    done = 0
-    while done < trials:
-        b = min(batch, trials - done)
-        informed = np.zeros((b, n), dtype=bool)
-        informed[:, start_arr] = True
+    for done in range(0, trials, _ARRIVAL_BATCH):
+        b = min(_ARRIVAL_BATCH, trials - done)
+        informed = np.tile(start_mask, (b, 1))
+        row_offsets = np.arange(b)[:, None] * n
         times = np.zeros(b, dtype=np.int64)
         pending = ~informed[:, watched_arr].any(axis=1)
         for t in range(1, cap + 1):
             if not pending.any():
                 break
-            u = gen.random((b, n))
-            slots = np.minimum((u * degs).astype(np.int64), degs - 1)
-            drawn = indices[base + slots]
-            add = np.zeros_like(informed)
-            if variant in ("push", "pushpull"):
-                flat = (np.arange(b)[:, None] * n + drawn)[informed]
-                add.ravel()[flat] = True
-            if variant in ("pull", "pushpull"):
-                add |= np.take_along_axis(informed, drawn, axis=1)
-            informed |= add
+            drawn = _draw(gen.random((b, n)), indptr, indices, degs)
+            drawn += row_offsets
+            informed |= _step(informed.ravel(), drawn.ravel(), variant).reshape(b, n)
             hit = pending & informed[:, watched_arr].any(axis=1)
             times[hit] = t
             pending &= ~hit
@@ -436,7 +435,6 @@ def first_arrival_times(
                 f"within {cap} rounds"
             )
         out[done : done + b] = times
-        done += b
     return out
 
 
@@ -468,24 +466,14 @@ def pull_growth_check(
     check passes when the mean is no more than ``slack_sigmas`` standard
     errors below the floor.
     """
-    from .expansion import boundary_expansion_exact  # local import; no cycle
+    from .expansion import _boundary_contacts, boundary_expansion_exact
 
     s_set = g.check_set(s)
     if not s_set or len(s_set) == g.n:
         raise InputError("need a nonempty proper subset to measure growth")
     if trials < 2:
         raise InputError("need at least 2 trials for a standard error")
-    indptr, indices = g.csr
-    degs = np.array(g.degrees, dtype=np.int64)
-    n = g.n
-    s_arr = np.fromiter(sorted(s_set), dtype=np.int64, count=len(s_set))
-    s_mask = np.zeros(n, dtype=bool)
-    s_mask[s_arr] = True
-
-    from .graph import boundary, closure  # late import keeps module load light
-
-    bd = sorted(boundary(g, s_set))
-    bd2 = sorted(boundary(g, closure(g, s_set)))
+    bd, bd2, contact = _boundary_contacts(g, s_set)
     h = boundary_expansion_exact(g, s_set)
     floor = h * len(bd)
 
@@ -493,33 +481,20 @@ def pull_growth_check(
         # Closure already covers the graph; growth is identically zero.
         return GrowthCheckReport(trials, 0.0, 0.0, floor, len(bd), passed=floor <= 0)
 
-    bd_index = {v: i for i, v in enumerate(bd)}
-    # 0/1 matrix: which boundary nodes each second-shell node is adjacent to.
-    contact = np.zeros((len(bd2), len(bd)), dtype=np.float32)
-    for i, v in enumerate(bd2):
-        for u in g.adj[v]:
-            j = bd_index.get(u)
-            if j is not None:
-                contact[i, j] = 1.0
-
+    indptr, indices = g.csr
+    degs = np.array(g.degrees, dtype=np.int64)
+    n = g.n
+    s_mask = _mask(n, s_set)
     gen = rng.stream(rng_seed, rng.LANE_GROWTH)
     growth = np.empty(trials, dtype=np.int64)
     batch = max(1, min(trials, (1 << 22) // n))
-    done = 0
-    while done < trials:
+    for done in range(0, trials, batch):
         b = min(batch, trials - done)
-        u = gen.random((b, n))
-        slots = np.minimum((u * degs).astype(np.int64), degs - 1)
-        drawn = indices[indptr[:-1] + slots]
-        new_mask = np.zeros((b, n), dtype=bool)
-        # push from every informed node
-        new_mask[np.arange(b)[:, None], drawn[:, s_arr]] = True
-        # pull by every uninformed node whose draw landed in s
-        new_mask |= s_mask[drawn]
-        new_mask &= ~s_mask
+        drawn = _draw(gen.random((b, n)), indptr, indices, degs)
+        drawn += np.arange(b)[:, None] * n
+        new_mask = _step(np.tile(s_mask, b), drawn.ravel(), "pushpull").reshape(b, n)
         hits = new_mask[:, bd].astype(np.float32) @ contact.T
         growth[done : done + b] = (hits > 0).sum(axis=1)
-        done += b
     mean = float(growth.mean())
     stderr = float(growth.std(ddof=1) / math.sqrt(trials))
     passed = mean >= floor - slack_sigmas * stderr

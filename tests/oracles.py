@@ -169,3 +169,21 @@ def naive_round(adj: Adj, informed, draws, variant: str) -> set[int]:
         if variant in ("pull", "pushpull") and u not in informed and d in informed:
             new.add(u)
     return new
+
+
+def naive_restricted_round(
+    adj: Adj, informed, draws, active, participating
+) -> set[int]:
+    """One restricted round: only active nodes draw, a contact counts only if
+    the drawn node participates, and the rumor crosses it in whichever
+    direction it can."""
+    new = set(informed)
+    for u in active:
+        d = draws[u]
+        if d not in participating:
+            continue
+        if u in informed:
+            new.add(d)
+        elif d in informed:
+            new.add(u)
+    return new

@@ -1,9 +1,14 @@
 """Command line behavior, exercised in process through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rumorspread
 import rumorspread.generators as generators
 from rumorspread import diameter, load_edge_list
 from rumorspread.cli import (
@@ -160,6 +165,25 @@ class TestAnalyze:
         payload = json.loads(capsys.readouterr().out)
         assert payload["measures"][0]["value"] == pytest.approx(0.5)
         assert payload["node_mapping"]["a"] == 0
+
+    def test_output_independent_of_hash_seed(self, tmp_path):
+        # 1 and 01 parse to the same integer; their order must not come from
+        # set iteration, which follows the interpreter's hash seed
+        graph = tmp_path / "collide.txt"
+        graph.write_text("1 01\n01 2\n2 3\n3 1\n")
+        src = str(Path(rumorspread.__file__).resolve().parents[1])
+        outputs = []
+        for seed in ("1", "5"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "rumorspread.cli", "analyze", "--graph",
+                 str(graph)],
+                env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+                capture_output=True,
+                check=True,
+                timeout=120,
+            )
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestSimulate:
@@ -330,7 +354,16 @@ class TestExperimentAndReport:
         assert "bad.csv:2" in capsys.readouterr().err
 
     def test_bad_json_config_exit_2(self, tmp_path, capsys):
-        cfg = tmp_path / "broken.json"
-        cfg.write_text("{not json")
-        assert run_cli("experiment", "--config", str(cfg)) == EXIT_INPUT
-        assert "bad JSON" in capsys.readouterr().err
+        cases = [
+            ("{not json", "bad JSON"),
+            ('{"family": "hypercube", "sweep": [5]}', "sweep"),
+            ('{"family": "hypercube", "sweep": [{"d": 2}], "trials": "x"}', "trials"),
+            ('{"family": "hypercube", "sweep": [{"d": 2}], "trials": 2.5}', "trials"),
+            ('{"family": "cycle", "sweep": [{"n": "8"}]}', "sweep"),
+            ('[{"family": "hypercube", "sweep": [{"d": 2}]}]', "JSON object"),
+        ]
+        for text, message in cases:
+            cfg = tmp_path / "broken.json"
+            cfg.write_text(text)
+            assert run_cli("experiment", "--config", str(cfg)) == EXIT_INPUT, text
+            assert message in capsys.readouterr().err, text

@@ -34,7 +34,7 @@ from rumorspread import (
     write_summary_csv,
     write_trace_csv,
 )
-from rumorspread.rng import stream
+from rumorspread.rng import LANE_ROUND, stream
 
 
 class TestConfig:
@@ -228,6 +228,33 @@ class TestRestrictedRuns:
         trace = run_restricted(g, {9}, 0, cfg, participating=part, active=act)
         for s in trace.sets:
             assert s <= part
+
+    def test_rounds_match_oracle(self):
+        from helpers import random_connected
+
+        rand = random.Random(8)
+        passive_informed = 0
+        for case in range(30):
+            g = random_connected(rand, rand.randint(4, 14))
+            part = frozenset(rand.sample(range(g.n), rand.randint(2, g.n)))
+            act = frozenset(rand.sample(sorted(part), rand.randint(1, len(part))))
+            origin = rand.choice(sorted(act))
+            cfg = ProtocolConfig(rng_seed=case, record_sets=True, max_rounds=12)
+            trace = run_restricted(
+                g, {g.n - 1}, origin, cfg, participating=part, active=act
+            )
+            for t in range(1, len(trace.sets)):
+                u = stream(case, LANE_ROUND, 0, t).random(g.n)
+                draws = {
+                    v: g.adj[v][min(int(u[v] * len(g.adj[v])), len(g.adj[v]) - 1)]
+                    for v in range(g.n)
+                }
+                want = oracles.naive_restricted_round(
+                    g.adj, trace.sets[t - 1], draws, act, part
+                )
+                assert trace.sets[t] == want
+            passive_informed += len(trace.sets[-1] - act)
+        assert passive_informed > 0
 
     def test_validation(self):
         g = cycle(6)
