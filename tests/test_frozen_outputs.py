@@ -17,6 +17,9 @@ from helpers import petersen, random_connected
 from rumorspread import (
     ProtocolConfig,
     boundary,
+    clustered_regular,
+    combined_expansion_graph,
+    conductance_graph,
     boundary_expansion_due_to,
     boundary_expansion_exact,
     boundary_expansion_fraction,
@@ -26,7 +29,9 @@ from rumorspread import (
     first_arrival_times,
     hypercube,
     pull_growth_check,
+    random_regular,
     run_restricted,
+    vertex_expansion_graph,
 )
 from rumorspread.cli import EXIT_OK, main
 
@@ -193,3 +198,40 @@ def formula_repr(g, s) -> str:
 @pytest.mark.parametrize("name", sorted(FORMULA_REPRS))
 def test_boundary_expansion_formula(name):
     assert formula_repr(*FORMULA_CASES[name]) == FORMULA_REPRS[name]
+
+
+MINIMA_GRAPHS = {
+    "hypercube-4": lambda: hypercube(4),
+    "cycle-16": lambda: cycle(16),
+    "clustered-16": lambda: clustered_regular(2, 4, 2, rng_seed=21),
+    "random-3-regular-14": lambda: random_regular(14, 3, rng_seed=5),
+}
+
+MINIMA_MEASURES = {
+    "alpha": vertex_expansion_graph,
+    "phi": conductance_graph,
+    "xi": combined_expansion_graph,
+}
+
+MINIMA_REPRS = {
+    ("hypercube-4", "alpha"): "(0.75, Fraction(3, 4), (0, 1, 2, 3, 4, 5, 8, 9))",
+    ("hypercube-4", "phi"): "(0.25, Fraction(1, 4), (0, 1, 2, 3, 4, 5, 6, 7))",
+    ("hypercube-4", "xi"): "(0.25, Fraction(1, 4), (0, 1, 2, 3, 4, 5, 6, 7))",
+    ("cycle-16", "alpha"): "(0.25, Fraction(1, 4), (0, 1, 2, 3, 4, 5, 6, 7))",
+    ("cycle-16", "phi"): "(0.125, Fraction(1, 8), (0, 1, 2, 3, 4, 5, 6, 7))",
+    ("cycle-16", "xi"): "(0.25, Fraction(1, 4), (0, 1, 2, 3, 4, 5, 6, 7))",
+    ("clustered-16", "alpha"): "(0.5, Fraction(1, 2), (0, 1, 2, 3, 4, 5, 6, 7))",
+    ("clustered-16", "phi"): "(0.15, Fraction(3, 20), (0, 1, 2, 3, 4, 5, 6, 7))",
+    ("clustered-16", "xi"): "(0.3023255813953488, Fraction(13, 43), (0, 1, 2, 3, 5, 6, 7, 14))",
+    ("random-3-regular-14", "alpha"): "(0.42857142857142855, Fraction(3, 7), (1, 2, 3, 4, 5, 8, 12))",
+    ("random-3-regular-14", "phi"): "(0.2, Fraction(1, 5), (0, 7, 9, 10, 11))",
+    ("random-3-regular-14", "xi"): "(0.3333333333333333, Fraction(1, 3), (0, 1, 6, 7, 9, 10, 11))",
+}
+
+
+@pytest.mark.parametrize("name,measure", sorted(MINIMA_REPRS))
+def test_graph_minima(name, measure):
+    """Value, exact rational and tie-broken witness of each enumerated
+    minimum; hypercube and cycle have many tied minimizers."""
+    rep = MINIMA_MEASURES[measure](MINIMA_GRAPHS[name]())
+    assert repr((rep.value, rep.exact, rep.witness)) == MINIMA_REPRS[(name, measure)]
