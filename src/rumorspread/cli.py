@@ -32,7 +32,7 @@ from .experiment import (
     write_report_json,
 )
 from .generators import FAMILY_NAMES, FamilySpec, greedy_dominating_set
-from .graph import Graph, load_edge_list, load_node_set, save_edge_list
+from .graph import Graph, load_edge_list, save_edge_list
 from .protocols import (
     VARIANTS,
     ProtocolConfig,
@@ -70,7 +70,7 @@ def _out_path(path: str) -> str:
 def _load_graph(path: str) -> tuple[Graph, dict]:
     try:
         return load_edge_list(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read graph file {path}: {exc}") from exc
 
 
@@ -81,6 +81,17 @@ def _parse_node_list(text: str) -> tuple[int, ...]:
         raise InputError(f"bad node list {text!r}: {exc}") from exc
 
 
+def _read_set_labels(path: str) -> list[str]:
+    """Labels of a node-set file, one per line, kept as strings so they match
+    edge-list labels exactly; blank lines and ``#`` lines are skipped."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [line.strip() for line in fh]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read set file {path}: {exc}") from exc
+    return [line for line in lines if line and not line.startswith("#")]
+
+
 def _resolve_set(args, g: Graph, mapping: dict) -> frozenset[int]:
     """Read --set / --set-file in original labels and map to internal ids."""
     if getattr(args, "set", None) is not None and getattr(args, "set_file", None):
@@ -88,10 +99,7 @@ def _resolve_set(args, g: Graph, mapping: dict) -> frozenset[int]:
     if getattr(args, "set", None) is not None:
         labels = [tok for tok in args.set.replace(",", " ").split()]
     elif getattr(args, "set_file", None):
-        try:
-            labels = [str(v) for v in load_node_set(args.set_file)]
-        except OSError as exc:
-            raise InputError(f"cannot read set file {args.set_file}: {exc}") from exc
+        labels = _read_set_labels(args.set_file)
     else:
         raise InputError("a node set is required (--set or --set-file)")
     inverse = {str(orig): new for orig, new in mapping.items()}

@@ -1,10 +1,14 @@
 """Expansion measures for node sets and graphs.
 
 Set-level measures evaluate a formula on one set. Graph-level measures
-minimize over subsets by exhaustive enumeration in Gray-code order (one node
-toggled per step, with boundary, cut and volume maintained incrementally) and
-are therefore limited to small graphs; they raise CapabilityError beyond the
-limit and direct the caller to per-set evaluation.
+minimize over all subsets by exhaustive enumeration and are therefore limited
+to small graphs; they raise CapabilityError beyond the limit and direct the
+caller to per-set evaluation. The enumeration is vectorized over int64 subset
+bitmasks: per-digit lookup tables (16 nodes a digit) give the size, volume,
+internal edge count and neighbourhood of any mask, and the subsets are visited
+in chunks of 2^16 masks that share their higher bits, so memory stays a few
+megabytes whatever n is. Masks cap the enumeration at 62 nodes, whatever
+limit the caller sets.
 
 Measures:
 
@@ -16,8 +20,9 @@ Measures:
 * augmented combined expansion: same with the boundary conductance offset by
   1/log2(max degree).
 
-Exact values are tracked as rationals during enumeration so ties are broken
-deterministically (lexicographically smallest witness).
+Minima are exact: a float argmin proposes a candidate value that integer
+cross-multiplication confirms, and ties go to the lexicographically smallest
+witness tuple.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Iterator
+from typing import Collection, NamedTuple
 
 import numpy as np
 
@@ -34,6 +39,14 @@ from .errors import CapabilityError, InputError
 from .graph import Graph, NodeSet, boundary, closure, cut_size, edges_between, volume
 
 DEFAULT_ENUMERATION_LIMIT = 20
+
+# A subset is an int64 bitmask with bit v set for member v. Its bits are cut
+# into digits of _DIGIT_BITS nodes; per-digit tables give any mask's size,
+# volume, internal edge count and neighbourhood by lookup. Enumeration runs
+# in chunks of at most 2^_DIGIT_BITS masks that share their higher digits.
+_DIGIT_BITS = 16
+# Masks, and the subset count 2^n, must fit in int64.
+_MAX_ENUMERATION_NODES = 62
 
 
 @dataclass
@@ -76,6 +89,7 @@ def _check_proper_subset(g: Graph, s: Collection[int]) -> NodeSet:
 
 def _check_enumerable(g: Graph, max_nodes: int | None, what: str) -> None:
     limit = DEFAULT_ENUMERATION_LIMIT if max_nodes is None else max_nodes
+    limit = min(limit, _MAX_ENUMERATION_NODES)
     if g.n > limit:
         raise CapabilityError(
             f"{what} enumerates all subsets and is capped at {limit} nodes "
@@ -212,157 +226,171 @@ def augmented_combined_expansion_set(g: Graph, s: Collection[int]) -> float:
 # -- exhaustive graph-level measures ---------------------------------------
 
 
-class _SubsetWalk:
-    """Gray-code walk over all nonempty subsets with incremental state.
+class _Digit(NamedTuple):
+    """Tables over the subsets of the nodes shift..shift+width-1, indexed by
+    the mask bits of those nodes (``(mask >> shift) & low``)."""
 
-    After each step the public fields describe the current subset: membership
-    flags, size, volume, cut size, and the boundary as a set. One node is
-    toggled per step, so each update costs O(degree of the toggled node).
+    shift: int
+    low: int
+    size: np.ndarray
+    vol: np.ndarray
+    edges: np.ndarray
+    nbr: np.ndarray
+
+
+class _MaskTables:
+    """Size, volume, internal edge count and neighbourhood of node masks.
+
+    Each digit's tables are built with one vectorized step per node: the
+    subsets that contain the node extend those that do not. Edges between
+    two digits are counted per node of the higher one, by a size lookup of
+    its neighbours in the lower one.
     """
 
     def __init__(self, g: Graph):
-        self.g = g
-        self.in_s = [False] * g.n
-        self.size = 0
-        self.vol = 0
-        self.cut = 0
-        self.nbr_in_s = [0] * g.n
-        self.boundary: set[int] = set()
+        self.digits: list[_Digit] = []
+        self.cross: list[tuple[int, list[tuple[int, int]]]] = []
+        index = np.arange(1 << min(g.n, _DIGIT_BITS), dtype=np.int64)
+        for shift in range(0, g.n, _DIGIT_BITS):
+            width = min(_DIGIT_BITS, g.n - shift)
+            size = np.zeros(1 << width, dtype=np.int64)
+            vol = np.zeros_like(size)
+            edges = np.zeros_like(size)
+            nbr = np.zeros_like(size)
+            for i in range(width):
+                v = shift + i
+                half, full = 1 << i, 2 << i
+                inner = sum(1 << (u - shift) for u in g.adj[v] if shift <= u < v)
+                size[half:full] = size[:half] + 1
+                vol[half:full] = vol[:half] + len(g.adj[v])
+                edges[half:full] = edges[:half] + size[index[:half] & inner]
+                nbr[half:full] = nbr[:half] | sum(1 << u for u in g.adj[v])
+                links = []
+                for j in range(shift // _DIGIT_BITS):
+                    lo = j * _DIGIT_BITS
+                    rel = sum(1 << (u - lo) for u in g.adj[v] if lo <= u < lo + _DIGIT_BITS)
+                    if rel:
+                        links.append((j, rel))
+                if links:
+                    self.cross.append((v, links))
+            self.digits.append(_Digit(shift, (1 << width) - 1, size, vol, edges, nbr))
 
-    def _toggle(self, v: int) -> None:
-        adj = self.g.adj[v]
-        if not self.in_s[v]:
-            self.boundary.discard(v)
-            self.in_s[v] = True
-            self.size += 1
-            self.vol += len(adj)
-            for u in adj:
-                if self.in_s[u]:
-                    self.cut -= 1
-                else:
-                    self.cut += 1
-                self.nbr_in_s[u] += 1
-                if not self.in_s[u] and self.nbr_in_s[u] == 1:
-                    self.boundary.add(u)
-        else:
-            self.in_s[v] = False
-            self.size -= 1
-            self.vol -= len(adj)
-            for u in adj:
-                if self.in_s[u]:
-                    self.cut += 1
-                else:
-                    self.cut -= 1
-                self.nbr_in_s[u] -= 1
-                if not self.in_s[u] and self.nbr_in_s[u] == 0:
-                    self.boundary.discard(u)
-            if self.nbr_in_s[v] > 0:
-                self.boundary.add(v)
+    def stats(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Size, volume and internal edge count of every mask."""
+        parts = [(masks >> d.shift) & d.low for d in self.digits]
+        size = vol = edges = 0
+        for part, d in zip(parts, self.digits):
+            size = size + d.size[part]
+            vol = vol + d.vol[part]
+            edges = edges + d.edges[part]
+        for v, links in self.cross:
+            member = (masks >> v) & 1
+            for j, rel in links:
+                edges = edges + member * self.digits[j].size[parts[j] & rel]
+        return size, vol, edges
 
-    def members(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.g.n) if self.in_s[v])
-
-    def walk(self) -> Iterator[None]:
-        """Visit every nonempty subset exactly once."""
-        for i in range(1, 1 << self.g.n):
-            self._toggle((i & -i).bit_length() - 1)
-            yield None
+    def neighbourhood(self, masks: np.ndarray) -> np.ndarray:
+        """Union of the members' neighbourhoods, as masks."""
+        nbr = 0
+        for d in self.digits:
+            nbr = nbr | d.nbr[(masks >> d.shift) & d.low]
+        return nbr
 
 
-def _minimize(
-    g: Graph, candidate_value
-) -> tuple[Fraction, tuple[int, ...]]:
-    """Run a subset walk keeping the minimum over admissible subsets.
+def _terms(
+    tables: _MaskTables, g: Graph, masks: np.ndarray, measure: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The masks in the domain of ``measure``, with the numerator and the
+    (positive) denominator of their values."""
+    size, vol, edges = tables.stats(masks)
+    if measure == "conductance":
+        keep = (vol > 0) & (vol <= g.num_edges)  # at most half the total volume
+        return masks[keep], (vol - 2 * edges)[keep], vol[keep]
+    keep = (size > 0) & (2 * size <= g.n)
+    masks, size = masks[keep], size[keep]
+    bd = tables.neighbourhood(masks) & ~masks
+    bd_size, bd_vol, bd_edges = tables.stats(bd)
+    if measure == "vertex-expansion":
+        return masks, bd_size, size
+    # combined: (|B|/|S|) * (cut(B)/vol(B)) as one fraction
+    return masks, bd_size * (bd_vol - 2 * bd_edges), size * bd_vol
 
-    ``candidate_value(state)`` returns a Fraction or None if the subset is
-    out of the measure's domain. Ties prefer the lexicographically smallest
-    member tuple.
+
+def _lex_smallest(masks: np.ndarray) -> int:
+    """The mask whose sorted member tuple is lexicographically smallest.
+
+    Integer order is not that order ({1} = 0b10 < {0, 2} = 0b101, yet
+    (0, 2) < (1,)). Keep the masks with the smallest lowest member and strip
+    it, until one is left. A mask that runs out of members first has lowest
+    bit 0, the smallest, and wins: it is a prefix of the others. Masks must
+    be distinct.
     """
-    walkst = _SubsetWalk(g)
-    best: Fraction | None = None
-    best_witness: tuple[int, ...] | None = None
-    for _ in walkst.walk():
-        value = candidate_value(walkst)
-        if value is None:
+    rest = masks
+    while masks.size > 1:
+        lowest = rest & -rest
+        keep = lowest == lowest.min()
+        masks, rest = masks[keep], (rest ^ lowest)[keep]
+    return int(masks[0])
+
+
+def _exact_minimum(g: Graph, measure: str) -> tuple[Fraction, tuple[int, ...]]:
+    """Exact minimum of ``measure`` over all subsets in its domain, and the
+    lexicographically smallest minimizing member tuple."""
+    tables = _MaskTables(g)
+    width = min(g.n, _DIGIT_BITS)
+    low = np.arange(1 << width, dtype=np.int64)
+    best: tuple[int, int] | None = None
+    tied: list[np.ndarray] = []
+    for high in range(1 << (g.n - width)):
+        masks, num, den = _terms(tables, g, low | (high << width), measure)
+        if not masks.size:
             continue
-        if best is None or value < best:
-            best = value
-            best_witness = walkst.members()
-        elif value == best:
-            w = walkst.members()
-            if w < best_witness:
-                best_witness = w
-    assert best is not None and best_witness is not None
-    return best, best_witness
+        # The float argmin proposes p/q. Two distinct values differ by at
+        # least 1/(q q'), with q, q' < 2^17, which float64 resolves; integer
+        # cross-multiplication confirms it.
+        i = int(np.argmin(num / den))
+        p, q = int(num[i]), int(den[i])
+        if (num * q < p * den).any():
+            raise AssertionError("float argmin is not the exact minimum; internal bug")
+        if best is not None:
+            if p * best[1] > best[0] * q:
+                continue
+            if p * best[1] < best[0] * q:
+                tied = []
+        best = (p, q)
+        tied.append(masks[num * q == p * den])
+    assert best is not None
+    witness = _lex_smallest(np.concatenate(tied))
+    return Fraction(*best), tuple(v for v in range(g.n) if witness >> v & 1)
+
+
+def _enumerated(
+    g: Graph, measure: str, max_nodes: int | None, what: str
+) -> ExpansionReport:
+    _check_enumerable(g, max_nodes, what)
+    best, witness = _exact_minimum(g, measure)
+    return ExpansionReport(
+        measure=measure,
+        value=float(best),
+        witness=witness,
+        method="exact-enumeration",
+        exact=best,
+    )
 
 
 def vertex_expansion_graph(g: Graph, max_nodes: int | None = None) -> ExpansionReport:
     """Minimum vertex expansion over subsets of at most half the nodes."""
-    _check_enumerable(g, max_nodes, "vertex expansion")
-    half = Fraction(g.n, 2)
-
-    def value(st: _SubsetWalk) -> Fraction | None:
-        if 0 < st.size <= half:
-            return Fraction(len(st.boundary), st.size)
-        return None
-
-    best, witness = _minimize(g, value)
-    return ExpansionReport(
-        measure="vertex-expansion",
-        value=float(best),
-        witness=witness,
-        method="exact-enumeration",
-        exact=best,
-    )
+    return _enumerated(g, "vertex-expansion", max_nodes, "vertex expansion")
 
 
 def conductance_graph(g: Graph, max_nodes: int | None = None) -> ExpansionReport:
     """Minimum conductance over subsets of at most half the total volume."""
-    _check_enumerable(g, max_nodes, "conductance")
-    half_vol = g.num_edges  # volume of the whole graph is twice the edges
-
-    def value(st: _SubsetWalk) -> Fraction | None:
-        if 0 < st.vol <= half_vol:
-            return Fraction(st.cut, st.vol)
-        return None
-
-    best, witness = _minimize(g, value)
-    return ExpansionReport(
-        measure="conductance",
-        value=float(best),
-        witness=witness,
-        method="exact-enumeration",
-        exact=best,
-    )
+    return _enumerated(g, "conductance", max_nodes, "conductance")
 
 
 def combined_expansion_graph(g: Graph, max_nodes: int | None = None) -> ExpansionReport:
     """Minimum combined expansion over subsets of at most half the nodes."""
-    _check_enumerable(g, max_nodes, "combined expansion")
-    half = Fraction(g.n, 2)
-    adj = g.adj
-
-    def value(st: _SubsetWalk) -> Fraction | None:
-        if not (0 < st.size <= half):
-            return None
-        bd = st.boundary
-        vol_b = 0
-        cut_b = 0
-        for u in bd:
-            for w in adj[u]:
-                vol_b += 1
-                if w not in bd:
-                    cut_b += 1
-        return Fraction(len(bd), st.size) * Fraction(cut_b, vol_b)
-
-    best, witness = _minimize(g, value)
-    return ExpansionReport(
-        measure="combined-expansion",
-        value=float(best),
-        witness=witness,
-        method="exact-enumeration",
-        exact=best,
-    )
+    return _enumerated(g, "combined-expansion", max_nodes, "combined expansion")
 
 
 def sandwich_alpha_phi(g: Graph, max_nodes: int | None = None) -> bool:

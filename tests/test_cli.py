@@ -1,12 +1,17 @@
 """Command line behavior, exercised in process through main(argv)."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rumorspread
 import rumorspread.generators as generators
@@ -17,6 +22,8 @@ from rumorspread.cli import (
     EXIT_INCOMPLETE,
     EXIT_INPUT,
     EXIT_OK,
+    MEASURE_ALIASES,
+    MEASURES,
     main,
 )
 
@@ -30,6 +37,28 @@ def k4(tmp_path):
     out = tmp_path / "k4.txt"
     assert run_cli("gen", "complete", "--n", "4", "--out", str(out)) == EXIT_OK
     return str(out)
+
+
+# small integers (some colliding as 1/01), words and a negative number
+FUZZ_LABELS = st.one_of(
+    st.integers(0, 9).map(str), st.sampled_from(["a", "b", "01", "1_0", "-3"])
+)
+
+
+@st.composite
+def fuzz_edge_lists(draw):
+    """A walk over random labels (often a connected graph), then stray lines:
+    more edges, wrong token counts, comments and arbitrary text."""
+    walk = draw(st.lists(FUZZ_LABELS, min_size=2, max_size=10))
+    lines = [f"{a} {b}" for a, b in zip(walk, walk[1:])]
+    stray = st.one_of(
+        st.lists(FUZZ_LABELS, max_size=4).map(" ".join),
+        st.just("# comment"),
+        st.text(max_size=8),
+    )
+    for line in draw(st.lists(stray, max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return "\n".join(lines)
 
 
 class TestGen:
@@ -156,15 +185,25 @@ class TestAnalyze:
         assert "capped at 3 nodes" in capsys.readouterr().err
 
     def test_original_labels_respected(self, tmp_path, capsys):
+        cases = [
+            ("a b\nb c\nc d\n", "a", 0, 0.5),
+            # 1 and 01 are distinct labels with the same integer value
+            ("1 01\n01 2\n2 3\n3 1\n", "01", 0, 0.375),
+        ]
         graph = tmp_path / "named.txt"
-        graph.write_text("a b\nb c\nc d\n")
-        code = run_cli(
-            "analyze", "--graph", str(graph), "--set", "a", "--measures", "h"
-        )
-        assert code == EXIT_OK
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["measures"][0]["value"] == pytest.approx(0.5)
-        assert payload["node_mapping"]["a"] == 0
+        set_file = tmp_path / "set.txt"
+        for edges, label, node, h in cases:
+            graph.write_text(edges)
+            set_file.write_text(f"# original labels\n\n{label}\n")
+            for via, arg in (("--set", label), ("--set-file", str(set_file))):
+                code = run_cli(
+                    "analyze", "--graph", str(graph), via, arg, "--measures", "h"
+                )
+                assert code == EXIT_OK, (label, via)
+                payload = json.loads(capsys.readouterr().out)
+                assert payload["measures"][0]["value"] == pytest.approx(h)
+                assert payload["measures"][0]["witness"] == [node], (label, via)
+                assert payload["node_mapping"][label] == node
 
     def test_output_independent_of_hash_seed(self, tmp_path):
         # 1 and 01 parse to the same integer; their order must not come from
@@ -184,6 +223,43 @@ class TestAnalyze:
             )
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
+
+    @given(
+        edge_text=fuzz_edge_lists(),
+        prefix=st.sampled_from([b"", b"", b"", b"\xff"]),  # invalid UTF-8 at times
+        measures=st.lists(
+            st.sampled_from(sorted(MEASURE_ALIASES) + list(MEASURES) + ["zeta", ""]),
+            min_size=1,
+            max_size=4,
+        ).map(",".join),
+        limit=st.one_of(
+            st.none(), st.sampled_from([0, -1, -7, 10**6]), st.integers(-3, 20)
+        ),
+        set_label=st.one_of(st.none(), FUZZ_LABELS),
+    )
+    @pytest.mark.filterwarnings("ignore:.*dropped")
+    @settings(max_examples=200)
+    @example(
+        edge_text="\n".join(f"{i} {(i + 1) % 63}" for i in range(63)),
+        prefix=b"",
+        measures="alpha,phi,xi",
+        limit=10**6,
+        set_label=None,
+    )
+    def test_fuzz_exit_codes(self, edge_text, prefix, measures, limit, set_label):
+        with tempfile.TemporaryDirectory() as tmp:
+            graph = Path(tmp) / "fuzz.txt"
+            graph.write_bytes(prefix + edge_text.encode())
+            argv = ["analyze", "--graph", str(graph), f"--measures={measures}"]
+            if limit is not None:
+                argv.append(f"--limit={limit}")
+            if set_label is not None:
+                argv.append(f"--set={set_label}")
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (EXIT_OK, EXIT_INPUT, EXIT_CAPABILITY, EXIT_INCOMPLETE, EXIT_CONSTRUCTION)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestSimulate:

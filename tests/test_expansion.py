@@ -2,13 +2,17 @@
 sampling, and the regular-graph relations."""
 
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 import oracles
 from conftest import connected_graphs, graph_and_proper_subset
+from helpers import random_connected
+from rumorspread import expansion
 from rumorspread import (
     CapabilityError,
     InputError,
@@ -174,6 +178,47 @@ class TestGraphLevel:
         with pytest.raises(CapabilityError):
             vertex_expansion_graph(g, max_nodes=9)
         assert vertex_expansion_graph(g, max_nodes=10).exact == Fraction(2, 5)
+        # int64 subset masks hold at most 62 nodes, whatever the cap says
+        for measure in (vertex_expansion_graph, conductance_graph, combined_expansion_graph):
+            with pytest.raises(CapabilityError, match="capped at 62 nodes"):
+                measure(cycle(63), max_nodes=10**6)
+
+    def test_tie_break_on_member_tuples(self):
+        def lex_smallest(*sets):
+            masks = np.array([sum(1 << v for v in s) for s in sets], dtype=np.int64)
+            return expansion._lex_smallest(masks)
+
+        # integer order would pick {1} = 0b10 over {0, 2} = 0b101
+        assert lex_smallest({1}, {0, 2}) == 0b101
+        # a prefix of another tuple comes first
+        assert lex_smallest({0, 1, 2}, {0, 1}) == 0b11
+        assert lex_smallest({0, 1}, {0, 1, 2}) == 0b11
+        assert lex_smallest({3, 5}, {2, 9}, {2, 4, 61}, {2, 4, 7}) == (1 << 2) | (1 << 4) | (1 << 7)
+        assert lex_smallest({5}) == 1 << 5
+        rand = random.Random(3)
+        for _ in range(200):
+            sets = {
+                tuple(sorted(rand.sample(range(20), rand.randint(1, 6))))
+                for _ in range(rand.randint(1, 12))
+            }
+            got = lex_smallest(*sets)
+            assert got == sum(1 << v for v in min(sets))
+
+    def test_mask_tables_across_digits(self):
+        # 62 nodes span four table digits, so cross-digit edges are counted
+        rand = random.Random(8)
+        g = random_connected(rand, 62, extra=0.08)
+        tables = expansion._MaskTables(g)
+        sets = [frozenset(rand.sample(range(62), rand.randint(0, 62))) for _ in range(300)]
+        masks = np.array([sum(1 << v for v in s) for s in sets], dtype=np.int64)
+        size, vol, edges = tables.stats(masks)
+        nbr = tables.neighbourhood(masks)
+        for i, s in enumerate(sets):
+            assert size[i] == len(s)
+            assert vol[i] == oracles.naive_volume(g.adj, s)
+            assert vol[i] - 2 * edges[i] == oracles.naive_cut(g.adj, s)
+            reached = {v for u in s for v in g.adj[u]}
+            assert nbr[i] == sum(1 << v for v in reached)
 
     def test_report_serialization(self):
         rep = vertex_expansion_graph(cycle(6))

@@ -205,6 +205,9 @@ MINIMA_GRAPHS = {
     "cycle-16": lambda: cycle(16),
     "clustered-16": lambda: clustered_regular(2, 4, 2, rng_seed=21),
     "random-3-regular-14": lambda: random_regular(14, 3, rng_seed=5),
+    # past 16 nodes the subsets are enumerated in several chunks
+    "random-4-regular-18": lambda: random_regular(18, 4, rng_seed=9),
+    "cycle-20": lambda: cycle(20),
 }
 
 MINIMA_MEASURES = {
@@ -226,6 +229,12 @@ MINIMA_REPRS = {
     ("random-3-regular-14", "alpha"): "(0.42857142857142855, Fraction(3, 7), (1, 2, 3, 4, 5, 8, 12))",
     ("random-3-regular-14", "phi"): "(0.2, Fraction(1, 5), (0, 7, 9, 10, 11))",
     ("random-3-regular-14", "xi"): "(0.3333333333333333, Fraction(1, 3), (0, 1, 6, 7, 9, 10, 11))",
+    ("random-4-regular-18", "alpha"): "(0.5555555555555556, Fraction(5, 9), (1, 2, 3, 4, 6, 10, 12, 15, 16))",
+    ("random-4-regular-18", "phi"): "(0.2222222222222222, Fraction(2, 9), (0, 5, 7, 8, 9, 11, 14, 16, 17))",
+    ("random-4-regular-18", "xi"): "(0.2777777777777778, Fraction(5, 18), (1, 2, 4, 6, 8, 9, 10, 13, 16))",
+    ("cycle-20", "alpha"): "(0.2, Fraction(1, 5), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9))",
+    ("cycle-20", "phi"): "(0.1, Fraction(1, 10), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9))",
+    ("cycle-20", "xi"): "(0.2, Fraction(1, 5), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9))",
 }
 
 
