@@ -40,10 +40,8 @@ from .graph import Graph, NodeSet, boundary, closure, cut_size, edges_between, v
 
 DEFAULT_ENUMERATION_LIMIT = 20
 
-# A subset is an int64 bitmask with bit v set for member v. Its bits are cut
-# into digits of _DIGIT_BITS nodes; per-digit tables give any mask's size,
-# volume, internal edge count and neighbourhood by lookup. Enumeration runs
-# in chunks of at most 2^_DIGIT_BITS masks that share their higher digits.
+# Nodes per lookup-table digit; an enumeration chunk holds 2^_DIGIT_BITS
+# masks at most.
 _DIGIT_BITS = 16
 # Masks, and the subset count 2^n, must fit in int64.
 _MAX_ENUMERATION_NODES = 62
@@ -364,10 +362,9 @@ def _exact_minimum(g: Graph, measure: str) -> tuple[Fraction, tuple[int, ...]]:
     return Fraction(*best), tuple(v for v in range(g.n) if witness >> v & 1)
 
 
-def _enumerated(
-    g: Graph, measure: str, max_nodes: int | None, what: str
-) -> ExpansionReport:
-    _check_enumerable(g, max_nodes, what)
+def _enumerated(g: Graph, measure: str, max_nodes: int | None) -> ExpansionReport:
+    """The exact graph-level minimum of ``measure`` as a report."""
+    _check_enumerable(g, max_nodes, measure.replace("-", " "))
     best, witness = _exact_minimum(g, measure)
     return ExpansionReport(
         measure=measure,
@@ -380,17 +377,17 @@ def _enumerated(
 
 def vertex_expansion_graph(g: Graph, max_nodes: int | None = None) -> ExpansionReport:
     """Minimum vertex expansion over subsets of at most half the nodes."""
-    return _enumerated(g, "vertex-expansion", max_nodes, "vertex expansion")
+    return _enumerated(g, "vertex-expansion", max_nodes)
 
 
 def conductance_graph(g: Graph, max_nodes: int | None = None) -> ExpansionReport:
     """Minimum conductance over subsets of at most half the total volume."""
-    return _enumerated(g, "conductance", max_nodes, "conductance")
+    return _enumerated(g, "conductance", max_nodes)
 
 
 def combined_expansion_graph(g: Graph, max_nodes: int | None = None) -> ExpansionReport:
     """Minimum combined expansion over subsets of at most half the nodes."""
-    return _enumerated(g, "combined-expansion", max_nodes, "combined expansion")
+    return _enumerated(g, "combined-expansion", max_nodes)
 
 
 def sandwich_alpha_phi(g: Graph, max_nodes: int | None = None) -> bool:

@@ -1,9 +1,10 @@
 """Outputs frozen at fixed seeds.
 
 The determinism contract promises the same bytes for the same seed: summary
-and trace files, restricted traces, arrival times, growth statistics and
-estimator values. Each expectation below was recorded from the implementation
-and must not move when the round kernel or the boundary-expansion formula is
+and trace files, restricted traces, arrival times, growth statistics,
+estimator values and enumerated minima with their witnesses. Each expectation
+below was recorded from the implementation and must not move when the round
+kernel, the boundary-expansion formula or the subset enumerator is
 restructured. A deliberate change of any of these values is a change of the
 contract and belongs in CHANGES.md.
 """
