@@ -2,24 +2,29 @@
 
 The determinism contract promises the same bytes for the same seed: summary
 and trace files, restricted traces, arrival times, growth statistics,
-estimator values and enumerated minima with their witnesses. Each expectation
-below was recorded from the implementation and must not move when the round
-kernel, the boundary-expansion formula or the subset enumerator is
+estimator values, enumerated minima with their witnesses, and the thinning
+removal logs with their potential trajectories. Each expectation below was
+recorded from the implementation and must not move when the round kernel, the
+boundary-expansion formula, the subset enumerator or the thinning loop is
 restructured. A deliberate change of any of these values is a change of the
 contract and belongs in CHANGES.md.
 """
 
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
 from helpers import petersen, random_connected
 from rumorspread import (
+    ParticipatingConfig,
     ProtocolConfig,
     boundary,
     clustered_regular,
     combined_expansion_graph,
+    compute_participating,
+    compute_participating_modified,
     conductance_graph,
     boundary_expansion_due_to,
     boundary_expansion_exact,
@@ -32,7 +37,9 @@ from rumorspread import (
     pull_growth_check,
     random_regular,
     run_restricted,
+    two_cliques_shared_vertex,
     vertex_expansion_graph,
+    write_removal_log_csv,
 )
 from rumorspread.cli import EXIT_OK, main
 
@@ -245,3 +252,324 @@ def test_graph_minima(name, measure):
     minimum; hypercube and cycle have many tied minimizers."""
     rep = MINIMA_MEASURES[measure](MINIMA_GRAPHS[name]())
     assert repr((rep.value, rep.exact, rep.witness)) == MINIMA_REPRS[(name, measure)]
+
+
+THINNING_CASES = {
+    "cycle-12": (lambda: cycle(12), {0}),
+    "dumbbell-8": (lambda: dumbbell(8), {8, 15}),
+    "twocliques-10": (lambda: two_cliques_shared_vertex(10), {1}),
+    "rr-64-8": (lambda: random_regular(64, 8, rng_seed=3), {40, 51}),
+    "clustered-64-a": (lambda: clustered_regular(2, 4, 8, rng_seed=4), {25, 48}),
+    "clustered-64-b": (lambda: clustered_regular(2, 4, 8, rng_seed=4), {49}),
+}
+
+# (case, eps_p, start, order) -> (sha256 of the removal-log CSV bytes,
+# sha256 of repr(trajectory)). At 2/5 the random graphs lose active nodes
+# and cascade over several batches; at 3/20 only passive nodes leave.
+THINNING_DIGESTS = {
+    ("cycle-12", "3/20", "full", "lowest"): (
+        "8469b23fa12e48c7f2b4ad25ef5be18f957fde13fa4d86496ee41c9faa103aec",
+        "b18bfc4339be7cb3238a3a55794ea321af88d63835ebd0757199fc4eedc3b87b",
+    ),
+    ("cycle-12", "3/20", "full", "batch"): (
+        "f11db49bea979d79fc647d0e0e54772a21f85b61d9a17415792b346ad5d7f066",
+        "14ec1760994f09b6438cc7f6af073854d3e92503be62e0786014f296cb57af72",
+    ),
+    ("cycle-12", "3/20", "full", "random"): (
+        "45ee2792720f7fcb38a8b4092a967ac51674cca8e0585d95d9c0e2ab87cd449f",
+        "b18bfc4339be7cb3238a3a55794ea321af88d63835ebd0757199fc4eedc3b87b",
+    ),
+    ("cycle-12", "3/20", "restricted", "lowest"): (
+        "dbfcb078560288e88506997d39fd64698cab86ef55ffbe77a7a1ac11e3b62b69",
+        "8a2d938dde785017f8250f1b6bebfd530c01946f60bfa34ea4a7f5cc2f9182e3",
+    ),
+    ("cycle-12", "3/20", "restricted", "batch"): (
+        "dbfcb078560288e88506997d39fd64698cab86ef55ffbe77a7a1ac11e3b62b69",
+        "8a2d938dde785017f8250f1b6bebfd530c01946f60bfa34ea4a7f5cc2f9182e3",
+    ),
+    ("cycle-12", "3/20", "restricted", "random"): (
+        "dbfcb078560288e88506997d39fd64698cab86ef55ffbe77a7a1ac11e3b62b69",
+        "8a2d938dde785017f8250f1b6bebfd530c01946f60bfa34ea4a7f5cc2f9182e3",
+    ),
+    ("cycle-12", "2/5", "full", "lowest"): (
+        "8469b23fa12e48c7f2b4ad25ef5be18f957fde13fa4d86496ee41c9faa103aec",
+        "b18bfc4339be7cb3238a3a55794ea321af88d63835ebd0757199fc4eedc3b87b",
+    ),
+    ("cycle-12", "2/5", "full", "batch"): (
+        "f11db49bea979d79fc647d0e0e54772a21f85b61d9a17415792b346ad5d7f066",
+        "14ec1760994f09b6438cc7f6af073854d3e92503be62e0786014f296cb57af72",
+    ),
+    ("cycle-12", "2/5", "full", "random"): (
+        "45ee2792720f7fcb38a8b4092a967ac51674cca8e0585d95d9c0e2ab87cd449f",
+        "b18bfc4339be7cb3238a3a55794ea321af88d63835ebd0757199fc4eedc3b87b",
+    ),
+    ("cycle-12", "2/5", "restricted", "lowest"): (
+        "dbfcb078560288e88506997d39fd64698cab86ef55ffbe77a7a1ac11e3b62b69",
+        "27d20ff2158635254ee2546e76e0f641e047e263435dddf6bf2f8d36dcf64555",
+    ),
+    ("cycle-12", "2/5", "restricted", "batch"): (
+        "dbfcb078560288e88506997d39fd64698cab86ef55ffbe77a7a1ac11e3b62b69",
+        "27d20ff2158635254ee2546e76e0f641e047e263435dddf6bf2f8d36dcf64555",
+    ),
+    ("cycle-12", "2/5", "restricted", "random"): (
+        "dbfcb078560288e88506997d39fd64698cab86ef55ffbe77a7a1ac11e3b62b69",
+        "27d20ff2158635254ee2546e76e0f641e047e263435dddf6bf2f8d36dcf64555",
+    ),
+    ("dumbbell-8", "3/20", "full", "lowest"): (
+        "6fcede0d055605223297ac8c7b600abfec893c6e83a2baf2f75c7da5481bbb8e",
+        "1ce0c92b329ea68d97d57f720284b7e7e1cd09645dc9543eb4c5e311d619e785",
+    ),
+    ("dumbbell-8", "3/20", "full", "batch"): (
+        "d183e5e09e0294ca8ebe451898c9a3f78389ebd14b4a8abf7526c0010cfc2841",
+        "ccad52bb54d117d53de6e5915408dc731751adf1afd99372f6f7043edd923c91",
+    ),
+    ("dumbbell-8", "3/20", "full", "random"): (
+        "c24c8cc4d04b544e8c60154cc31a96b98546317a954af9dcdd487255a19a3b9a",
+        "1ce0c92b329ea68d97d57f720284b7e7e1cd09645dc9543eb4c5e311d619e785",
+    ),
+    ("dumbbell-8", "3/20", "restricted", "lowest"): (
+        "dbfcb078560288e88506997d39fd64698cab86ef55ffbe77a7a1ac11e3b62b69",
+        "11a1c89c91064eb84efa724dfcd0032a8e44a07fdf5b95d89f4dfccfc077157b",
+    ),
+    ("dumbbell-8", "3/20", "restricted", "batch"): (
+        "dbfcb078560288e88506997d39fd64698cab86ef55ffbe77a7a1ac11e3b62b69",
+        "11a1c89c91064eb84efa724dfcd0032a8e44a07fdf5b95d89f4dfccfc077157b",
+    ),
+    ("dumbbell-8", "3/20", "restricted", "random"): (
+        "dbfcb078560288e88506997d39fd64698cab86ef55ffbe77a7a1ac11e3b62b69",
+        "11a1c89c91064eb84efa724dfcd0032a8e44a07fdf5b95d89f4dfccfc077157b",
+    ),
+    ("dumbbell-8", "2/5", "full", "lowest"): (
+        "1d1129a5cd033d557df13aa4dc20794d158792808b8ee087aebd7c47a56a86df",
+        "0701fad53fdb96531c78f88cbd52d418d0ad442e2d867391fa1b394988e101b3",
+    ),
+    ("dumbbell-8", "2/5", "full", "batch"): (
+        "f857e92c4062b783609a2e216a0b7b4d9752691be2c585a023dfdf739adef6b0",
+        "e8754a94f83cf478d9e1c16db52619a358535ac4bde28bbe2743efb86dc4c624",
+    ),
+    ("dumbbell-8", "2/5", "full", "random"): (
+        "25a612e58424396de55cde2e0ab7fcbdd7377245a4e6f9c18cd9afbc3e19f302",
+        "0701fad53fdb96531c78f88cbd52d418d0ad442e2d867391fa1b394988e101b3",
+    ),
+    ("dumbbell-8", "2/5", "restricted", "lowest"): (
+        "ca567254fc3f9423b377eb170467565f10f119b3a82484be3cf765fcd505fa7b",
+        "799ac5f66c3e64684d0a96a6222c794411850c8a965912c8e90ea96100b993ce",
+    ),
+    ("dumbbell-8", "2/5", "restricted", "batch"): (
+        "ca567254fc3f9423b377eb170467565f10f119b3a82484be3cf765fcd505fa7b",
+        "799ac5f66c3e64684d0a96a6222c794411850c8a965912c8e90ea96100b993ce",
+    ),
+    ("dumbbell-8", "2/5", "restricted", "random"): (
+        "ca567254fc3f9423b377eb170467565f10f119b3a82484be3cf765fcd505fa7b",
+        "799ac5f66c3e64684d0a96a6222c794411850c8a965912c8e90ea96100b993ce",
+    ),
+    ("twocliques-10", "3/20", "full", "lowest"): (
+        "7103d48dbe38243713ff03e4bc2b2054d9ca70ca38522017624d5ccbd5a6b32a",
+        "8e2c8b4e39366325033d3ac7f02005c4edb364266f793b42417ee8083705df49",
+    ),
+    ("twocliques-10", "3/20", "full", "batch"): (
+        "219b6943a884f49ea798589bb1c737d0efe7ec46eb4978a03bd2f4099d173d8c",
+        "4b7dc1892ac337ad9394220f95e71e21ca0522116567aba151f8a6b1942327d8",
+    ),
+    ("twocliques-10", "3/20", "full", "random"): (
+        "0a23b7c56350d9eeb883d20b4ba74903dbfa1bb2ec1e7b7e29357a710176dae1",
+        "8e2c8b4e39366325033d3ac7f02005c4edb364266f793b42417ee8083705df49",
+    ),
+    ("twocliques-10", "3/20", "restricted", "lowest"): (
+        "dbfcb078560288e88506997d39fd64698cab86ef55ffbe77a7a1ac11e3b62b69",
+        "bc7fceb5d97aa15e4c5ec6a0b6fa4396e6ef7279952de750d0a93a820d162752",
+    ),
+    ("twocliques-10", "3/20", "restricted", "batch"): (
+        "dbfcb078560288e88506997d39fd64698cab86ef55ffbe77a7a1ac11e3b62b69",
+        "bc7fceb5d97aa15e4c5ec6a0b6fa4396e6ef7279952de750d0a93a820d162752",
+    ),
+    ("twocliques-10", "3/20", "restricted", "random"): (
+        "dbfcb078560288e88506997d39fd64698cab86ef55ffbe77a7a1ac11e3b62b69",
+        "bc7fceb5d97aa15e4c5ec6a0b6fa4396e6ef7279952de750d0a93a820d162752",
+    ),
+    ("twocliques-10", "2/5", "full", "lowest"): (
+        "7103d48dbe38243713ff03e4bc2b2054d9ca70ca38522017624d5ccbd5a6b32a",
+        "8e2c8b4e39366325033d3ac7f02005c4edb364266f793b42417ee8083705df49",
+    ),
+    ("twocliques-10", "2/5", "full", "batch"): (
+        "219b6943a884f49ea798589bb1c737d0efe7ec46eb4978a03bd2f4099d173d8c",
+        "4b7dc1892ac337ad9394220f95e71e21ca0522116567aba151f8a6b1942327d8",
+    ),
+    ("twocliques-10", "2/5", "full", "random"): (
+        "0a23b7c56350d9eeb883d20b4ba74903dbfa1bb2ec1e7b7e29357a710176dae1",
+        "8e2c8b4e39366325033d3ac7f02005c4edb364266f793b42417ee8083705df49",
+    ),
+    ("twocliques-10", "2/5", "restricted", "lowest"): (
+        "dbfcb078560288e88506997d39fd64698cab86ef55ffbe77a7a1ac11e3b62b69",
+        "bc7fceb5d97aa15e4c5ec6a0b6fa4396e6ef7279952de750d0a93a820d162752",
+    ),
+    ("twocliques-10", "2/5", "restricted", "batch"): (
+        "dbfcb078560288e88506997d39fd64698cab86ef55ffbe77a7a1ac11e3b62b69",
+        "bc7fceb5d97aa15e4c5ec6a0b6fa4396e6ef7279952de750d0a93a820d162752",
+    ),
+    ("twocliques-10", "2/5", "restricted", "random"): (
+        "dbfcb078560288e88506997d39fd64698cab86ef55ffbe77a7a1ac11e3b62b69",
+        "bc7fceb5d97aa15e4c5ec6a0b6fa4396e6ef7279952de750d0a93a820d162752",
+    ),
+    ("rr-64-8", "3/20", "full", "lowest"): (
+        "0040414190b30091eb5758e078fc513a730bf7627fe26b4e952159df3162d702",
+        "299ba97727d8d59ef3106324b42cd6c40c87258081b8a04c9a461a8daa293be9",
+    ),
+    ("rr-64-8", "3/20", "full", "batch"): (
+        "a9dd05cd13698501b9a9c0a07fa461234cf7a43abfecb3aad2d6136e9040a955",
+        "b4e9394c3e76c9f8d53375b00f4631f8b21436800f0a7bd2f444ae478faa6844",
+    ),
+    ("rr-64-8", "3/20", "full", "random"): (
+        "7296050ad7fca36db4dd68fe6f9319efbf49c2519f01eab3712801be000fb7c3",
+        "aab05004999d12aeb65f0078d0e16f1f3cdc7f8174886d4ec78624511429c5d5",
+    ),
+    ("rr-64-8", "3/20", "restricted", "lowest"): (
+        "dbfcb078560288e88506997d39fd64698cab86ef55ffbe77a7a1ac11e3b62b69",
+        "d8b6525f3dd71f150d3224d812b10c2d5d8d31ba809b6527085fc1fe68e5761f",
+    ),
+    ("rr-64-8", "3/20", "restricted", "batch"): (
+        "dbfcb078560288e88506997d39fd64698cab86ef55ffbe77a7a1ac11e3b62b69",
+        "d8b6525f3dd71f150d3224d812b10c2d5d8d31ba809b6527085fc1fe68e5761f",
+    ),
+    ("rr-64-8", "3/20", "restricted", "random"): (
+        "dbfcb078560288e88506997d39fd64698cab86ef55ffbe77a7a1ac11e3b62b69",
+        "d8b6525f3dd71f150d3224d812b10c2d5d8d31ba809b6527085fc1fe68e5761f",
+    ),
+    ("rr-64-8", "2/5", "full", "lowest"): (
+        "c8532488f890dc8c991eba069ef20450ba10d820ff75c8da50170f89c2b4ed71",
+        "f5755056449337dcb2765b246cde9152128364020d27adf92f432af2d823b2fa",
+    ),
+    ("rr-64-8", "2/5", "full", "batch"): (
+        "4047ca14870f06ab37baa3739947a187ea89ca45b62de2273063b2ec6a2dda2e",
+        "6cfd315bd9b87362ddb923955632d94851a5f3003f71227d4b55e836bdce97bf",
+    ),
+    ("rr-64-8", "2/5", "full", "random"): (
+        "7279e52f018c4c134fef3a9a628e10b6fcc773cc871b01657230683e0bddc845",
+        "32edd11e43945b3a9b5791d0182f51f4d2e47f128e509d8472fa14c6aa6cefb5",
+    ),
+    ("rr-64-8", "2/5", "restricted", "lowest"): (
+        "dbbf04ec19dd8e90ab67e21a69a7a2a6959b8181db498bc3aa02d440c6ac2f98",
+        "d40b21d360fc5b3a7001e75e58e86a780cb3ef64b72013510ec956a0f3e63b5c",
+    ),
+    ("rr-64-8", "2/5", "restricted", "batch"): (
+        "daa2e28076e4e2ae34f6586b45ae8e9e3e1a5b74d96a6bafa67e5c6c88d87943",
+        "d53d5a2fa280df857ede2bbf5b48278027778cf3771ad6bb9dc9c8f5880218c2",
+    ),
+    ("rr-64-8", "2/5", "restricted", "random"): (
+        "158faf8032b80e7d55a4f729564114b448850ec131acab5e7abaf67253c05237",
+        "d40b21d360fc5b3a7001e75e58e86a780cb3ef64b72013510ec956a0f3e63b5c",
+    ),
+    ("clustered-64-a", "3/20", "full", "lowest"): (
+        "3ef7da080defab5e9ccdf211bc5f5fa9f78a8e2cf3c8032cee67641938ff75c3",
+        "6cc0039e27711fa077af2ffff8c52fac4f11dead77ef41b7eee246bea8e90524",
+    ),
+    ("clustered-64-a", "3/20", "full", "batch"): (
+        "5bdc3cc2acaf14bbed2eeb9bf92c2e8d9b3b13ab7b67f4938079ef4ec694b2f5",
+        "293bf517e7b6f6edee57c7189b628482e753698ceed420ef8ab01aa371d17a92",
+    ),
+    ("clustered-64-a", "3/20", "full", "random"): (
+        "cc564989e979b75c700a7e1a6e8e4e35b7d29c68ab738791c9e20e8bf178264b",
+        "b670a762120034076b747cde7d1db1b2548ffad5924f262f8760cefef5e7c0b3",
+    ),
+    ("clustered-64-a", "3/20", "restricted", "lowest"): (
+        "dbfcb078560288e88506997d39fd64698cab86ef55ffbe77a7a1ac11e3b62b69",
+        "5650688b9e7f37dc5171719401331a66e0c0dcd20b1f9d605345064f4d57f43d",
+    ),
+    ("clustered-64-a", "3/20", "restricted", "batch"): (
+        "dbfcb078560288e88506997d39fd64698cab86ef55ffbe77a7a1ac11e3b62b69",
+        "5650688b9e7f37dc5171719401331a66e0c0dcd20b1f9d605345064f4d57f43d",
+    ),
+    ("clustered-64-a", "3/20", "restricted", "random"): (
+        "dbfcb078560288e88506997d39fd64698cab86ef55ffbe77a7a1ac11e3b62b69",
+        "5650688b9e7f37dc5171719401331a66e0c0dcd20b1f9d605345064f4d57f43d",
+    ),
+    ("clustered-64-a", "2/5", "full", "lowest"): (
+        "e04304422543281c0613832c85d0077d84c348ceb716d135a5692aa8e36c60d1",
+        "ae930253f84a7925d14ebd041ab7df41bded740648f0c0c94517f3a1a1edea70",
+    ),
+    ("clustered-64-a", "2/5", "full", "batch"): (
+        "0cf5b936488d5761980af91616d0d5f08cc03c8016c418be0fbd5a5ae799bd43",
+        "03aa2b5f91927e59e669e98393f7c5457f3096e7fe6ee692ed4c68ef2a14d4bd",
+    ),
+    ("clustered-64-a", "2/5", "full", "random"): (
+        "30b515257e7ba51324326f9f397d9a18057345651728bd1f237047539616c5fa",
+        "8a7abac4ada73c736cd95c62da29576f97e5b255ea8c8800f9a84eb06798049d",
+    ),
+    ("clustered-64-a", "2/5", "restricted", "lowest"): (
+        "97439a817e2092122d0424c2397d5765626b76d99dd4796a979cbb3a436f019d",
+        "e4124c8fe1fcff322e649c353b18c09652e82d7e254776d35128c41695832512",
+    ),
+    ("clustered-64-a", "2/5", "restricted", "batch"): (
+        "900df3989d9cea08237f4c39a26774561ac7093e3b459617f3a645621fa13e0c",
+        "f4b6a61e56a51a9e9f88f764dec274494a7c15cc5ace3d6af119656585f4f1c7",
+    ),
+    ("clustered-64-a", "2/5", "restricted", "random"): (
+        "1e2abd0a5997136107b05406dde0e70e440e8c079803e62ac043f4da308f53a8",
+        "ae0b66f9541d34f91e0e9e7ba2424311974647a965e9d34a2a525c1a57a7ac2f",
+    ),
+    ("clustered-64-b", "3/20", "full", "lowest"): (
+        "3cd14e132ad8cb1286f0d272eeeed7c0983daeecc996a337fd7ec38f5c5897b4",
+        "c9dde79f28e232da201f02a0fd1083b239b1379b1e320180daeaae693b80c3a4",
+    ),
+    ("clustered-64-b", "3/20", "full", "batch"): (
+        "7140d9ced1d43e5525fc4f75f1d0f2eefe14f7af3ddb00063f736cc0c8af2662",
+        "947153dd9fe856be645b5606e7d51a4914f2f08bc6075777351c58cb0c2e8fd4",
+    ),
+    ("clustered-64-b", "3/20", "full", "random"): (
+        "c92cd779f798072f59357e487e359b39b813ed7654801014ae3f66bab9a6097a",
+        "8b67cb8b1c87cbd198395d6b030ccdf705cf010f8277e3b228f138dc1c823e5f",
+    ),
+    ("clustered-64-b", "3/20", "restricted", "lowest"): (
+        "dbfcb078560288e88506997d39fd64698cab86ef55ffbe77a7a1ac11e3b62b69",
+        "c2dce1cff98d2621c40ae804722df17d7fef9ea7ab4852c678badd9011952ba0",
+    ),
+    ("clustered-64-b", "3/20", "restricted", "batch"): (
+        "dbfcb078560288e88506997d39fd64698cab86ef55ffbe77a7a1ac11e3b62b69",
+        "c2dce1cff98d2621c40ae804722df17d7fef9ea7ab4852c678badd9011952ba0",
+    ),
+    ("clustered-64-b", "3/20", "restricted", "random"): (
+        "dbfcb078560288e88506997d39fd64698cab86ef55ffbe77a7a1ac11e3b62b69",
+        "c2dce1cff98d2621c40ae804722df17d7fef9ea7ab4852c678badd9011952ba0",
+    ),
+    ("clustered-64-b", "2/5", "full", "lowest"): (
+        "c06f4105801440c5208bba2123f378e747dfd156386615509093d9d7987d4d24",
+        "0e35a497b44fd19362ea797b6b35cf6573e051a092dba4b90fbdfa4e5007fcff",
+    ),
+    ("clustered-64-b", "2/5", "full", "batch"): (
+        "7f379c8c85341b7155aabdb8beb4a461f2cf6b8fdeedbc435c2060a875812859",
+        "c0ce74bf6682edd3677a48073f257d76a8dbe3860313218bda97c9f5c5acb36f",
+    ),
+    ("clustered-64-b", "2/5", "full", "random"): (
+        "6a8d4c00b3b304aab1f347e0a1c80b71b8ecdfa1b640fa2a04da77aff6de2381",
+        "b03e383e7bd910f5b8099ee27739fea2378cbc07343dc0c500fc5e836eea3a99",
+    ),
+    ("clustered-64-b", "2/5", "restricted", "lowest"): (
+        "d0c624bd0564782b79feda90da3ec9a2a8a9447b434eebfa42aceb59bb65b79d",
+        "ba4bea8bc12c3715ae04e847b7d896004f146351723eb101c9521c741ab21e52",
+    ),
+    ("clustered-64-b", "2/5", "restricted", "batch"): (
+        "570ac4368d95914925ab97f209acc46875fbf33f07e3c1ed60ebce9280e590f7",
+        "78911b624a8aca556eb5f5521fa44676a137751b267282c092052becff47b6be",
+    ),
+    ("clustered-64-b", "2/5", "restricted", "random"): (
+        "7a3c340042f62252458adaab7ff18db7cde1933157c4c3646b46582c8500e421",
+        "7cef2caa242162a3b22067c6602d0ec7252ee4c7d5a0f5529889047e006abbd5",
+    ),
+}
+
+
+def thinning_digests(tmp_path, name, eps_p, start, order) -> tuple[str, str]:
+    make, s = THINNING_CASES[name]
+    cfg = ParticipatingConfig(eps_p=Fraction(eps_p))
+    build = compute_participating if start == "full" else compute_participating_modified
+    kwargs = {"rng": random.Random(5)} if order == "random" else {}
+    result = build(make(), s, cfg, order=order, **kwargs)
+    log = tmp_path / "removals.csv"
+    write_removal_log_csv(result, str(log))
+    return _sha(log.read_bytes()), _sha(repr(result.trajectory).encode())
+
+
+@pytest.mark.parametrize("name,eps_p,start,order", sorted(THINNING_DIGESTS))
+def test_thinning_log_and_trajectory(tmp_path, name, eps_p, start, order):
+    got = thinning_digests(tmp_path, name, eps_p, start, order)
+    assert got == THINNING_DIGESTS[(name, eps_p, start, order)]
