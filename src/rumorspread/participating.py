@@ -12,12 +12,26 @@ where the sampling mass of a node is one over its degree. The conditions are
 monotone in the pool, so the surviving set is the unique largest fixed point
 regardless of removal order.
 
-All threshold comparisons use exact rational arithmetic; a float eps is
+The thinning runs as a worklist (the peeling scheme of Batagelj and
+Zaversnik's O(m) cores decomposition): a node that violates keeps violating as
+the pool shrinks, and a removal changes the state of its own neighbours only,
+so each removal costs O(deg) and the whole run O(n + m) besides the queue.
+With ``track_potential`` the potential (phi1, phi2) is audited at every step:
+both components are kept twice, summed from the sender side and from the
+receiver side, each updated by O(deg) deltas of the removed node, and the two
+forms must agree exactly after each step. A full recompute checks the start
+state and must reproduce the end state.
+
+All threshold comparisons are exact: sampling masses are integer numerators
+over the lcm of the degrees, cross-multiplied against eps_p. A float eps is
 interpreted by its decimal literal (0.15 means 3/20).
 """
 
 from __future__ import annotations
 
+import bisect
+import heapq
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -177,6 +191,70 @@ def restricted_start(g: Graph, s: Collection[int], cfg: ParticipatingConfig) -> 
     return s_plus | extra
 
 
+def _sampling_units(g: Graph) -> tuple[list[int], int]:
+    """Sampling masses as integer numerators over one common denominator:
+    1/deg(v) == unit[v] / scale, scale being the lcm of all degrees."""
+    scale = math.lcm(*(len(nbrs) for nbrs in g.adj))
+    return [scale // len(nbrs) for nbrs in g.adj], scale
+
+
+class _RunningPotential:
+    """phi1 and phi2 of a shrinking pool, each kept twice: summed from the
+    sender side and from the receiver side, as in ``_potential_parts``.
+
+    The four sums are exact numerators over ``scale`` (see
+    ``_sampling_units``). ``remove(x)`` applies the O(deg x) change of taking
+    ``x`` out of the pool and must run while ``x`` is still pooled. The
+    sender path charges x's own edges by count, then the one changed edge of
+    each closure neighbour; the receiver path charges what x starts or stops
+    receiving, then what each neighbour receives from x. ``parts()`` compares
+    the two forms and returns (phi1, phi2).
+    """
+
+    def __init__(self, g: Graph, unit, scale, in_closure, in_pool, start) -> None:
+        self.adj, self.unit, self.scale = g.adj, unit, scale
+        self.in_closure, self.in_pool = in_closure, in_pool
+        self.phi1_send = self.phi1_recv = int(start[0] * scale)
+        self.phi2_send = self.phi2_recv = int(start[1] * scale)
+
+    def remove(self, x: int) -> None:
+        unit, in_closure, in_pool = self.unit, self.in_closure, self.in_pool
+        nbrs = self.adj[x]
+        # sender side: an active x stops sending into its holes and becomes
+        # a removed closure node sending into the pool; each closure
+        # neighbour gains a hole (if pooled) or loses a pooled target
+        if in_closure[x]:
+            pooled = sum(1 for w in nbrs if in_pool[w])
+            self.phi1_send -= unit[x] * (len(nbrs) - pooled)
+            self.phi2_send += unit[x] * pooled
+        for w in nbrs:
+            if in_closure[w]:
+                if in_pool[w]:
+                    self.phi1_send += unit[w]
+                else:
+                    self.phi2_send -= unit[w]
+        # receiver side: x, now a hole, receives from its active neighbours
+        # and, out of the pool, no longer receives from removed closure
+        # neighbours; a closure x changes what every neighbour receives
+        x_closure = in_closure[x]
+        for v in nbrs:
+            if in_closure[v]:
+                if in_pool[v]:
+                    self.phi1_recv += unit[v]
+                else:
+                    self.phi2_recv -= unit[v]
+            if x_closure:
+                if in_pool[v]:
+                    self.phi2_recv += unit[x]
+                else:
+                    self.phi1_recv -= unit[x]
+
+    def parts(self) -> tuple[Fraction, Fraction]:
+        if self.phi1_send != self.phi1_recv or self.phi2_send != self.phi2_recv:
+            raise AssertionError("potential dual forms disagree; internal bug")
+        return Fraction(self.phi1_send, self.scale), Fraction(self.phi2_send, self.scale)
+
+
 def participating_fixed_point(
     g: Graph,
     s: Collection[int],
@@ -204,71 +282,92 @@ def participating_fixed_point(
         raise InputError("set must be a nonempty proper subset")
     s_plus = closure(g, fs)
     pool_start = g.check_set(start) if start is not None else g.node_set
-    inv = _inv_degrees(g)
+    adj = g.adj
+    unit, scale = _sampling_units(g)
 
     in_pool = [False] * g.n
     for v in pool_start:
         in_pool[v] = True
     in_closure = [v in s_plus for v in range(g.n)]
     # Incremental per-node state: pooled-neighbor count and the sampling mass
-    # of active (pooled closure) neighbors.
+    # of active (pooled closure) neighbors, as a numerator over scale.
     pool_nbrs = [0] * g.n
-    active_mass = [Fraction(0)] * g.n
+    active_mass = [0] * g.n
     for v in pool_start:
-        for w in g.adj[v]:
+        for w in adj[v]:
             pool_nbrs[w] += 1
             if in_closure[v]:
-                active_mass[w] = active_mass[w] + inv[v]
+                active_mass[w] += unit[v]
+    # lhs < eps_p, with lhs = lhs_num / scale, cross-multiplied
+    eps_num, eps_den = cfg.eps_p.numerator, cfg.eps_p.denominator
+    bound = eps_num * scale
 
     def violates(u: int) -> bool:
+        lhs_num = active_mass[u]
         if in_closure[u]:
-            lhs = Fraction(pool_nbrs[u], len(g.adj[u])) + active_mass[u]
-        else:
-            lhs = active_mass[u]
-        return lhs < cfg.eps_p
+            lhs_num += pool_nbrs[u] * unit[u]
+        return lhs_num * eps_den < bound
+
+    # The queue holds exactly the pooled violators: violation is monotone in
+    # the pool, so a queued node stays a violator, and a removal can only
+    # turn its own neighbours into violators. "lowest" keeps a min-heap,
+    # "random" a sorted list (indexed like the ascending violator list),
+    # "batch" the violators found since the last batch.
+    queued = [False] * g.n
+    queue = [u for u in range(g.n) if in_pool[u] and violates(u)]
+    for u in queue:
+        queued[u] = True
+
+    running: _RunningPotential | None = None
+    trajectory: list[tuple[Fraction, Fraction]] | None = None
+    if track_potential:
+        inv = _inv_degrees(g)
+        trajectory = [_potential_parts(g, s_plus, pool_start, inv)]
+        running = _RunningPotential(g, unit, scale, in_closure, in_pool, trajectory[0])
 
     def remove(u: int) -> None:
+        if running is not None:
+            running.remove(u)
         in_pool[u] = False
-        for w in g.adj[u]:
+        for w in adj[u]:
             pool_nbrs[w] -= 1
             if in_closure[u]:
-                active_mass[w] = active_mass[w] - inv[u]
+                active_mass[w] -= unit[u]
+        for w in adj[u]:
+            if in_pool[w] and not queued[w] and violates(w):
+                queued[w] = True
+                if order == "lowest":
+                    heapq.heappush(queue, w)
+                elif order == "random":
+                    bisect.insort(queue, w)
+                else:
+                    queue.append(w)
 
     log: list[RemovalStep] = []
-    trajectory: list[tuple[Fraction, Fraction]] | None = None
-
-    def snapshot() -> tuple[Fraction, Fraction]:
-        pool = [v for v in range(g.n) if in_pool[v]]
-        return _potential_parts(g, s_plus, pool, inv)
-
-    if track_potential:
-        trajectory = [snapshot()]
-
     step = 0
-    while True:
-        violators = [u for u in range(g.n) if in_pool[u] and violates(u)]
-        if not violators:
-            break
+    while queue:
         step += 1
         if order == "lowest":
-            batch = [violators[0]]
-        elif order == "batch":
-            batch = violators
+            batch = [heapq.heappop(queue)]
+        elif order == "random":
+            batch = [queue.pop(rng.randrange(len(queue)))]
         else:
-            batch = [violators[rng.randrange(len(violators))]]
-        reasons = {u: "active" if in_closure[u] else "passive" for u in batch}
+            batch, queue = sorted(queue), []
         for u in batch:
             remove(u)
-        if track_potential:
-            p1, p2 = snapshot()
+        if running is not None:
+            p1, p2 = running.parts()
             trajectory.append((p1, p2))
             f1, f2, ftot = float(p1), float(p2), float(p1 + p2)
         else:
             f1 = f2 = ftot = float("nan")
         for u in batch:
-            log.append(RemovalStep(step, u, reasons[u], f1, f2, ftot))
+            reason = "active" if in_closure[u] else "passive"
+            log.append(RemovalStep(step, u, reason, f1, f2, ftot))
 
     pool = frozenset(v for v in range(g.n) if in_pool[v])
+    if trajectory is not None and _potential_parts(g, s_plus, pool, inv) != trajectory[-1]:
+        raise AssertionError("running potential drifted from its recompute; internal bug")
     act = pool & s_plus
     return ParticipatingResult(
         participating=pool,

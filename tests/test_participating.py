@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+import rumorspread.participating as part_mod
 from conftest import graph_and_proper_subset
 from rumorspread import (
     InputError,
@@ -193,6 +195,71 @@ class TestFixedPoint:
         assert res.steps == len(res.removal_log)
         _, _, direct = potential(g, s, res.participating)
         assert float(res.phi(res.steps)) == pytest.approx(direct, abs=1e-12)
+
+
+class TestRunningPotential:
+    """The per-removal dual-form sums against an independent recompute."""
+
+    @given(
+        gs=graph_and_proper_subset(min_nodes=3, max_nodes=12),
+        order=st.sampled_from(["lowest", "batch", "random"]),
+        start_kind=st.sampled_from(["full", "restricted", "random"]),
+        eps_p=st.sampled_from([Fraction(1, 10), Fraction(3, 20), Fraction(2, 5), Fraction(3, 5)]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=150)
+    def test_trajectory_matches_oracle_after_every_step(
+        self, gs, order, start_kind, eps_p, seed
+    ):
+        g, s = gs
+        rand = random.Random(seed)
+        cfg = ParticipatingConfig(eps_p=eps_p)
+        if start_kind == "full":
+            start = None
+        elif start_kind == "restricted":
+            start = restricted_start(g, s, cfg)
+        else:
+            start = {v for v in range(g.n) if rand.random() < 0.7}
+        res = participating_fixed_point(
+            g, s, cfg, start=start, order=order, rng=rand
+        )
+        # replay the log: the pool after step i is the start minus every
+        # node logged at a step <= i
+        removed_at: dict[int, list[int]] = {}
+        for entry in res.removal_log:
+            removed_at.setdefault(entry.step, []).append(entry.node)
+        assert sorted(removed_at) == list(range(1, res.steps + 1))
+        pool = set(res.start)
+        assert res.trajectory[0] == oracles.naive_potential(g.adj, s, pool)
+        for i in range(1, res.steps + 1):
+            pool -= set(removed_at[i])
+            assert res.trajectory[i] == oracles.naive_potential(g.adj, s, pool), i
+        assert pool == res.participating
+
+    def test_disagreeing_forms_raise(self, monkeypatch):
+        remove = part_mod._RunningPotential.remove
+
+        def skewed(self, x):
+            remove(self, x)
+            self.phi2_recv += 1
+
+        monkeypatch.setattr(part_mod._RunningPotential, "remove", skewed)
+        with pytest.raises(AssertionError, match="dual forms disagree"):
+            compute_participating(cycle(6), {0}, ParticipatingConfig())
+
+    def test_drift_from_recompute_raises(self, monkeypatch):
+        # both forms skewed alike pass the per-step comparison; the end-state
+        # recompute still catches them
+        remove = part_mod._RunningPotential.remove
+
+        def skewed(self, x):
+            remove(self, x)
+            self.phi1_send += 1
+            self.phi1_recv += 1
+
+        monkeypatch.setattr(part_mod._RunningPotential, "remove", skewed)
+        with pytest.raises(AssertionError, match="drifted"):
+            compute_participating(cycle(6), {0}, ParticipatingConfig())
 
 
 class TestExactBoundaryExpansion:
