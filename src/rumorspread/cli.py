@@ -1,10 +1,10 @@
 """Command line front end.
 
 Subcommands: gen, analyze, simulate, participating, experiment, report.
-Exit codes: 0 success, 2 bad input or unreadable file, 3 problem size beyond
-the enumeration capability, 4 spread did not complete within the round cap,
-5 randomized construction failed. Relative output paths are resolved against
-$RUMORSPREAD_OUT_DIR when that variable is set.
+Exit codes: 0 success, 2 bad input or unreadable or unwritable file, 3
+problem size beyond the enumeration capability, 4 spread did not complete
+within the round cap, 5 randomized construction failed. Relative output paths
+are resolved against $RUMORSPREAD_OUT_DIR when that variable is set.
 """
 
 from __future__ import annotations
@@ -67,6 +67,28 @@ def _out_path(path: str) -> str:
     return path
 
 
+def _write_file(path: str, write) -> None:
+    """Resolve an output path and call ``write(resolved)``; a file that
+    cannot be created or written is bad input (exit 2), not a traceback."""
+    target = path
+    try:
+        target = _out_path(path)
+        write(target)
+    except OSError as exc:
+        raise InputError(f"cannot write {target}: {exc.strerror or exc}") from exc
+
+
+def _parse_fraction(text: str, flag: str) -> Fraction:
+    """An exact rational from a fraction or decimal literal such as 3/20 or
+    0.15; anything else (nan, inf, 1/0, words) is bad input."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(
+            f"bad {flag} value {text!r}: expected a fraction or decimal such as 3/20 or 0.15"
+        ) from exc
+
+
 def _load_graph(path: str) -> tuple[Graph, dict]:
     try:
         return load_edge_list(path)
@@ -115,9 +137,13 @@ def _write_json(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2) + "\n"
     if out is None:
         sys.stdout.write(text)
-    else:
-        with open(_out_path(out), "w", encoding="utf-8") as fh:
+        return
+
+    def write(target: str) -> None:
+        with open(target, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+    _write_file(out, write)
 
 
 # -- gen --------------------------------------------------------------------
@@ -139,7 +165,7 @@ def _family_params(args) -> dict:
 def cmd_gen(args) -> int:
     spec = FamilySpec(args.family, _family_params(args))
     g = spec.build()
-    save_edge_list(g, _out_path(args.out), header=[spec.describe()])
+    _write_file(args.out, lambda target: save_edge_list(g, target, header=[spec.describe()]))
     return EXIT_OK
 
 
@@ -242,9 +268,9 @@ def cmd_simulate(args) -> int:
     )
     summary, traces = monte_carlo(g, cfg, args.trials, keep_traces=bool(args.trace_out))
     if args.trace_out:
-        write_trace_csv(traces, _out_path(args.trace_out))
+        _write_file(args.trace_out, lambda target: write_trace_csv(traces, target))
     if args.summary_out:
-        write_summary_csv(summary, _out_path(args.summary_out))
+        _write_file(args.summary_out, lambda target: write_summary_csv(summary, target))
     incomplete = summary.trials - summary.completed_count
     print(
         f"trials={summary.trials} completed={summary.completed_count} "
@@ -266,7 +292,8 @@ def cmd_participating(args) -> int:
     g, mapping = _load_graph(args.graph)
     s = _resolve_set(args, g, mapping)
     cfg = part_mod.ParticipatingConfig(
-        eps_p=Fraction(args.eps_p), eps_h=Fraction(args.eps_h)
+        eps_p=_parse_fraction(args.eps_p, "--eps-p"),
+        eps_h=_parse_fraction(args.eps_h, "--eps-h"),
     )
     build = (
         part_mod.compute_participating_modified
@@ -299,7 +326,7 @@ def cmd_participating(args) -> int:
             "all_ok": rep.all_ok,
         }
     if args.log_csv:
-        part_mod.write_removal_log_csv(result, _out_path(args.log_csv))
+        _write_file(args.log_csv, lambda target: part_mod.write_removal_log_csv(result, target))
     _write_json(payload, args.out)
     return EXIT_OK
 
@@ -321,8 +348,8 @@ def cmd_experiment(args) -> int:
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, rng_seed=args.seed)
     report, _ = run_experiment(cfg)
-    write_points_csv(report, _out_path(args.points_out))
-    write_report_json(report, _out_path(args.report_out))
+    _write_file(args.points_out, lambda target: write_points_csv(report, target))
+    _write_file(args.report_out, lambda target: write_report_json(report, target))
     print(
         f"points={len(report.points)} c_hat={report.c_hat:.15g} "
         f"drift={report.drift:.15g}"

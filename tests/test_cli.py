@@ -45,6 +45,15 @@ FUZZ_LABELS = st.one_of(
 )
 
 
+# threshold strings: fractions and decimals in and out of range, and
+# malformed literals
+FUZZ_FRACTIONS = st.one_of(
+    st.fractions(min_value=-1, max_value=2, max_denominator=40).map(str),
+    st.decimals(min_value=-1, max_value=2, places=3).map(str),
+    st.sampled_from(["3/20", "0.15", "1e-3", "abc", "1/0", "nan", "inf", "", "1/2/3", " 1/4 "]),
+)
+
+
 @st.composite
 def fuzz_edge_lists(draw):
     """A walk over random labels (often a connected graph), then stray lines:
@@ -353,6 +362,87 @@ class TestParticipating:
         assert code == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["eps_p"] == "1/10" and payload["eps_h"] == "3/4"
+
+    @pytest.mark.parametrize("flag", ["--eps-p", "--eps-h"])
+    @pytest.mark.parametrize("value", ["abc", "1/0", "nan", "inf", "", "1/2/3"])
+    def test_malformed_fraction_exit_2(self, tmp_path, capsys, flag, value):
+        graph = tmp_path / "c6.txt"
+        run_cli("gen", "cycle", "--n", "6", "--out", str(graph))
+        code = run_cli("participating", "--graph", str(graph), "--set", "0", f"{flag}={value}")
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad {flag} value")
+        assert "Traceback" not in err
+
+    @given(
+        edge_text=fuzz_edge_lists(),
+        labels=st.one_of(st.none(), st.lists(FUZZ_LABELS, max_size=3).map(",".join)),
+        eps_p=FUZZ_FRACTIONS,
+        eps_h=FUZZ_FRACTIONS,
+        restricted=st.booleans(),
+        check=st.booleans(),
+        log_csv=st.sampled_from([None, "log.csv", "missing/log.csv"]),
+    )
+    @pytest.mark.filterwarnings("ignore:.*dropped")
+    @settings(max_examples=200)
+    def test_fuzz_exit_codes(self, edge_text, labels, eps_p, eps_h, restricted, check, log_csv):
+        with tempfile.TemporaryDirectory() as tmp:
+            graph = Path(tmp) / "fuzz.txt"
+            graph.write_text(edge_text)
+            argv = ["participating", "--graph", str(graph), f"--eps-p={eps_p}", f"--eps-h={eps_h}"]
+            if labels is not None:
+                argv.append(f"--set={labels}")
+            if restricted:
+                argv.append("--restricted-start")
+            if check:
+                argv.append("--check")
+            if log_csv is not None:
+                argv.append(f"--log-csv={Path(tmp) / log_csv}")
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (EXIT_OK, EXIT_INPUT, EXIT_CAPABILITY, EXIT_INCOMPLETE, EXIT_CONSTRUCTION)
+        assert "Traceback" not in err.getvalue()
+
+
+class TestUnwritableOutput:
+    """Every output flag turns a file that cannot be written into exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "cycle", "--n", "5", "--out", "{bad}"],
+            ["analyze", "--graph", "{graph}", "--out", "{bad}"],
+            ["simulate", "--graph", "{graph}", "--trials", "2", "--summary-out", "{bad}"],
+            ["simulate", "--graph", "{graph}", "--trials", "2", "--trace-out", "{bad}"],
+            ["participating", "--graph", "{graph}", "--set", "0", "--out", "{bad}"],
+            ["participating", "--graph", "{graph}", "--set", "0", "--log-csv", "{bad}"],
+            ["experiment", "--config", "{config}", "--points-out", "{bad}"],
+            ["experiment", "--config", "{config}", "--points-out", "{ok}", "--report-out", "{bad}"],
+            ["report", "{points}", "--out", "{bad}"],
+        ],
+        ids=lambda argv: " ".join(a for a in argv if a.startswith("-") or a.isalpha()),
+    )
+    def test_missing_directory_exit_2(self, tmp_path, capsys, argv):
+        graph = tmp_path / "c6.txt"
+        run_cli("gen", "cycle", "--n", "6", "--out", str(graph))
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(
+            {"family": "hypercube", "sweep": [{"d": 2}], "trials": 5, "rng_seed": 1}
+        ))
+        points = tmp_path / "points.csv"
+        run_cli("experiment", "--config", str(config), "--points-out", str(points),
+                "--report-out", str(tmp_path / "report.json"))
+        capsys.readouterr()
+        bad = tmp_path / "missing" / "out.txt"
+        paths = {"graph": graph, "config": config, "points": points,
+                 "ok": tmp_path / "ok.csv", "bad": bad}
+        code = run_cli(*(a.format(**paths) for a in argv))
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {bad}: ")
+        assert "Traceback" not in err
+        assert not bad.parent.exists()
 
 
 class TestExperimentAndReport:
