@@ -80,13 +80,19 @@ def _write_file(path: str, write) -> None:
 
 def _parse_fraction(text: str, flag: str) -> Fraction:
     """An exact rational from a fraction or decimal literal such as 3/20 or
-    0.15; anything else (nan, inf, 1/0, words) is bad input."""
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(
-            f"bad {flag} value {text!r}: expected a fraction or decimal such as 3/20 or 0.15"
-        ) from exc
+    0.15. Anything else (nan, inf, 1/0, words) is bad input, and so is a
+    literal over 40 characters or with an exponent beyond two digits: its
+    value would take long to build and could be too long to print."""
+    literal = text.strip()
+    exponent = literal.lower().partition("e")[2]
+    if len(literal) <= 40 and len(exponent.lstrip("+-0")) <= 2:
+        try:
+            return Fraction(literal)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InputError(
+        f"bad {flag} value {text!r}: expected a fraction or decimal such as 3/20 or 0.15"
+    )
 
 
 def _load_graph(path: str) -> tuple[Graph, dict]:

@@ -50,7 +50,9 @@ FUZZ_LABELS = st.one_of(
 FUZZ_FRACTIONS = st.one_of(
     st.fractions(min_value=-1, max_value=2, max_denominator=40).map(str),
     st.decimals(min_value=-1, max_value=2, places=3).map(str),
-    st.sampled_from(["3/20", "0.15", "1e-3", "abc", "1/0", "nan", "inf", "", "1/2/3", " 1/4 "]),
+    st.sampled_from(
+        ["3/20", "0.15", "1e-3", "abc", "1/0", "nan", "inf", "", "1/2/3", " 1/4 ", "1e-100000"]
+    ),
 )
 
 
@@ -364,7 +366,9 @@ class TestParticipating:
         assert payload["eps_p"] == "1/10" and payload["eps_h"] == "3/4"
 
     @pytest.mark.parametrize("flag", ["--eps-p", "--eps-h"])
-    @pytest.mark.parametrize("value", ["abc", "1/0", "nan", "inf", "", "1/2/3"])
+    @pytest.mark.parametrize(
+        "value", ["abc", "1/0", "nan", "inf", "", "1/2/3", "1e100000", "1e-100000", "1" * 50]
+    )
     def test_malformed_fraction_exit_2(self, tmp_path, capsys, flag, value):
         graph = tmp_path / "c6.txt"
         run_cli("gen", "cycle", "--n", "6", "--out", str(graph))
