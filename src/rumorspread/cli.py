@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -378,7 +379,10 @@ def cmd_report(args) -> int:
 # -- parser -----------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it, so
+    repeated in-process ``main`` calls do not rebuild it."""
     parser = argparse.ArgumentParser(
         prog="rumorspread",
         description="Rumor spreading simulations and expansion analysis.",

@@ -12,13 +12,22 @@ A request succeeds only if the drawn neighbor was informed at the start of
 the round, so information never travels two hops in one round. Draws are a
 pure function of (rng_seed, trial, round, node id), which makes traces
 byte-replayable and lets different variants run coupled on identical draws.
+
+One round kernel, ``_spread``, advances a block of trials together on a
+(trials x nodes) informed mask; ``run`` and ``run_restricted`` are blocks of
+one trial. ``monte_carlo`` runs its trials in blocks of at most
+``_BLOCK_ELEMENTS // n`` rows to bound memory; since every draw is addressed
+by its trial and round, the block size never changes a result. Boundary,
+harmonic mass and informed sets are tracked only when traces are returned.
+``first_arrival_times`` and ``pull_growth_check`` instead read one sequential
+sampler stream, so their block sizes are part of what their seeds reproduce.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -30,6 +39,10 @@ VARIANTS = ("push", "pull", "pushpull")
 # Trials per first_arrival_times block; the block size decides which sampler
 # draws each trial gets, so changing it changes the results.
 _ARRIVAL_BATCH = 4096
+# Elements (trials x nodes) per round-kernel block. Every kernel draw is
+# addressed by (seed, lane, trial, round), so this bounds memory only and
+# never changes results.
+_BLOCK_ELEMENTS = 1 << 22
 
 
 def default_max_rounds(n: int) -> int:
@@ -162,131 +175,144 @@ def _mask(n: int, nodes: Collection[int]) -> np.ndarray:
     return mask
 
 
-class _Engine:
-    """Vectorized single-run state: informed mask plus incremental boundary.
-
-    The boundary is maintained through a per-node count of informed neighbors,
-    updated only for the nodes that just became informed, so a whole run costs
-    O(sum of degrees) for the incremental part.
-    """
-
-    def __init__(self, g: Graph, initial: Iterable[int]):
-        self.g = g
-        self.indptr, self.indices = g.csr
-        self.degs = np.array(g.degrees, dtype=np.int64)
-        self.inv_deg = 1.0 / self.degs
-        self.informed = np.zeros(g.n, dtype=bool)
-        self.informed_nbrs = np.zeros(g.n, dtype=np.int64)
-        self.harmonic = 0.0
-        init = np.array(sorted(initial), dtype=np.int64)
-        self._absorb(init)
-
-    def _absorb(self, new_nodes: np.ndarray) -> None:
-        if new_nodes.size == 0:
-            return
-        self.informed[new_nodes] = True
-        self.harmonic += float(self.inv_deg[new_nodes].sum())
-        touched = np.concatenate(
-            [self.indices[self.indptr[v] : self.indptr[v + 1]] for v in new_nodes]
-        )
-        np.add.at(self.informed_nbrs, touched, 1)
-
-    def draws(self, seed: int, trial: int, round_index: int) -> np.ndarray:
-        """One uniform neighbor per node, in ascending node-id order."""
-        u = rng.stream(seed, rng.LANE_ROUND, trial, round_index).random(self.g.n)
-        return _draw(u, self.indptr, self.indices, self.degs)
-
-    def apply_draws(
-        self, drawn: np.ndarray, variant: str, drawers: np.ndarray | None = None
-    ) -> None:
-        """Absorb the nodes one round informs, under round-start semantics."""
-        self._absorb(np.flatnonzero(_step(self.informed, drawn, variant, drawers)))
-
-    def stats(self) -> tuple[int, int, int, float, float]:
-        informed_count = int(self.informed.sum())
-        b = int(np.count_nonzero((self.informed_nbrs > 0) & ~self.informed))
-        return (
-            informed_count,
-            b,
-            informed_count + b,
-            informed_count + b / 2.0,
-            self.harmonic,
-        )
-
-    def informed_set(self) -> NodeSet:
-        return frozenset(int(v) for v in np.flatnonzero(self.informed))
-
-
-def _resolve_initial(g: Graph, cfg: ProtocolConfig, trial: int) -> NodeSet:
+def _starts(g: Graph, cfg: ProtocolConfig, trials: range) -> np.ndarray:
+    """(len(trials), n) start masks: ``cfg.initial_informed`` on every row, or
+    one origin per trial drawn from that trial's origin stream."""
     if cfg.initial_informed is not None:
-        return g.check_set(cfg.initial_informed)
-    origin = int(rng.stream(cfg.rng_seed, rng.LANE_ORIGIN, trial).integers(g.n))
-    return frozenset([origin])
+        mask = _mask(g.n, g.check_set(cfg.initial_informed))
+        return np.tile(mask, (len(trials), 1))
+    starts = np.zeros((len(trials), g.n), dtype=bool)
+    for row, trial in zip(starts, trials):
+        row[int(rng.stream(cfg.rng_seed, rng.LANE_ORIGIN, trial).integers(g.n))] = True
+    return starts
 
 
-def _simulate(
+def _neighbour_positions(
+    nz: np.ndarray, n: int, indptr: np.ndarray, indices: np.ndarray, degs: np.ndarray
+) -> np.ndarray:
+    """Flat positions of the neighbors of the flat positions ``nz`` of a
+    (rows, n) array, each neighbor in the row of the node it neighbors."""
+    nodes = nz % n
+    d = degs[nodes]
+    owner = np.repeat(np.arange(nz.size), d)
+    within = np.arange(owner.size) - np.repeat(np.cumsum(d) - d, d)
+    return indices[indptr[nodes][owner] + within] + (nz - nodes)[owner]
+
+
+def _spread(
     g: Graph,
     cfg: ProtocolConfig,
-    trial: int,
-    initial: NodeSet,
-    target: NodeSet | None,
-    stop_at_target: bool,
-    restricted: tuple[np.ndarray, np.ndarray] | None,
-) -> SpreadTrace:
-    engine = _Engine(g, initial)
-    max_rounds = cfg.max_rounds if cfg.max_rounds is not None else default_max_rounds(g.n)
-    half = g.n // 2 + 1
+    first_trial: int,
+    starts: np.ndarray,
+    *,
+    restricted: tuple[np.ndarray, np.ndarray] | None = None,
+    target: NodeSet | None = None,
+    stop_at_target: bool = False,
+    traces: bool = False,
+) -> tuple[list[int | None], list[int | None], list[SpreadTrace]]:
+    """The round kernel: trials ``first_trial + i`` from the start masks
+    ``starts[i]``, all advanced one round at a time on a (live rows, n)
+    informed mask.
 
-    trace = SpreadTrace(
-        informed=[],
-        boundary=[],
-        closure=[],
-        psi=[],
-        harmonic_mass=[],
-        sets=[] if cfg.record_sets else None,
-        t_half=None,
-        t_all=None,
-        completed=False,
-    )
-    target_arr = None
+    Row i draws from stream (seed, LANE_ROUND, first_trial + i, t) in round
+    t, so what a trial does depends neither on the block it runs in nor on
+    its position there. A trial leaves the live rows once it completes, or
+    once ``target`` is hit when ``stop_at_target``, or at the round cap.
+    ``restricted`` = (active, participating) masks turns every round into the
+    restricted pushpull round. Returns per-trial t_half and t_all, and with
+    ``traces`` one SpreadTrace per trial; boundary, harmonic mass, sets and
+    t_target are computed only then.
+    """
+    n = g.n
+    indptr, indices = g.csr
+    degs = np.diff(indptr)
+    cap = cfg.max_rounds if cfg.max_rounds is not None else default_max_rounds(n)
+    half = n // 2 + 1
+    b = len(starts)
+    live = np.arange(b)  # trial offset of each live row
+    ids = live.tolist()
+    informed = np.zeros((b, n), dtype=bool)
+    counts = np.zeros(b, dtype=np.int64)
+    t_half = np.full(b, -1, dtype=np.int64)
+    t_all = np.full(b, -1, dtype=np.int64)
+    t_target = np.full(b, -1, dtype=np.int64)
+    tgt = None
     if target is not None:
-        target_arr = np.fromiter(sorted(target), dtype=np.int64, count=len(target))
-
-    def record(t: int) -> None:
-        informed_count, b, clo, psi, harm = engine.stats()
-        trace.informed.append(informed_count)
-        trace.boundary.append(b)
-        trace.closure.append(clo)
-        trace.psi.append(psi)
-        trace.harmonic_mass.append(harm)
-        if trace.sets is not None:
-            trace.sets.append(engine.informed_set())
-        if trace.t_half is None and informed_count >= half:
-            trace.t_half = t
-        if trace.t_all is None and informed_count == g.n:
-            trace.t_all = t
-            trace.completed = True
-        if (
-            trace.t_target is None
-            and target_arr is not None
-            and bool(engine.informed[target_arr].any())
-        ):
-            trace.t_target = t
-
-    record(0)
+        tgt = np.fromiter(sorted(target), dtype=np.int64, count=len(target))
+    out: list[SpreadTrace] = []
+    if traces:
+        inv_deg = 1.0 / degs
+        reached = np.zeros((b, n), dtype=bool)  # has an informed neighbor
+        harmonic = [0.0] * b
+        out = [
+            SpreadTrace([], [], [], [], [], [] if cfg.record_sets else None, None, None, False)
+            for _ in range(b)
+        ]
+    uniforms = np.empty((b, n))
+    offsets = np.arange(b)[:, None] * n
+    new = starts
     t = 0
-    while trace.t_all is None and t < max_rounds:
-        if stop_at_target and trace.t_target is not None:
+    while True:
+        informed |= new
+        counts += np.count_nonzero(new, axis=1)
+        if traces:
+            nz = np.flatnonzero(new)
+            reached.ravel()[_neighbour_positions(nz, n, indptr, indices, degs)] = True
+            # one sum per trial over its new nodes in ascending order, added
+            # to a running float: the float order the trace files pin
+            nodes = nz % n
+            bounds = np.searchsorted(nz, np.arange(len(ids) + 1) * n).tolist()
+            for i, lo, hi in zip(ids, bounds, bounds[1:]):
+                if hi > lo:
+                    harmonic[i] += float(inv_deg[nodes[lo:hi]].sum())
+            bnd = np.count_nonzero(reached & ~informed, axis=1).tolist()
+            for row, (i, c, bd) in enumerate(zip(ids, counts.tolist(), bnd)):
+                tr = out[i]
+                tr.informed.append(c)
+                tr.boundary.append(bd)
+                tr.closure.append(c + bd)
+                tr.psi.append(c + bd / 2.0)
+                tr.harmonic_mass.append(harmonic[i])
+                if tr.sets is not None:
+                    tr.sets.append(frozenset(np.flatnonzero(informed[row]).tolist()))
+        t_half[live[(counts >= half) & (t_half[live] < 0)]] = t
+        keep = counts < n
+        t_all[live[~keep]] = t
+        if tgt is not None:
+            hit = informed[:, tgt].any(axis=1)
+            t_target[live[hit & (t_target[live] < 0)]] = t
+            if stop_at_target:
+                keep &= ~hit
+        if t == cap or not keep.any():
             break
+        if not keep.all():
+            live, informed, counts = live[keep], informed[keep], counts[keep]
+            ids = live.tolist()
+            if traces:
+                reached = reached[keep]
         t += 1
-        drawn = engine.draws(cfg.rng_seed, trial, t)
+        k = len(live)
+        u = rng.fill_streams(
+            uniforms[:k], cfg.rng_seed, rng.LANE_ROUND,
+            (first_trial + i for i in ids), t,
+        )
+        drawn = _draw(u, indptr, indices, degs)
         if restricted is None:
-            engine.apply_draws(drawn, cfg.variant)
+            variant, drawers = cfg.variant, None
         else:
             active, participating = restricted
-            engine.apply_draws(drawn, "pushpull", active & participating[drawn])
-        record(t)
-    return trace
+            variant, drawers = "pushpull", (active & participating[drawn]).ravel()
+        drawn += offsets[:k]
+        new = _step(informed.ravel(), drawn.ravel(), variant, drawers).reshape(k, n)
+
+    def opt(x: int) -> int | None:
+        return None if x < 0 else int(x)
+
+    th, ta = [opt(x) for x in t_half], [opt(x) for x in t_all]
+    for i, tr in enumerate(out):
+        tr.t_half, tr.t_all, tr.completed = th[i], ta[i], ta[i] is not None
+        tr.t_target = opt(t_target[i])
+    return th, ta, out
 
 
 def run(
@@ -302,9 +328,12 @@ def run(
     ``target``, when given, makes the trace record the first round at which
     some target node is informed; with ``stop_at_target`` the run ends there.
     """
-    initial = _resolve_initial(g, cfg, trial)
+    starts = _starts(g, cfg, range(trial, trial + 1))
     tgt = g.check_set(target) if target is not None else None
-    return _simulate(g, cfg, trial, initial, tgt, stop_at_target, restricted=None)
+    _, _, traces = _spread(
+        g, cfg, trial, starts, target=tgt, stop_at_target=stop_at_target, traces=True
+    )
+    return traces[0]
 
 
 def single_round(
@@ -316,10 +345,10 @@ def single_round(
     fs = g.check_set(informed)
     if not fs:
         raise InputError("informed set must be nonempty")
-    engine = _Engine(g, fs)
-    u = generator.random(g.n)
-    engine.apply_draws(_draw(u, engine.indptr, engine.indices, engine.degs), variant)
-    return engine.informed_set()
+    indptr, indices = g.csr
+    mask = _mask(g.n, fs)
+    drawn = _draw(generator.random(g.n), indptr, indices, np.diff(indptr))
+    return frozenset(int(v) for v in np.flatnonzero(mask | _step(mask, drawn, variant)))
 
 
 def run_restricted(
@@ -348,15 +377,17 @@ def run_restricted(
     g.check_node(origin)
     if origin not in part:
         raise InputError(f"origin {origin} is not participating")
-    return _simulate(
+    _, _, traces = _spread(
         g,
         cfg,
-        trial=0,
-        initial=frozenset([origin]),
+        0,
+        _mask(g.n, [origin])[None],
+        restricted=(_mask(g.n, act), _mask(g.n, part)),
         target=s_set,
         stop_at_target=stop_at_target,
-        restricted=(_mask(g.n, act), _mask(g.n, part)),
+        traces=True,
     )
+    return traces[0]
 
 
 def monte_carlo(
@@ -364,22 +395,26 @@ def monte_carlo(
 ) -> tuple[MonteCarloSummary, list[SpreadTrace]]:
     """Run independent trials and summarize completion times.
 
-    Deterministic given (cfg.rng_seed, trials): trial i draws from streams
-    keyed by i, so results do not depend on execution order.
+    Trials run through the round kernel in blocks of at most
+    ``_BLOCK_ELEMENTS // n`` rows, so memory stays bounded. Deterministic
+    given (cfg.rng_seed, trials): trial i draws from streams keyed by i, so
+    results depend neither on the block size nor on execution order.
     """
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
+    block = max(1, _BLOCK_ELEMENTS // g.n)
     t_half: list[int | None] = []
     t_all: list[int | None] = []
-    completed: list[bool] = []
     traces: list[SpreadTrace] = []
-    for trial in range(trials):
-        trace = run(g, cfg, trial)
-        t_half.append(trace.t_half)
-        t_all.append(trace.t_all)
-        completed.append(trace.completed)
-        if keep_traces:
-            traces.append(trace)
+    for first in range(0, trials, block):
+        block_trials = range(first, min(trials, first + block))
+        th, ta, tr = _spread(
+            g, cfg, first, _starts(g, cfg, block_trials), traces=keep_traces
+        )
+        t_half += th
+        t_all += ta
+        traces += tr
+    completed = [t is not None for t in t_all]
     return MonteCarloSummary(trials, t_half, t_all, completed), traces
 
 

@@ -24,6 +24,7 @@ from rumorspread.cli import (
     EXIT_OK,
     MEASURE_ALIASES,
     MEASURES,
+    build_parser,
     main,
 )
 
@@ -320,6 +321,46 @@ class TestSimulate:
         )
         assert code == EXIT_INCOMPLETE
         assert "round cap" in capsys.readouterr().err
+
+
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    @given(
+        edge_text=st.sampled_from(["0 1\n1 2\n2 3\n3 0\n", "a b\nb c\nc a\nc d\n"]),
+        variant=st.sampled_from(["push", "pull", "pushpull", "flood"]),
+        informed=st.one_of(
+            st.sampled_from(["random", "dominating", "", ",", "0,0", "a a c", "zz", "99"]),
+            st.lists(FUZZ_LABELS, max_size=3).map(",".join),
+        ),
+        trials=st.integers(-2, 6),
+        max_rounds=st.one_of(st.none(), st.integers(-1, 8)),
+        seed=st.one_of(
+            st.integers(-(2**70), 2**70), st.sampled_from([-1, 2**64, 2**64 + 1, 2**70])
+        ),
+        outputs=st.sampled_from([(), ("--summary-out",), ("--trace-out", "--summary-out")]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_fuzz_exit_codes(self, edge_text, variant, informed, trials, max_rounds, seed, outputs):
+        with tempfile.TemporaryDirectory() as tmp:
+            graph = Path(tmp) / "fuzz.txt"
+            graph.write_text(edge_text)
+            argv = [
+                "simulate", "--graph", str(graph), "--variant", variant,
+                f"--informed={informed}", f"--trials={trials}", f"--seed={seed}",
+            ]
+            if max_rounds is not None:
+                argv.append(f"--max-rounds={max_rounds}")
+            for flag in outputs:
+                argv.append(f"{flag}={Path(tmp) / flag.strip('-')}")
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse rejects an unknown variant
+                    code = exc.code
+        assert code in (EXIT_OK, EXIT_INPUT, EXIT_CAPABILITY, EXIT_INCOMPLETE, EXIT_CONSTRUCTION)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestParticipating:

@@ -1,6 +1,7 @@
 """Spreading dynamics: round semantics, traces, coupling, summaries, and the
 growth/doubling diagnostics."""
 
+import dataclasses
 import math
 import random
 
@@ -23,7 +24,9 @@ from rumorspread import (
     doubling_times,
     dumbbell,
     first_arrival_times,
+    greedy_dominating_set,
     harmonic_mass,
+    hypercube,
     monte_carlo,
     path,
     pull_growth_check,
@@ -34,7 +37,8 @@ from rumorspread import (
     write_summary_csv,
     write_trace_csv,
 )
-from rumorspread.rng import LANE_ROUND, stream
+from rumorspread import protocols
+from rumorspread.rng import LANE_ORIGIN, LANE_ROUND, stream
 
 
 class TestConfig:
@@ -288,6 +292,97 @@ class TestMonteCarlo:
     def test_trials_validation(self):
         with pytest.raises(InputError):
             monte_carlo(cycle(4), ProtocolConfig(), 0)
+
+
+def replay(g, cfg, trial):
+    """(t_half, t_all, completed) of one trial, replayed round by round with
+    the oracle round rule on draws read from the trial's own streams."""
+    n = g.n
+    if cfg.initial_informed is None:
+        informed = {int(stream(cfg.rng_seed, LANE_ORIGIN, trial).integers(n))}
+    else:
+        informed = set(cfg.initial_informed)
+    cap = cfg.max_rounds if cfg.max_rounds is not None else default_max_rounds(n)
+    t_half = t_all = None
+    t = 0
+    while True:
+        if t_half is None and len(informed) >= n // 2 + 1:
+            t_half = t
+        if len(informed) == n:
+            t_all = t
+            break
+        if t == cap:
+            break
+        t += 1
+        u = stream(cfg.rng_seed, LANE_ROUND, trial, t).random(n)
+        draws = {
+            v: g.adj[v][min(int(u[v] * len(g.adj[v])), len(g.adj[v]) - 1)]
+            for v in range(n)
+        }
+        informed = oracles.naive_round(g.adj, informed, draws, cfg.variant)
+    return t_half, t_all, t_all is not None
+
+
+def kernel_configs():
+    """Three variants from random, explicit and dominating starts on small
+    graphs, with the default cap and with a cap that stops some trials."""
+    from helpers import random_connected
+
+    graphs = [cycle(12), dumbbell(4), star(9), hypercube(4), random_connected(random.Random(4), 11)]
+    for k, g in enumerate(graphs):
+        starts = (None, frozenset({0, g.n - 1}), greedy_dominating_set(g))
+        for variant in ("push", "pull", "pushpull"):
+            for start in starts:
+                for cap in (None, 3):
+                    cfg = ProtocolConfig(
+                        variant=variant, initial_informed=start, max_rounds=cap, rng_seed=k
+                    )
+                    yield g, cfg
+
+
+class TestRoundKernel:
+    def test_summaries_match_replay(self):
+        incomplete = 0
+        for g, cfg in kernel_configs():
+            summary, _ = monte_carlo(g, cfg, 6)
+            for trial in range(6):
+                want = replay(g, cfg, trial)
+                assert (summary.t_half[trial], summary.t_all[trial], summary.completed[trial]) == want
+            incomplete += summary.trials - summary.completed_count
+        assert incomplete > 0  # the small cap does stop trials
+
+    @pytest.mark.parametrize("rows", [1, 2, 5])
+    def test_block_size_changes_nothing(self, monkeypatch, rows):
+        g = dumbbell(4)
+        for start in (None, frozenset({3})):
+            for variant in ("push", "pull", "pushpull"):
+                cfg = ProtocolConfig(
+                    variant=variant, initial_informed=start, rng_seed=2, record_sets=True
+                )
+                whole, whole_traces = monte_carlo(g, cfg, 11, keep_traces=True)
+                with monkeypatch.context() as m:
+                    m.setattr(protocols, "_BLOCK_ELEMENTS", rows * g.n)
+                    blocked, blocked_traces = monte_carlo(g, cfg, 11, keep_traces=True)
+                assert repr(blocked) == repr(whole)
+                assert repr(blocked_traces) == repr(whole_traces)
+
+    def test_kept_traces_equal_single_runs(self):
+        for g, cfg in kernel_configs():
+            cfg = dataclasses.replace(cfg, record_sets=True)
+            summary, traces = monte_carlo(g, cfg, 4, keep_traces=True)
+            assert len(traces) == 4
+            for trial, got in enumerate(traces):
+                want = run(g, cfg, trial)
+                for field in (
+                    "informed", "boundary", "closure", "sets",
+                    "t_half", "t_all", "completed", "t_target",
+                ):
+                    assert getattr(got, field) == getattr(want, field), field
+                assert repr(got.psi) == repr(want.psi)
+                assert repr(got.harmonic_mass) == repr(want.harmonic_mass)
+                assert (got.t_half, got.t_all, got.completed) == (
+                    summary.t_half[trial], summary.t_all[trial], summary.completed[trial]
+                )
 
 
 class TestFirstArrival:

@@ -1,9 +1,16 @@
 """Counter-based random streams: determinism and separation."""
 
 import numpy as np
+import pytest
 
 from rumorspread import derive_seed, stream
-from rumorspread.rng import LANE_GROWTH, LANE_ORIGIN, LANE_ROUND, LANE_SAMPLER
+from rumorspread.rng import (
+    LANE_GROWTH,
+    LANE_ORIGIN,
+    LANE_ROUND,
+    LANE_SAMPLER,
+    fill_streams,
+)
 
 
 def test_stream_deterministic():
@@ -47,3 +54,22 @@ def test_stream_values_frozen():
         [0.32412879649152826, 0.28827475557576876, 0.4019783721225292]
     )
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", [0, 42, -1, 2**63 + 5, 2**70])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 33, 4096])
+def test_fill_streams_rows_equal_streams(seed, n):
+    # 2**64 + 3 wraps to trial 3 under the 64-bit counter mask
+    trials = [0, 7, 2**64 + 3]
+    for lane, round_index in ((LANE_ROUND, 5), (LANE_SAMPLER, 0), (LANE_ROUND, 2**64 + 1)):
+        want = np.array([stream(seed, lane, t, round_index).random(n) for t in trials])
+        got = fill_streams(np.empty((3, n)), seed, lane, trials, round_index)
+        assert np.array_equal(got, want)
+        assert np.array_equal(got[2], stream(seed, lane, 3, round_index).random(n))
+        # rows filled out of order and over stale contents give the same
+        # values: nothing buffered carries from one row into the next
+        order = [2, 0, 1]
+        shuffled = fill_streams(
+            np.full((3, n), np.nan), seed, lane, [trials[i] for i in order], round_index
+        )
+        assert np.array_equal(shuffled, want[order])
