@@ -395,8 +395,8 @@ def monte_carlo(
 ) -> tuple[MonteCarloSummary, list[SpreadTrace]]:
     """Run independent trials and summarize completion times.
 
-    Trials run through the round kernel in blocks of at most
-    ``_BLOCK_ELEMENTS // n`` rows, so memory stays bounded. Deterministic
+    Trials run through the round kernel in blocks of at most 2**22 // n
+    trials, so memory stays bounded. Deterministic
     given (cfg.rng_seed, trials): trial i draws from streams keyed by i, so
     results depend neither on the block size nor on execution order.
     """

@@ -366,6 +366,26 @@ class TestRoundKernel:
                 assert repr(blocked) == repr(whole)
                 assert repr(blocked_traces) == repr(whole_traces)
 
+    def test_harmonic_mass_float_order(self):
+        # each round adds one numpy sum over the trial's new nodes in
+        # ascending order; with more than eight new nodes a sum over a masked
+        # row of all n nodes rounds differently
+        from helpers import random_connected
+
+        for seed in range(3):
+            g = random_connected(random.Random(seed), 120, extra=0.05)
+            cfg = ProtocolConfig(rng_seed=seed, record_sets=True)
+            _, traces = monte_carlo(g, cfg, 3, keep_traces=True)
+            for trace in traces:
+                running, want, prev = 0.0, [], frozenset()
+                for s in trace.sets:
+                    new = sorted(s - prev)
+                    if new:
+                        running += float(np.array([1.0 / len(g.adj[v]) for v in new]).sum())
+                    want.append(running)
+                    prev = s
+                assert repr(trace.harmonic_mass) == repr(want)
+
     def test_kept_traces_equal_single_runs(self):
         for g, cfg in kernel_configs():
             cfg = dataclasses.replace(cfg, record_sets=True)
