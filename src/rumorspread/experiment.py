@@ -354,6 +354,11 @@ def read_points_csv(path: str) -> list[dict]:
                     raise InputError(
                         f"{path}:{lineno}: column {key!r} is not numeric: {raw!r}"
                     ) from exc
+            if not (math.isfinite(row["ratio"]) and row["ratio"] > 0):
+                # the drift digest divides by the smallest ratio
+                raise InputError(
+                    f"{path}:{lineno}: ratio must be a positive finite number, got {row['ratio']!r}"
+                )
             row["source"] = path
             rows.append(row)
     if header is None:

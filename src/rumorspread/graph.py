@@ -1,17 +1,22 @@
 """Immutable simple undirected graphs plus node-set operations.
 
-Graphs are stored as sorted adjacency tuples over node ids 0..n-1 and are
-validated at construction time: no self-loops, no parallel edges, connected,
-at least two nodes. All set-valued operations take and return ``frozenset``
-of node ids.
+A graph on node ids 0..n-1 is stored in compressed sparse row (CSR) form: two
+read-only int64 arrays, ``indptr`` (n + 1 offsets) and ``indices`` (every
+node's neighbors in ascending order, 2m entries). The adjacency tuples
+``adj``, the ``degrees`` and ``edges()`` are derived from them on first use.
+Graphs are validated at construction time: no self-loops, no parallel edges,
+connected, at least two nodes. All set-valued operations take and return
+``frozenset`` of node ids.
 """
 
 from __future__ import annotations
 
+import re
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate, chain
 from typing import Collection, Iterable
 
 import numpy as np
@@ -23,12 +28,40 @@ NodeSet = frozenset[int]
 EMPTY: NodeSet = frozenset()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """A connected simple undirected graph on nodes 0..n-1."""
+    """A connected simple undirected graph on nodes 0..n-1.
+
+    The neighbors of ``v`` are ``indices[indptr[v]:indptr[v + 1]]``, in
+    ascending order; ``csr`` is the pair ``(indptr, indices)``. The
+    constructor keeps arrays that are already read-only int64 and stores
+    read-only int64 copies of anything else. It validates nothing: build
+    graphs with :meth:`from_edges`. Two graphs are equal when their n and
+    CSR arrays are.
+    """
 
     n: int
-    adj: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+    csr: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "indptr", _read_only(self.indptr))
+        object.__setattr__(self, "indices", _read_only(self.indices))
+        object.__setattr__(self, "csr", (self.indptr, self.indices))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (
+            self.n == other.n
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
+        )
+
+    def __hash__(self) -> int:
+        # int tuples hash the same under every PYTHONHASHSEED; bytes do not
+        return hash((self.n, tuple(self.indptr.tolist()), tuple(self.indices.tolist())))
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -36,49 +69,45 @@ class Graph:
 
         Args:
             n: number of nodes; ids must lie in 0..n-1.
-            edges: iterable of (u, v) pairs, order-insensitive.
+            edges: iterable of (u, v) pairs, order-insensitive, or an (m, 2)
+                integer array.
 
         Raises:
             InputError: on self-loops, duplicate edges, out-of-range ids,
-                fewer than two nodes, or a disconnected result.
+                fewer than two nodes, or a disconnected result. The first
+                offending edge in input order is the one named.
         """
         if n < 2:
             raise InputError(f"graph needs at least 2 nodes, got n={n}")
-        seen: set[tuple[int, int]] = set()
-        nbrs: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise InputError(f"self-loop at node {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise InputError(f"duplicate edge ({key[0]},{key[1]})")
-            seen.add(key)
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        g = Graph(n, tuple(tuple(sorted(s)) for s in nbrs))
-        if not g._is_connected():
-            raise InputError("graph is not connected")
-        return g
-
-    def _is_connected(self) -> bool:
-        if any(len(a) == 0 for a in self.adj):
-            return False
-        seen = [False] * self.n
-        seen[0] = True
-        queue = deque([0])
-        count = 1
-        while queue:
-            u = queue.popleft()
-            for v in self.adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    count += 1
-                    queue.append(v)
-        return count == self.n
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+            if len(edges) < _NUMPY_MIN_EDGES:
+                return _python_graph(n, edges)
+        try:
+            pairs = np.asarray(edges)
+        except ValueError:  # ragged
+            return _python_graph(n, edges)
+        if pairs.dtype.kind not in "iu" or pairs.shape != (len(edges), 2):
+            # floats, bools, ids beyond int64 (object) or a wrong shape: the
+            # edge-by-edge build treats them as it does below the threshold
+            return _python_graph(n, edges)
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+            return _python_graph(n, pairs.tolist())  # raises, naming the first bad edge
+        u, v = pairs.astype(np.int64, copy=False).T
+        keys = np.concatenate((u * n + v, v * n + u))  # every edge both ways
+        keys.sort()
+        if np.count_nonzero(keys[1:] == keys[:-1]):  # a self-loop or a repeat
+            return _python_graph(n, pairs.tolist())  # raises, naming the first bad edge
+        return _connected_graph(n, keys)
 
     # -- basic accessors ---------------------------------------------------
+
+    @cached_property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbor tuples, one per node."""
+        flat = self.indices.tolist()
+        ptr = self.indptr.tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:]))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         self.check_node(v)
@@ -86,15 +115,15 @@ class Graph:
 
     def degree(self, v: int) -> int:
         self.check_node(v)
-        return len(self.adj[v])
+        return self.degrees[v]
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self.adj)
+        return tuple(np.diff(self.indptr).tolist())
 
     @cached_property
     def num_edges(self) -> int:
-        return sum(self.degrees) // 2
+        return self.indices.size // 2
 
     @cached_property
     def max_degree(self) -> int:
@@ -115,20 +144,17 @@ class Graph:
     def node_set(self) -> NodeSet:
         return frozenset(range(self.n))
 
-    @cached_property
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flattened adjacency (indptr, indices) for vectorized simulation."""
-        degs = np.array(self.degrees, dtype=np.int64)
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(degs, out=indptr[1:])
-        indices = np.fromiter(
-            (v for a in self.adj for v in a), dtype=np.int64, count=int(indptr[-1])
-        )
-        return indptr, indices
-
     def edges(self) -> list[tuple[int, int]]:
-        """All edges as sorted (u, v) pairs with u < v."""
-        return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
+        """All edges as sorted (u, v) pairs with u < v, ascending."""
+        u, v = self._upper()
+        return list(zip(u.tolist(), v.tolist()))
+
+    def _upper(self) -> tuple[np.ndarray, np.ndarray]:
+        """The edges as arrays (u, v) with u < v, ascending: the upper
+        triangle of the CSR."""
+        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        upper = rows < self.indices
+        return rows[upper], self.indices[upper]
 
     def check_node(self, v: int) -> None:
         if not (0 <= v < self.n):
@@ -141,6 +167,77 @@ class Graph:
             if not isinstance(v, (int, np.integer)) or not (0 <= v < self.n):
                 raise InputError(f"node id {v!r} out of range for n={self.n}")
         return frozenset(int(v) for v in fs)
+
+
+# Below this many edges a graph is built in Python, where numpy's fixed cost
+# per call would outweigh the work. Measured on loads that run between other
+# work, as one per CLI call does (caches cold), the two builds break even at
+# about 200 edges; in a tight loop of loads, at about 64. Both give the same
+# graph.
+_NUMPY_MIN_EDGES = 200
+
+
+def _python_graph(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
+    """Build a graph edge by edge. Edges are checked in input order, so the
+    first one that is out of range, a self-loop or a repeat is the one named."""
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    seen: set[tuple[int, int]] = set()
+    for u, v in pairs:
+        if not (0 <= u < n and 0 <= v < n):
+            raise InputError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise InputError(f"self-loop at node {u}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise InputError(f"duplicate edge ({key[0]},{key[1]})")
+        seen.add(key)
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    adj = tuple(tuple(sorted(a)) for a in nbrs)
+    reached = [False] * n
+    reached[0] = True
+    queue = deque([0])
+    while queue:
+        for v in adj[queue.popleft()]:
+            if not reached[v]:
+                reached[v] = True
+                queue.append(v)
+    if not all(reached):
+        raise InputError("graph is not connected")
+    flat = _read_only([0, *accumulate(map(len, adj)), *chain.from_iterable(adj)])
+    g = Graph(n, flat[: n + 1], flat[n + 1 :])
+    g.__dict__["adj"] = adj  # already built: seed the cached property
+    return g
+
+
+def _read_only(values) -> np.ndarray:
+    """``values`` itself if it is a read-only int64 array, else a read-only
+    int64 copy."""
+    if isinstance(values, np.ndarray) and values.dtype == np.int64 and not values.flags.writeable:
+        return values
+    arr = np.array(values, dtype=np.int64)
+    arr.setflags(write=False)
+    return arr
+
+
+def _connected_graph(n: int, keys: np.ndarray) -> Graph:
+    """The graph whose arcs (u, v) are the sorted keys ``u * n + v``, once it
+    is shown connected: each tree root hooks onto the smallest root across
+    its arcs, then pointer jumping flattens every tree, until no arc joins
+    two trees."""
+    rows, cols = np.divmod(keys, n)
+    label = np.arange(n)
+    while True:
+        np.minimum.at(label, label[rows], label[cols])
+        up = label[label]
+        while np.count_nonzero(up != label):
+            label = up
+            up = label[label]
+        if not np.count_nonzero(label[rows] != label[cols]):
+            break
+    if np.count_nonzero(label):
+        raise InputError("graph is not connected")
+    return Graph(n, np.searchsorted(rows, np.arange(n + 1)), cols)
 
 
 # -- set operations --------------------------------------------------------
@@ -223,6 +320,59 @@ def diameter(g: Graph) -> int:
 
 # -- file formats ----------------------------------------------------------
 
+# Lines that are all blank or ``#`` comments, then lines that each hold two
+# canonical integers (as ``str(int(token))`` writes them). At most 18 digits,
+# so every value fits in int64. Plain quantifiers only: possessive ones need
+# Python 3.11. Blanks, digits and line ends are disjoint, so a failed match
+# backtracks over each line once.
+_INT = r"(?:0|-?[1-9][0-9]{0,17})"
+_HEADER = r"(?:[ \t]*(?:#[^\n]*)?\n)*"
+_INT_PAIRS = rf"(?:[ \t]*{_INT}[ \t]+{_INT}[ \t]*(?:\n|\Z))+"
+
+
+def _int_pairs(text: str) -> tuple[dict[str, int], np.ndarray] | None:
+    """The label -> id mapping and the flat (u, v, u, v, ...) ids of an edge
+    list holding only canonical integers after its header, or None for any
+    other text."""
+    # compiled on first use (and cached by re), not at import
+    body = re.compile(_HEADER).match(text).end()
+    if not re.compile(_INT_PAIRS).fullmatch(text, body):
+        return None
+    values = np.fromstring(text[body:], dtype=np.int64, sep=" ")
+    lo, hi = int(values.min()), int(values.max())
+    if hi - lo < 4 * values.size:
+        # ids by a presence table over the label range: no sort needed
+        present = np.zeros(hi - lo + 1, dtype=bool)
+        present[values - lo] = True
+        labels = np.flatnonzero(present) + lo
+        ids = (np.cumsum(present) - 1)[values - lo]
+    else:
+        labels, ids = np.unique(values, return_inverse=True)
+    return dict(zip(map(str, labels.tolist()), range(labels.size))), ids
+
+
+def _tokenized_pairs(path: str, lines: Iterable[str]) -> tuple[dict[str, int], list[int]]:
+    """The label -> id mapping and the flat ids of any edge list, read line
+    by line so that a malformed line is reported by its number."""
+    tokens: list[str] = []
+    for lineno, line in enumerate(lines, start=1):
+        parts = line.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        if len(parts) != 2:
+            raise InputError(f"{path}:{lineno}: expected two tokens, got {len(parts)}")
+        tokens += parts
+    if not tokens:
+        raise InputError(f"{path}: no edges found")
+    labels = set(tokens)
+    try:
+        # ties such as 1/01 go by the label string, not by hash-seeded set order
+        ordered = sorted(labels, key=lambda t: (int(t), t))
+    except ValueError:
+        ordered = sorted(labels)
+    mapping = dict(zip(ordered, range(len(ordered))))
+    return mapping, [mapping[t] for t in tokens]
+
 
 def load_edge_list(path: str) -> tuple[Graph, dict[str, int]]:
     """Read a whitespace-separated edge list file.
@@ -233,46 +383,32 @@ def load_edge_list(path: str) -> tuple[Graph, dict[str, int]]:
     otherwise lexicographically. Lines starting with ``#`` are ignored.
     Self-loops and repeated edges are dropped with a warning; a disconnected
     result is rejected.
-    """
-    raw_edges: list[tuple[str, str]] = []
-    labels: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split()
-            if len(parts) != 2:
-                raise InputError(
-                    f"{path}:{lineno}: expected two tokens, got {len(parts)}"
-                )
-            raw_edges.append((parts[0], parts[1]))
-            labels.update(parts)
-    if not labels:
-        raise InputError(f"{path}: no edges found")
-    try:
-        # ties such as 1/01 go by the label string, not by hash-seeded set order
-        ordered = sorted(labels, key=lambda t: (int(t), t))
-    except ValueError:
-        ordered = sorted(labels)
-    mapping = {lab: i for i, lab in enumerate(ordered)}
-    n = len(ordered)
 
-    seen: set[tuple[int, int]] = set()
-    edges: list[tuple[int, int]] = []
-    dropped_loops = 0
-    dropped_dups = 0
-    for a, b in raw_edges:
-        u, v = mapping[a], mapping[b]
-        if u == v:
-            dropped_loops += 1
-            continue
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            dropped_dups += 1
-            continue
-        seen.add(key)
-        edges.append(key)
+    A file of canonical integer pairs after a block of comment and blank
+    lines, which is what :func:`save_edge_list` writes, is parsed in one
+    vectorized pass once it is long enough for numpy to pay off; other text
+    is tokenized line by line.
+    """
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    small = text.count("\n") < _NUMPY_MIN_EDGES
+    parsed = None if small else _int_pairs(text)
+    mapping, ids = parsed or _tokenized_pairs(path, text.split("\n"))
+    n = len(mapping)
+    if small:
+        pairs = list(zip(ids[0::2], ids[1::2]))
+        edges = {(u, v) if u < v else (v, u) for u, v in pairs if u != v}
+        dropped_loops = sum(1 for u, v in pairs if u == v)
+        dropped_dups = len(pairs) - dropped_loops - len(edges)
+    else:
+        u, v = np.asarray(ids, dtype=np.int64).reshape(-1, 2).T
+        keep = u != v
+        dropped_loops = u.size - int(np.count_nonzero(keep))
+        keys = np.sort(np.minimum(u, v)[keep] * n + np.maximum(u, v)[keep])
+        first = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        edges = np.stack(np.divmod(keys[first], n), axis=1)
+        dropped_dups = keys.size - len(edges)
     if dropped_loops:
         warnings.warn(f"{path}: dropped {dropped_loops} self-loop(s)", stacklevel=2)
     if dropped_dups:
@@ -289,8 +425,8 @@ def save_edge_list(g: Graph, path: str, header: Iterable[str] = ()) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for line in header:
             fh.write(f"# {line}\n")
-        for u, v in g.edges():
-            fh.write(f"{u} {v}\n")
+        flat = np.stack(g._upper(), axis=1).ravel().tolist()
+        fh.write("%d %d\n" * g.num_edges % tuple(flat))
 
 
 def load_node_set(path: str) -> NodeSet:

@@ -182,8 +182,8 @@ def _starts(g: Graph, cfg: ProtocolConfig, trials: range) -> np.ndarray:
         mask = _mask(g.n, g.check_set(cfg.initial_informed))
         return np.tile(mask, (len(trials), 1))
     starts = np.zeros((len(trials), g.n), dtype=bool)
-    for row, trial in zip(starts, trials):
-        row[int(rng.stream(cfg.rng_seed, rng.LANE_ORIGIN, trial).integers(g.n))] = True
+    for row, gen in zip(starts, rng.streams(cfg.rng_seed, rng.LANE_ORIGIN, trials)):
+        row[int(gen.integers(g.n))] = True
     return starts
 
 

@@ -187,3 +187,92 @@ def naive_restricted_round(
         elif d in informed:
             new.add(u)
     return new
+
+
+# -- edge-list files -----------------------------------------------------------
+#
+# The set-based builder and line-by-line loader that preceded the CSR graph,
+# kept verbatim in behaviour: the same adjacency, label mapping, warning texts
+# and InputError messages. They raise the package's InputError so that tests
+# can compare messages, and return plain adjacency tuples.
+
+
+def naive_from_edges(n: int, edges) -> Adj:
+    from rumorspread.errors import InputError
+
+    if n < 2:
+        raise InputError(f"graph needs at least 2 nodes, got n={n}")
+    seen = set()
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise InputError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise InputError(f"self-loop at node {u}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise InputError(f"duplicate edge ({key[0]},{key[1]})")
+        seen.add(key)
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    adj = tuple(tuple(sorted(s)) for s in nbrs)
+    reached = {0}
+    stack = [0]
+    while stack:
+        for v in adj[stack.pop()]:
+            if v not in reached:
+                reached.add(v)
+                stack.append(v)
+    if any(len(a) == 0 for a in adj) or len(reached) != n:
+        raise InputError("graph is not connected")
+    return adj
+
+
+def naive_load_edge_list(path: str) -> tuple[Adj, dict[str, int]]:
+    import warnings
+
+    from rumorspread.errors import InputError
+
+    raw_edges = []
+    labels = set()
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            parts = stripped.split()
+            if len(parts) != 2:
+                raise InputError(f"{path}:{lineno}: expected two tokens, got {len(parts)}")
+            raw_edges.append((parts[0], parts[1]))
+            labels.update(parts)
+    if not labels:
+        raise InputError(f"{path}: no edges found")
+    try:
+        ordered = sorted(labels, key=lambda t: (int(t), t))
+    except ValueError:
+        ordered = sorted(labels)
+    mapping = {lab: i for i, lab in enumerate(ordered)}
+    seen = set()
+    edges = []
+    dropped_loops = 0
+    dropped_dups = 0
+    for a, b in raw_edges:
+        u, v = mapping[a], mapping[b]
+        if u == v:
+            dropped_loops += 1
+            continue
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            dropped_dups += 1
+            continue
+        seen.add(key)
+        edges.append(key)
+    if dropped_loops:
+        warnings.warn(f"{path}: dropped {dropped_loops} self-loop(s)", stacklevel=2)
+    if dropped_dups:
+        warnings.warn(f"{path}: dropped {dropped_dups} duplicate edge(s)", stacklevel=2)
+    try:
+        adj = naive_from_edges(len(ordered), edges)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+    return adj, mapping

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import rumorspread
 import rumorspread.generators as generators
 from rumorspread import diameter, load_edge_list
+from rumorspread.experiment import BOUND_MODELS
 from rumorspread.cli import (
     EXIT_CAPABILITY,
     EXIT_CONSTRUCTION,
@@ -31,6 +32,21 @@ from rumorspread.cli import (
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+FUZZ_EXIT_CODES = (EXIT_OK, EXIT_INPUT, EXIT_CAPABILITY, EXIT_INCOMPLETE, EXIT_CONSTRUCTION)
+
+
+def run_fuzzed(argv):
+    """Exit code and stderr of one in-process run; argparse's own usage
+    errors leave through SystemExit with their code."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
 
 
 @pytest.fixture
@@ -73,6 +89,64 @@ def fuzz_edge_lists(draw):
     return "\n".join(lines)
 
 
+FUZZ_JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 8),
+    st.sampled_from([0.5, -1.0, 2.5, 1e9, 2**70]),
+    st.sampled_from(["", "x", "random", "dominating", "logn"]),
+    st.lists(st.integers(-1, 9), max_size=3),
+)
+
+
+@st.composite
+def fuzz_configs(draw):
+    """Experiment configs, mostly JSON objects near a valid sweep: unknown or
+    mistyped keys and values, bad families, models and variants, malformed
+    sweep points; at times not an object or not JSON at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(["{not json", "[]", "5", "null", '{"family": "cycle"', ""]))
+    point = st.dictionaries(
+        st.sampled_from(["n", "d", "m", "leaves", "degree", "num_components", "c", "p", "rng_seed", "q"]),
+        st.one_of(st.integers(-1, 6), st.sampled_from([0.5, "3", None, True, 1e-9])),
+        max_size=3,
+    )
+    data = {}
+    if draw(st.integers(0, 9)):
+        data["family"] = draw(st.sampled_from(list(generators.FAMILY_NAMES) + ["bogus", 3]))
+    if draw(st.integers(0, 9)):
+        data["sweep"] = draw(st.one_of(st.lists(point, max_size=3), FUZZ_JSON_VALUES))
+    optional = {
+        "variant": st.sampled_from(["push", "pull", "pushpull", "shout", 1]),
+        "informed": st.one_of(st.sampled_from(["random", "dominating", "everyone"]), st.lists(st.integers(-1, 9), max_size=3)),
+        "trials": st.integers(-2, 8),
+        "bound_model": st.sampled_from(list(BOUND_MODELS) + ["cubic"]),
+        "predictor_values": st.lists(st.sampled_from([1.0, 0.0, -2.0, 3]), max_size=3),
+        "quantiles": st.lists(st.sampled_from([0.5, 0.9, 0.0, 1.0, 1.5, -0.1]), max_size=3),
+        "rng_seed": st.integers(-(2**70), 2**70),
+        "max_rounds": st.integers(-1, 6),
+        "max_rounds_factor": st.sampled_from([0, 0.5, 2, -1.0]),
+        "enumeration_limit": st.integers(-1, 24),
+        "unknown_key": FUZZ_JSON_VALUES,
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(optional)), max_size=4, unique=True)):
+        data[key] = draw(st.one_of(optional[key], FUZZ_JSON_VALUES))
+    return json.dumps(data)
+
+
+@st.composite
+def fuzz_points_tables(draw):
+    """Points tables with missing or extra columns, short and long rows,
+    non-numeric, zero, negative and non-finite cells, comments and quoting."""
+    header = draw(st.sampled_from(
+        ["index,params,n,ratio", "index,params,n,ratio", "index,n", "ratio", "# only a comment", ""]
+    ))
+    width = header.count(",") + 1
+    cell = st.sampled_from(["0", "1", "1.5", "2", "-2", "nan", "inf", "1e400", "abc", "", '"d=2"'])
+    row = st.lists(cell, min_size=max(0, width - 1), max_size=width + 1).map(",".join)
+    return "\n".join([header, *draw(st.lists(row, max_size=4))]) + "\n"
+
+
 class TestGen:
     def test_hypercube_counts(self, tmp_path):
         out = tmp_path / "q3.txt"
@@ -112,6 +186,34 @@ class TestGen:
         )
         assert code == EXIT_CONSTRUCTION
         assert "error:" in capsys.readouterr().err
+
+    @given(
+        family=st.sampled_from(generators.FAMILY_NAMES),
+        params=st.dictionaries(
+            st.sampled_from(["n", "d", "m", "leaves", "degree", "num-components", "c"]),
+            st.integers(-2, 10),
+            max_size=4,
+        ),
+        p=st.one_of(st.none(), st.sampled_from(["0", "0.3", "1", "1.5", "-0.2", "nan", "inf", "1e-9"])),
+        seed=st.one_of(st.none(), st.integers(-(2**70), 2**70)),
+        out=st.sampled_from(["g.txt", "missing/g.txt"]),
+    )
+    @settings(max_examples=200)
+    def test_fuzz_exit_codes(self, family, params, p, seed, out):
+        with tempfile.TemporaryDirectory() as tmp:
+            target = Path(tmp) / out
+            argv = ["gen", family, "--out", str(target)]
+            argv += [f"--{key}={value}" for key, value in params.items()]
+            if p is not None:
+                argv.append(f"--p={p}")
+            if seed is not None:
+                argv.append(f"--seed={seed}")
+            code, err = run_fuzzed(argv)
+            if code == EXIT_OK:
+                g, mapping = load_edge_list(str(target))
+                assert mapping == {str(v): v for v in range(g.n)}
+        assert code in FUZZ_EXIT_CODES
+        assert "Traceback" not in err
 
     def test_out_dir_env(self, tmp_path, monkeypatch):
         outdir = tmp_path / "artifacts"
@@ -564,6 +666,14 @@ class TestExperimentAndReport:
         assert run_cli("report", str(bad)) == EXIT_INPUT
         assert "bad.csv:2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ratio", ["0", "-1.5", "nan", "inf"])
+    def test_report_rejects_ratio_without_drift(self, tmp_path, capsys, ratio):
+        # the drift is the largest ratio over the smallest
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"index,params,n,ratio\n0,d=2,4,1.5\n1,d=3,8,{ratio}\n")
+        assert run_cli("report", str(bad)) == EXIT_INPUT
+        assert "bad.csv:3: ratio must be a positive finite number" in capsys.readouterr().err
+
     def test_bad_json_config_exit_2(self, tmp_path, capsys):
         cases = [
             ("{not json", "bad JSON"),
@@ -578,3 +688,33 @@ class TestExperimentAndReport:
             cfg.write_text(text)
             assert run_cli("experiment", "--config", str(cfg)) == EXIT_INPUT, text
             assert message in capsys.readouterr().err, text
+
+    @given(config=fuzz_configs(), trials=st.one_of(st.none(), st.integers(-2, 6)))
+    @pytest.mark.filterwarnings("ignore:.*dropped")
+    @settings(max_examples=150)
+    def test_fuzz_experiment_exit_codes(self, config, trials):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(config)
+            argv = ["experiment", "--config", str(path), "--points-out", str(Path(tmp) / "p.csv"),
+                    "--report-out", str(Path(tmp) / "r.json")]
+            if trials is not None:
+                argv.append(f"--trials={trials}")
+            code, err = run_fuzzed(argv)
+        assert code in FUZZ_EXIT_CODES
+        assert "Traceback" not in err
+
+    @given(tables=st.lists(fuzz_points_tables(), min_size=1, max_size=2), missing=st.booleans())
+    @settings(max_examples=200)
+    @example(tables=["index,params,n,ratio\n0,d=2,4,0\n1,d=3,8,1.5\n"], missing=False)
+    def test_fuzz_report_exit_codes(self, tables, missing):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = []
+            for i, text in enumerate(tables):
+                paths.append(Path(tmp) / f"points{i}.csv")
+                paths[-1].write_text(text)
+            if missing:
+                paths.append(Path(tmp) / "absent.csv")
+            code, err = run_fuzzed(["report", *map(str, paths)])
+        assert code in FUZZ_EXIT_CODES
+        assert "Traceback" not in err

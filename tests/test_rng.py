@@ -10,6 +10,7 @@ from rumorspread.rng import (
     LANE_ROUND,
     LANE_SAMPLER,
     fill_streams,
+    streams,
 )
 
 
@@ -73,3 +74,12 @@ def test_fill_streams_rows_equal_streams(seed, n):
             np.full((3, n), np.nan), seed, lane, [trials[i] for i in order], round_index
         )
         assert np.array_equal(shuffled, want[order])
+
+
+@pytest.mark.parametrize("seed", [0, 1, -1, 2**63 + 5, 2**70])
+def test_streams_draw_what_fresh_streams_draw(seed):
+    trials = [0, 1, 7, 2**64 + 3, 5]
+    for high in (2, 3, 17, 64, 4096, 2**33):
+        want = [int(stream(seed, LANE_ORIGIN, t).integers(high)) for t in trials]
+        got = [int(gen.integers(high)) for gen in streams(seed, LANE_ORIGIN, trials)]
+        assert got == want
