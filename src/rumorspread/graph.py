@@ -322,12 +322,13 @@ def diameter(g: Graph) -> int:
 
 # Lines that are all blank or ``#`` comments, then lines that each hold two
 # canonical integers (as ``str(int(token))`` writes them). At most 18 digits,
-# so every value fits in int64. Plain quantifiers only: possessive ones need
-# Python 3.11. Blanks, digits and line ends are disjoint, so a failed match
-# backtracks over each line once.
+# so every value fits in int64. The body is checked by searching for a line
+# break that does not start such a line: a repeated group matching the
+# lines instead would keep backtracking state for every line (hundreds of
+# bytes each) unless its quantifier were possessive, which needs Python 3.11.
 _INT = r"(?:0|-?[1-9][0-9]{0,17})"
 _HEADER = r"(?:[ \t]*(?:#[^\n]*)?\n)*"
-_INT_PAIRS = rf"(?:[ \t]*{_INT}[ \t]+{_INT}[ \t]*(?:\n|\Z))+"
+_NOT_INT_PAIR = rf"\n(?![ \t]*{_INT}[ \t]+{_INT}[ \t]*(?:\n|\Z))"
 
 
 def _int_pairs(text: str) -> tuple[dict[str, int], np.ndarray] | None:
@@ -335,10 +336,11 @@ def _int_pairs(text: str) -> tuple[dict[str, int], np.ndarray] | None:
     list holding only canonical integers after its header, or None for any
     other text."""
     # compiled on first use (and cached by re), not at import
-    body = re.compile(_HEADER).match(text).end()
-    if not re.compile(_INT_PAIRS).fullmatch(text, body):
+    start = re.compile(_HEADER).match(text).end()
+    body = "\n" + text[start : len(text) - text.endswith("\n")]  # each line after a break
+    if re.compile(_NOT_INT_PAIR).search(body):  # an empty body fails here too
         return None
-    values = np.fromstring(text[body:], dtype=np.int64, sep=" ")
+    values = np.fromstring(body, dtype=np.int64, sep=" ")
     lo, hi = int(values.min()), int(values.max())
     if hi - lo < 4 * values.size:
         # ids by a presence table over the label range: no sort needed

@@ -296,6 +296,9 @@ class TestLoaderAgainstOracle:
     # that is not written as str(int(label)) would write it
     @example("".join(f"{i} {i + 1}\n" for i in range(200)) + "01 7\n-0 3\n007 5\n")
     @example("".join(f"{i} {i + 1}\n" for i in range(200)) + "+1 2\n1_0 4\n")
+    # a line that starts with two integers but holds more
+    @example("".join(f"{i} {i + 1}\n" for i in range(200)) + "3 4 5\n")
+    @example("".join(f"{i} {i + 1}\n" for i in range(200)) + "5 6x\n1 3")
     # labels too sparse for a presence table over their range
     @example("".join(f"{i * 10**15} {(i + 1) * 10**15}\n" for i in range(-100, 150)) + "5 0\n")
     @example("# header\n\n" + "".join(f"{i}\t{i + 1} \n" for i in range(-3, 200)) + "7 7\n5 6\n6 5")
@@ -324,7 +327,7 @@ class TestLoaderAgainstOracle:
         # possessive quantifiers (*+, ++, ?+, {m,n}+) and atomic groups are
         # Python 3.11 syntax; pyproject.toml admits 3.10, where the loader
         # would fail on every file long enough to reach the fast path
-        for pattern in (graph_module._HEADER, graph_module._INT_PAIRS):
+        for pattern in (graph_module._HEADER, graph_module._NOT_INT_PAIR):
             assert not re.search(r"[*+?}]\+|\(\?>", pattern), pattern
 
 
