@@ -391,8 +391,12 @@ def load_edge_list(path: str) -> tuple[Graph, dict[str, int]]:
     vectorized pass once it is long enough for numpy to pay off; other text
     is tokenized line by line.
     """
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    # bytes decoded at once skip the text layer, which costs more than the
+    # parse of a small file; line ends are translated as text mode would
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     small = text.count("\n") < _NUMPY_MIN_EDGES
     parsed = None if small else _int_pairs(text)
     mapping, ids = parsed or _tokenized_pairs(path, text.split("\n"))
