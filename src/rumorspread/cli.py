@@ -121,14 +121,17 @@ def _read_set_labels(path: str) -> list[str]:
     return [line for line in lines if line and not line.startswith("#")]
 
 
-def _resolve_set(args, g: Graph, mapping: dict) -> frozenset[int]:
-    """Read --set / --set-file in original labels and map to internal ids."""
-    if getattr(args, "set", None) is not None and getattr(args, "set_file", None):
+def _resolve_set(
+    text: str | None, path: str | None, g: Graph, mapping: dict
+) -> frozenset[int]:
+    """Read a node set given as ``--set`` text or a ``--set-file`` path, in
+    original labels, and map it to internal ids."""
+    if text is not None and path:
         raise InputError("give --set or --set-file, not both")
-    if getattr(args, "set", None) is not None:
-        labels = [tok for tok in args.set.replace(",", " ").split()]
-    elif getattr(args, "set_file", None):
-        labels = _read_set_labels(args.set_file)
+    if text is not None:
+        labels = text.replace(",", " ").split()
+    elif path:
+        labels = _read_set_labels(path)
     else:
         raise InputError("a node set is required (--set or --set-file)")
     inverse = {str(orig): new for orig, new in mapping.items()}
@@ -192,7 +195,7 @@ def cmd_analyze(args) -> int:
             )
         requested.append(name)
 
-    s = _resolve_set(args, g, mapping) if (args.set or args.set_file) else None
+    s = _resolve_set(args.set, args.set_file, g, mapping) if (args.set or args.set_file) else None
     limit = args.limit
 
     def as_report(name: str, value: float) -> expansion.ExpansionReport:
@@ -262,11 +265,7 @@ def cmd_simulate(args) -> int:
     elif args.informed == "dominating":
         initial = greedy_dominating_set(g)
     else:
-        class _SetArgs:
-            set = args.informed
-            set_file = None
-
-        initial = _resolve_set(_SetArgs, g, mapping)
+        initial = _resolve_set(args.informed, None, g, mapping)
     cfg = ProtocolConfig(
         variant=args.variant,
         initial_informed=initial,
@@ -297,7 +296,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_participating(args) -> int:
     g, mapping = _load_graph(args.graph)
-    s = _resolve_set(args, g, mapping)
+    s = _resolve_set(args.set, args.set_file, g, mapping)
     cfg = part_mod.ParticipatingConfig(
         eps_p=_parse_fraction(args.eps_p, "--eps-p"),
         eps_h=_parse_fraction(args.eps_h, "--eps-h"),

@@ -120,38 +120,33 @@ class ParticipatingResult:
         return len(self.trajectory) - 1 if self.trajectory is not None else 0
 
 
-def _inv_degrees(g: Graph) -> list[Fraction]:
-    return [Fraction(1, len(g.adj[v])) for v in range(g.n)]
+def _sampling_units(g: Graph) -> tuple[list[int], int]:
+    """Sampling masses as integer numerators over one common denominator:
+    1/deg(v) == unit[v] / scale, scale being the lcm of all degrees."""
+    scale = math.lcm(*(len(nbrs) for nbrs in g.adj))
+    return [scale // len(nbrs) for nbrs in g.adj], scale
 
 
 def _potential_parts(
-    g: Graph, s_plus: NodeSet, pool: Collection[int], inv: Sequence[Fraction]
-) -> tuple[Fraction, Fraction]:
-    """Both potential components, each computed two ways and cross-checked.
+    g: Graph, s_plus: NodeSet, pool: Collection[int], unit: Sequence[int]
+) -> tuple[int, int]:
+    """Both potential components as numerators over the scale of ``unit``
+    (see ``_sampling_units``), each computed two ways and cross-checked.
 
     phi1 charges edges from active nodes to removed nodes; phi2 charges edges
     from removed closure nodes back into the pool. Each is summed once from
-    the sender side and once from the receiver side; the two forms must agree
-    exactly, which guards the bookkeeping here and in any caller.
+    the sender side, a node's unit times its count of charged edges, and once
+    from the receiver side, edge by edge; the two forms must agree exactly,
+    which guards the bookkeeping here and in any caller.
     """
+    adj = g.adj
     p = frozenset(pool)
     a = p & s_plus
-    phi1_send = Fraction(0)
-    phi1_recv = Fraction(0)
-    phi2_send = Fraction(0)
-    phi2_recv = Fraction(0)
-    for u in a:
-        phi1_send += sum((inv[u] for v in g.adj[u] if v not in p), Fraction(0))
-    for u in range(g.n):
-        if u not in p:
-            phi1_recv += sum((inv[v] for v in g.adj[u] if v in a), Fraction(0))
     removed_closure = s_plus - a
-    for u in removed_closure:
-        phi2_send += sum((inv[u] for v in g.adj[u] if v in p), Fraction(0))
-    for u in p:
-        phi2_recv += sum(
-            (inv[v] for v in g.adj[u] if v in removed_closure), Fraction(0)
-        )
+    phi1_send = sum(unit[u] * sum(1 for v in adj[u] if v not in p) for u in a)
+    phi1_recv = sum(unit[v] for u in range(g.n) if u not in p for v in adj[u] if v in a)
+    phi2_send = sum(unit[u] * sum(1 for v in adj[u] if v in p) for u in removed_closure)
+    phi2_recv = sum(unit[v] for u in p for v in adj[u] if v in removed_closure)
     if phi1_send != phi1_recv or phi2_send != phi2_recv:
         raise AssertionError("potential dual forms disagree; internal bug")
     return phi1_send, phi2_send
@@ -167,8 +162,10 @@ def potential(g: Graph, s: Collection[int], pool: Collection[int]) -> tuple[floa
     if not fs:
         raise InputError("set must be nonempty")
     s_plus = closure(g, fs)
-    p1, p2 = _potential_parts(g, s_plus, g.check_set(pool), _inv_degrees(g))
-    return float(p1), float(p2), float(p1 + p2)
+    unit, scale = _sampling_units(g)
+    p1, p2 = _potential_parts(g, s_plus, g.check_set(pool), unit)
+    # int true division rounds correctly, as float(Fraction) does
+    return p1 / scale, p2 / scale, (p1 + p2) / scale
 
 
 def restricted_start(g: Graph, s: Collection[int], cfg: ParticipatingConfig) -> NodeSet:
@@ -181,21 +178,12 @@ def restricted_start(g: Graph, s: Collection[int], cfg: ParticipatingConfig) -> 
     bd = boundary(g, fs)
     s_plus = fs | bd
     bd2 = boundary(g, s_plus)
-    inv = _inv_degrees(g)
-    threshold = 2 * cfg.eps_p
-    extra = {
-        u
-        for u in bd2
-        if sum((inv[v] for v in g.adj[u] if v in bd), Fraction(0)) >= threshold
-    }
+    unit, scale = _sampling_units(g)
+    # mass >= 2 eps_p, with mass = num / scale, cross-multiplied
+    bound = 2 * cfg.eps_p.numerator * scale
+    den = cfg.eps_p.denominator
+    extra = {u for u in bd2 if sum(unit[v] for v in g.adj[u] if v in bd) * den >= bound}
     return s_plus | extra
-
-
-def _sampling_units(g: Graph) -> tuple[list[int], int]:
-    """Sampling masses as integer numerators over one common denominator:
-    1/deg(v) == unit[v] / scale, scale being the lcm of all degrees."""
-    scale = math.lcm(*(len(nbrs) for nbrs in g.adj))
-    return [scale // len(nbrs) for nbrs in g.adj], scale
 
 
 class _RunningPotential:
@@ -203,7 +191,8 @@ class _RunningPotential:
     sender side and from the receiver side, as in ``_potential_parts``.
 
     The four sums are exact numerators over ``scale`` (see
-    ``_sampling_units``). ``remove(x)`` applies the O(deg x) change of taking
+    ``_sampling_units``), starting from the (phi1, phi2) numerators
+    ``start``. ``remove(x)`` applies the O(deg x) change of taking
     ``x`` out of the pool and must run while ``x`` is still pooled. The
     sender path charges x's own edges by count, then the one changed edge of
     each closure neighbour; the receiver path charges what x starts or stops
@@ -214,8 +203,8 @@ class _RunningPotential:
     def __init__(self, g: Graph, unit, scale, in_closure, in_pool, start) -> None:
         self.adj, self.unit, self.scale = g.adj, unit, scale
         self.in_closure, self.in_pool = in_closure, in_pool
-        self.phi1_send = self.phi1_recv = int(start[0] * scale)
-        self.phi2_send = self.phi2_recv = int(start[1] * scale)
+        self.phi1_send = self.phi1_recv = start[0]
+        self.phi2_send = self.phi2_recv = start[1]
 
     def remove(self, x: int) -> None:
         unit, in_closure, in_pool = self.unit, self.in_closure, self.in_pool
@@ -321,9 +310,9 @@ def participating_fixed_point(
     running: _RunningPotential | None = None
     trajectory: list[tuple[Fraction, Fraction]] | None = None
     if track_potential:
-        inv = _inv_degrees(g)
-        trajectory = [_potential_parts(g, s_plus, pool_start, inv)]
-        running = _RunningPotential(g, unit, scale, in_closure, in_pool, trajectory[0])
+        start_parts = _potential_parts(g, s_plus, pool_start, unit)
+        running = _RunningPotential(g, unit, scale, in_closure, in_pool, start_parts)
+        trajectory = [running.parts()]
 
     def remove(u: int) -> None:
         if running is not None:
@@ -366,7 +355,10 @@ def participating_fixed_point(
             log.append(RemovalStep(step, u, reason, f1, f2, ftot))
 
     pool = frozenset(v for v in range(g.n) if in_pool[v])
-    if trajectory is not None and _potential_parts(g, s_plus, pool, inv) != trajectory[-1]:
+    if running is not None and _potential_parts(g, s_plus, pool, unit) != (
+        running.phi1_send,
+        running.phi2_send,
+    ):
         raise AssertionError("running potential drifted from its recompute; internal bug")
     act = pool & s_plus
     return ParticipatingResult(

@@ -14,20 +14,26 @@ pure function of (rng_seed, trial, round, node id), which makes traces
 byte-replayable and lets different variants run coupled on identical draws.
 
 One round kernel, ``_spread``, advances a block of trials together on a
-(trials x nodes) informed mask; ``run`` and ``run_restricted`` are blocks of
-one trial. ``monte_carlo`` runs its trials in blocks of at most
-``_BLOCK_ELEMENTS // n`` rows to bound memory; since every draw is addressed
-by its trial and round, the block size never changes a result. Boundary,
-harmonic mass and informed sets are tracked only when traces are returned.
+(trials x nodes) informed mask and takes each round's uniforms from a source
+it is given; ``run`` and ``run_restricted`` are blocks of one trial.
+``monte_carlo`` runs its trials in blocks of at most ``_BLOCK_ELEMENTS // n``
+rows to bound memory; since every draw is addressed by its trial and round,
+the block size never changes a result. Boundary, harmonic mass and informed
+sets are tracked only when traces are returned.
+
 ``first_arrival_times`` and ``pull_growth_check`` instead read one sequential
-sampler stream, so their block sizes are part of what their seeds reproduce.
+sampler stream, so their batch sizes are part of what their seeds reproduce.
+``first_arrival_times`` still steps through ``_spread``, in blocks of at
+most ``_BLOCK_ELEMENTS // n`` rows: its source seeks each round's uniforms by
+their position in that stream, so a block's finished rows are no longer
+stepped and memory stays bounded whatever the batch size.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Collection, Sequence
+from typing import Callable, Collection, Sequence
 
 import numpy as np
 
@@ -36,13 +42,18 @@ from .errors import IncompleteSpreadError, InputError
 from .graph import Graph, NodeSet
 
 VARIANTS = ("push", "pull", "pushpull")
-# Trials per first_arrival_times block; the block size decides which sampler
+# Trials per first_arrival_times batch; the batch size decides which sampler
 # draws each trial gets, so changing it changes the results.
 _ARRIVAL_BATCH = 4096
 # Elements (trials x nodes) per round-kernel block. Every kernel draw is
-# addressed by (seed, lane, trial, round), so this bounds memory only and
-# never changes results.
+# addressed by its trial and round, or by its position in a sequential
+# stream, so this bounds memory only and never changes results.
 _BLOCK_ELEMENTS = 1 << 22
+
+# Fills out[:len(rows)] with round t's uniforms of the block rows ``rows``
+# (ascending) and returns that slice; it may use the rest of ``out`` as
+# scratch.
+_UniformSource = Callable[[np.ndarray, np.ndarray, int], np.ndarray]
 
 
 def default_max_rounds(n: int) -> int:
@@ -199,29 +210,39 @@ def _neighbour_positions(
     return indices[indptr[nodes][owner] + within] + (nz - nodes)[owner]
 
 
+def _round_streams(seed: int, first_trial: int) -> _UniformSource:
+    """The kernel's own uniforms: block row i draws from stream
+    (seed, LANE_ROUND, first_trial + i, t) in round t, so what a trial does
+    depends neither on the block it runs in nor on its position there."""
+
+    def fill(out: np.ndarray, rows: np.ndarray, t: int) -> np.ndarray:
+        trials = (first_trial + rows).tolist()
+        return rng.fill_streams(out[: len(rows)], seed, rng.LANE_ROUND, trials, t)
+
+    return fill
+
+
 def _spread(
     g: Graph,
     cfg: ProtocolConfig,
-    first_trial: int,
     starts: np.ndarray,
+    source: _UniformSource,
     *,
     restricted: tuple[np.ndarray, np.ndarray] | None = None,
     target: NodeSet | None = None,
     stop_at_target: bool = False,
     traces: bool = False,
-) -> tuple[list[int | None], list[int | None], list[SpreadTrace]]:
-    """The round kernel: trials ``first_trial + i`` from the start masks
-    ``starts[i]``, all advanced one round at a time on a (live rows, n)
-    informed mask.
+) -> tuple[list[int | None], list[int | None], list[int | None], list[SpreadTrace]]:
+    """The round kernel: one trial per start mask ``starts[i]``, all advanced
+    one round at a time on a (live rows, n) informed mask, row i taking its
+    round-t uniforms from ``source``.
 
-    Row i draws from stream (seed, LANE_ROUND, first_trial + i, t) in round
-    t, so what a trial does depends neither on the block it runs in nor on
-    its position there. A trial leaves the live rows once it completes, or
-    once ``target`` is hit when ``stop_at_target``, or at the round cap.
-    ``restricted`` = (active, participating) masks turns every round into the
-    restricted pushpull round. Returns per-trial t_half and t_all, and with
-    ``traces`` one SpreadTrace per trial; boundary, harmonic mass, sets and
-    t_target are computed only then.
+    A trial leaves the live rows once it completes, or once ``target`` is hit
+    when ``stop_at_target``, or at the round cap. ``restricted`` =
+    (active, participating) masks turns every round into the restricted
+    pushpull round. Returns per-trial t_half, t_all and t_target (None while
+    unreached or without a target), and with ``traces`` one SpreadTrace per
+    trial; boundary, harmonic mass and sets are computed only then.
     """
     n = g.n
     indptr, indices = g.csr
@@ -292,11 +313,7 @@ def _spread(
                 reached = reached[keep]
         t += 1
         k = len(live)
-        u = rng.fill_streams(
-            uniforms[:k], cfg.rng_seed, rng.LANE_ROUND,
-            (first_trial + i for i in ids), t,
-        )
-        drawn = _draw(u, indptr, indices, degs)
+        drawn = _draw(source(uniforms, live, t), indptr, indices, degs)
         if restricted is None:
             variant, drawers = cfg.variant, None
         else:
@@ -308,11 +325,11 @@ def _spread(
     def opt(x: int) -> int | None:
         return None if x < 0 else int(x)
 
-    th, ta = [opt(x) for x in t_half], [opt(x) for x in t_all]
+    th, ta, tt = ([opt(x) for x in a] for a in (t_half, t_all, t_target))
     for i, tr in enumerate(out):
         tr.t_half, tr.t_all, tr.completed = th[i], ta[i], ta[i] is not None
-        tr.t_target = opt(t_target[i])
-    return th, ta, out
+        tr.t_target = tt[i]
+    return th, ta, tt, out
 
 
 def run(
@@ -330,8 +347,14 @@ def run(
     """
     starts = _starts(g, cfg, range(trial, trial + 1))
     tgt = g.check_set(target) if target is not None else None
-    _, _, traces = _spread(
-        g, cfg, trial, starts, target=tgt, stop_at_target=stop_at_target, traces=True
+    *_, traces = _spread(
+        g,
+        cfg,
+        starts,
+        _round_streams(cfg.rng_seed, trial),
+        target=tgt,
+        stop_at_target=stop_at_target,
+        traces=True,
     )
     return traces[0]
 
@@ -377,11 +400,11 @@ def run_restricted(
     g.check_node(origin)
     if origin not in part:
         raise InputError(f"origin {origin} is not participating")
-    _, _, traces = _spread(
+    *_, traces = _spread(
         g,
         cfg,
-        0,
         _mask(g.n, [origin])[None],
+        _round_streams(cfg.rng_seed, 0),
         restricted=(_mask(g.n, act), _mask(g.n, part)),
         target=s_set,
         stop_at_target=stop_at_target,
@@ -408,14 +431,41 @@ def monte_carlo(
     traces: list[SpreadTrace] = []
     for first in range(0, trials, block):
         block_trials = range(first, min(trials, first + block))
-        th, ta, tr = _spread(
-            g, cfg, first, _starts(g, cfg, block_trials), traces=keep_traces
+        th, ta, _, tr = _spread(
+            g,
+            cfg,
+            _starts(g, cfg, block_trials),
+            _round_streams(cfg.rng_seed, first),
+            traces=keep_traces,
         )
         t_half += th
         t_all += ta
         traces += tr
     completed = [t is not None for t in t_all]
     return MonteCarloSummary(trials, t_half, t_all, completed), traces
+
+
+def _sampler_rows(
+    seed: int, n: int, position: int, batch: int, first_row: int
+) -> _UniformSource:
+    """Uniforms of the rows ``first_row`` onward of a first_arrival_times
+    batch of ``batch`` rows whose round 1 starts at double ``position`` of the
+    sequential sampler stream: round t draws the whole (batch, n) array
+    after round t - 1, row after row.
+
+    Each round seeks once, to the first live row, and draws on to the last;
+    finished rows in between are drawn and dropped.
+    """
+
+    def fill(out: np.ndarray, rows: np.ndarray, t: int) -> np.ndarray:
+        lo, span = int(rows[0]), int(rows[-1] - rows[0]) + 1
+        at = position + ((t - 1) * batch + first_row + lo) * n
+        rng.fill_sequential(out[:span], seed, rng.LANE_SAMPLER, at)
+        if span > len(rows):
+            out[: len(rows)] = out[rows - lo]
+        return out[: len(rows)]
+
+    return fill
 
 
 def first_arrival_times(
@@ -429,9 +479,10 @@ def first_arrival_times(
 ) -> np.ndarray:
     """First round at which the watched set hears the rumor, per trial.
 
-    Trials run in fixed-size batches on one sequential sampler stream, so
-    large trial counts stay cheap and the result is fixed by the arguments.
-    Raises IncompleteSpreadError if any trial exhausts the round cap first.
+    Trials run in batches of ``_ARRIVAL_BATCH`` on one sequential sampler
+    stream, each round drawing a whole batch's (trials, n) uniforms after
+    the last round's, so the result is fixed by the arguments. Raises
+    IncompleteSpreadError if a trial of a batch exhausts the round cap first.
     """
     if variant not in VARIANTS:
         raise InputError(f"unknown variant {variant!r}")
@@ -442,34 +493,37 @@ def first_arrival_times(
     if not start_set or not watched_set:
         raise InputError("start and watched sets must be nonempty")
     cap = default_max_rounds(g.n) if max_rounds is None else max_rounds
-    indptr, indices = g.csr
-    degs = np.diff(indptr)
+
+    def incomplete(missed: int) -> IncompleteSpreadError:
+        return IncompleteSpreadError(
+            f"{missed} trial(s) did not reach the watched set within {cap} rounds"
+        )
+
+    if not start_set.isdisjoint(watched_set):
+        return np.zeros(trials, dtype=np.int64)
+    if cap < 1:
+        raise incomplete(min(trials, _ARRIVAL_BATCH))
     n = g.n
+    cfg = ProtocolConfig(variant=variant, max_rounds=cap, rng_seed=rng_seed)
     start_mask = _mask(n, start_set)
-    watched_arr = np.fromiter(sorted(watched_set), dtype=np.int64)
-    gen = rng.stream(rng_seed, rng.LANE_SAMPLER)
+    rows = max(1, _BLOCK_ELEMENTS // n)
     out = np.empty(trials, dtype=np.int64)
+    position = 0  # first sampler double of the current batch
     for done in range(0, trials, _ARRIVAL_BATCH):
         b = min(_ARRIVAL_BATCH, trials - done)
-        informed = np.tile(start_mask, (b, 1))
-        row_offsets = np.arange(b)[:, None] * n
-        times = np.zeros(b, dtype=np.int64)
-        pending = ~informed[:, watched_arr].any(axis=1)
-        for t in range(1, cap + 1):
-            if not pending.any():
-                break
-            drawn = _draw(gen.random((b, n)), indptr, indices, degs)
-            drawn += row_offsets
-            informed |= _step(informed.ravel(), drawn.ravel(), variant).reshape(b, n)
-            hit = pending & informed[:, watched_arr].any(axis=1)
-            times[hit] = t
-            pending &= ~hit
-        if pending.any():
-            raise IncompleteSpreadError(
-                f"{int(pending.sum())} trial(s) did not reach the watched set "
-                f"within {cap} rounds"
+        times: list[int | None] = []
+        for first in range(0, b, rows):
+            k = min(rows, b - first)
+            source = _sampler_rows(rng_seed, n, position, b, first)
+            _, _, t_target, _ = _spread(
+                g, cfg, np.tile(start_mask, (k, 1)), source,
+                target=watched_set, stop_at_target=True,
             )
+            times += t_target
+        if None in times:
+            raise incomplete(times.count(None))
         out[done : done + b] = times
+        position += b * n * max(times)
     return out
 
 

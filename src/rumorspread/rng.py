@@ -9,6 +9,12 @@ state for each trial of a batch, and ``fill_streams`` fills one row per
 trial from it. This makes every draw a pure function of
 (seed, lane, trial, round, position), so traces can be replayed and protocol
 variants can be coupled on identical draws.
+
+A sequential stream ``stream(seed, lane)`` can be read from any position as
+well: Philox makes four doubles per counter step, so ``fill_sequential``
+advances the counter and drops the remainder instead of drawing every double
+before the one it needs (the counter-based addressing of Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11).
 """
 
 from __future__ import annotations
@@ -61,6 +67,17 @@ def fill_streams(
     ``stream(seed, lane, trials[i], round_index).random(out.shape[1])``."""
     for row, gen in zip(out, streams(seed, lane, trials, round_index)):
         gen.random(out=row)
+    return out
+
+
+def fill_sequential(out: np.ndarray, seed: int, lane: int, position: int) -> np.ndarray:
+    """Fill the C-contiguous float64 array ``out`` with doubles ``position``,
+    ``position + 1``, ... of ``stream(seed, lane).random()``, without
+    generating the ones before."""
+    gen = stream(seed, lane)
+    gen.bit_generator.advance(position // 4)
+    gen.random(position % 4)
+    gen.random(out=out)
     return out
 
 

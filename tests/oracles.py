@@ -128,31 +128,24 @@ def naive_potential(adj: Adj, s, pool) -> tuple[Fraction, Fraction]:
 def naive_participating(adj: Adj, s, eps_p: Fraction, start=None) -> set[int]:
     """Greatest fixed point by simultaneous removal of every violator.
 
-    Closure members need pooled-neighbor fraction >= eps_p; outsiders need
-    inverse-degree mass from pooled closure neighbors >= eps_p. Simultaneous
-    removal converges to the same maximal fixed point as any sequential
-    order because both conditions are monotone in the pool.
+    Every pool member needs the inverse-degree mass of its pooled closure
+    neighbors, plus its pooled-neighbor fraction if it is in the closure
+    itself, to reach eps_p. Simultaneous removal converges to the same
+    maximal fixed point as any sequential order because the condition is
+    monotone in the pool.
     """
     sp = naive_closure(adj, s)
     pool = set(range(len(adj))) if start is None else set(start)
     while True:
         keep = set()
         for u in pool:
+            score = sum(
+                (Fraction(1, len(adj[v])) for v in adj[u] if v in pool and v in sp),
+                Fraction(0),
+            )
             if u in sp:
-                ok = Fraction(sum(1 for v in adj[u] if v in pool), len(adj[u])) >= eps_p
-            else:
-                ok = (
-                    sum(
-                        (
-                            Fraction(1, len(adj[v]))
-                            for v in adj[u]
-                            if v in pool and v in sp
-                        ),
-                        Fraction(0),
-                    )
-                    >= eps_p
-                )
-            if ok:
+                score += Fraction(sum(1 for v in adj[u] if v in pool), len(adj[u]))
+            if score >= eps_p:
                 keep.add(u)
         if keep == pool:
             return pool
@@ -276,3 +269,67 @@ def naive_load_edge_list(path: str) -> tuple[Adj, dict[str, int]]:
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
     return adj, mapping
+
+
+# -- first arrival times -------------------------------------------------------
+#
+# The loop `first_arrival_times` ran before it went through the round kernel,
+# kept verbatim. It reuses the package's one-round `_draw`/`_step` (pinned
+# against `naive_round` by their own tests); what it is the reference for is
+# the layout of the sequential sampler stream: every round draws one
+# (batch, n) array of uniforms for the whole batch, finished rows included,
+# until the batch's last trial arrives.
+
+
+def naive_first_arrival_times(g, start, watched, variant, trials, rng_seed, max_rounds=None):
+    import numpy as np
+
+    from rumorspread import rng
+    from rumorspread.errors import IncompleteSpreadError, InputError
+    from rumorspread.protocols import (
+        _ARRIVAL_BATCH,
+        VARIANTS,
+        _draw,
+        _mask,
+        _step,
+        default_max_rounds,
+    )
+
+    if variant not in VARIANTS:
+        raise InputError(f"unknown variant {variant!r}")
+    if trials < 1:
+        raise InputError("trials must be >= 1")
+    start_set = g.check_set(start)
+    watched_set = g.check_set(watched)
+    if not start_set or not watched_set:
+        raise InputError("start and watched sets must be nonempty")
+    cap = default_max_rounds(g.n) if max_rounds is None else max_rounds
+    indptr, indices = g.csr
+    degs = np.diff(indptr)
+    n = g.n
+    start_mask = _mask(n, start_set)
+    watched_arr = np.fromiter(sorted(watched_set), dtype=np.int64)
+    gen = rng.stream(rng_seed, rng.LANE_SAMPLER)
+    out = np.empty(trials, dtype=np.int64)
+    for done in range(0, trials, _ARRIVAL_BATCH):
+        b = min(_ARRIVAL_BATCH, trials - done)
+        informed = np.tile(start_mask, (b, 1))
+        row_offsets = np.arange(b)[:, None] * n
+        times = np.zeros(b, dtype=np.int64)
+        pending = ~informed[:, watched_arr].any(axis=1)
+        for t in range(1, cap + 1):
+            if not pending.any():
+                break
+            drawn = _draw(gen.random((b, n)), indptr, indices, degs)
+            drawn += row_offsets
+            informed |= _step(informed.ravel(), drawn.ravel(), variant).reshape(b, n)
+            hit = pending & informed[:, watched_arr].any(axis=1)
+            times[hit] = t
+            pending &= ~hit
+        if pending.any():
+            raise IncompleteSpreadError(
+                f"{int(pending.sum())} trial(s) did not reach the watched set "
+                f"within {cap} rounds"
+            )
+        out[done : done + b] = times
+    return out

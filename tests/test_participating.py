@@ -4,13 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 import rumorspread.participating as part_mod
 from conftest import graph_and_proper_subset
 from rumorspread import (
+    Graph,
     InputError,
     ParticipatingConfig,
     active_fraction_check,
@@ -29,6 +30,13 @@ from rumorspread import (
     star,
     write_removal_log_csv,
 )
+
+
+EPS_P = st.sampled_from([Fraction(1, 10), Fraction(3, 20), Fraction(2, 5), Fraction(3, 5)])
+# Star around node 1 with S = {0}, eps_p = 2/5: the leaves 2 and 3 get mass
+# 1/3 from node 1 and go; node 1 keeps a pooled share of only 1/3 and stays on
+# the mass 1 of its active neighbour 0, so the fixed point is {0, 1}.
+STAR_CASE = (Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)]), frozenset({0}))
 
 
 class TestConfig:
@@ -124,34 +132,32 @@ class TestFixedPoint:
         b = participating_fixed_point(g, {0, 1}, cfg, start=g.node_set)
         assert a.participating == b.participating
 
-    @given(graph_and_proper_subset(min_nodes=3))
-    def test_matches_oracle(self, gs):
+    @given(graph_and_proper_subset(min_nodes=3), EPS_P)
+    @example(STAR_CASE, Fraction(2, 5))
+    def test_matches_oracle(self, gs, eps_p):
         g, s = gs
-        cfg = ParticipatingConfig()
+        cfg = ParticipatingConfig(eps_p=eps_p)
         res = compute_participating(g, s, cfg)
         want = oracles.naive_participating(g.adj, s, cfg.eps_p)
         assert res.participating == want
 
-    @given(graph_and_proper_subset(min_nodes=3))
-    def test_no_violators_at_fixed_point(self, gs):
+    @given(graph_and_proper_subset(min_nodes=3), EPS_P)
+    @example(STAR_CASE, Fraction(2, 5))
+    def test_no_violators_at_fixed_point(self, gs, eps_p):
         g, s = gs
-        cfg = ParticipatingConfig()
+        cfg = ParticipatingConfig(eps_p=eps_p)
         res = compute_participating(g, s, cfg)
         p = res.participating
         sp = closure(g, g.check_set(s))
         for u in range(g.n):
-            in_score = (
-                Fraction(sum(1 for v in g.adj[u] if v in p), len(g.adj[u]))
-                if u in sp
-                else sum(
-                    (
-                        Fraction(1, len(g.adj[v]))
-                        for v in g.adj[u]
-                        if v in p and v in sp
-                    ),
-                    Fraction(0),
-                )
+            # sampling mass of the active neighbours, plus the pooled share
+            # for a closure node
+            in_score = sum(
+                (Fraction(1, len(g.adj[v])) for v in g.adj[u] if v in p and v in sp),
+                Fraction(0),
             )
+            if u in sp:
+                in_score += Fraction(sum(1 for v in g.adj[u] if v in p), len(g.adj[u]))
             if u in p:
                 assert in_score >= cfg.eps_p
             else:

@@ -3,7 +3,11 @@ growth/doubling diagnostics."""
 
 import dataclasses
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -431,6 +435,94 @@ class TestFirstArrival:
             first_arrival_times(g, {0}, {1}, "flood", 5, rng_seed=0)
         with pytest.raises(InputError):
             first_arrival_times(g, set(), {1}, "push", 5, rng_seed=0)
+
+    @staticmethod
+    def outcome(fn, *args, **kwargs):
+        """The array a call returns, or the type and text of what it raises."""
+        try:
+            return fn(*args, **kwargs).tolist()
+        except (IncompleteSpreadError, InputError) as exc:
+            return type(exc).__name__, str(exc)
+
+    def assert_matches_naive_loop(self, *args, **kwargs):
+        want = self.outcome(oracles.naive_first_arrival_times, *args, **kwargs)
+        assert self.outcome(first_arrival_times, *args, **kwargs) == want
+        return want
+
+    @pytest.mark.parametrize("variant", ["push", "pull", "pushpull"])
+    @pytest.mark.parametrize("trials", [1, 4095, 4096, 4097, 8193])
+    def test_matches_naive_loop_across_batches(self, variant, trials):
+        # batches of 4096 trials, the later ones starting where the earlier
+        # ones' last round left the sampler stream
+        self.assert_matches_naive_loop(dumbbell(3), {0}, {5}, variant, trials, rng_seed=9)
+        self.assert_matches_naive_loop(
+            cycle(9), {0, 1}, {4, 6}, variant, trials, rng_seed=-3
+        )
+
+    @pytest.mark.parametrize("variant", ["push", "pull", "pushpull"])
+    @pytest.mark.parametrize("rows", [1, 7, 1000])
+    def test_sub_blocks_change_nothing(self, monkeypatch, variant, rows):
+        # a batch runs as kernel blocks of _BLOCK_ELEMENTS // n rows, each
+        # seeking its rows' uniforms in the batch's stream layout
+        g = dumbbell(4)
+        trials = 300 if rows == 1 else 4500
+        monkeypatch.setattr(protocols, "_BLOCK_ELEMENTS", rows * g.n)
+        self.assert_matches_naive_loop(g, {1}, {6, 7}, variant, trials, rng_seed=2)
+
+    @pytest.mark.parametrize("variant", ["push", "pull", "pushpull"])
+    def test_caps_match_naive_loop(self, variant):
+        # caps at and just below each batch's last arrival: raising or not,
+        # and the count of trials the message names, follow the naive loop
+        g = path(8)
+        args = (g, {0}, {7}, variant, 8192)
+        times = np.array(oracles.naive_first_arrival_times(*args, rng_seed=5))
+        caps = {int(times[:4096].max()), int(times[4096:].max())}
+        caps |= {c - 1 for c in caps}
+        raised = set()
+        for cap in sorted(caps):
+            got = self.assert_matches_naive_loop(*args, rng_seed=5, max_rounds=cap)
+            raised.add(got[0] == "IncompleteSpreadError")
+        assert raised == {True, False}
+
+    def test_capped_batches_block_split(self, monkeypatch):
+        g = path(8)
+        monkeypatch.setattr(protocols, "_BLOCK_ELEMENTS", 100 * g.n)
+        for cap in (7, 9, 12):
+            self.assert_matches_naive_loop(g, {0}, {7}, "push", 500, rng_seed=1, max_rounds=cap)
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_non_positive_cap_raises_incomplete(self, cap):
+        # the cap is checked by the round loop, not by ProtocolConfig: no
+        # round runs, and every trial of the first batch is reported
+        with pytest.raises(IncompleteSpreadError, match=f"^4096 trial\\(s\\) .* within {cap} rounds$"):
+            first_arrival_times(cycle(6), {0}, {3}, "push", 5000, rng_seed=0, max_rounds=cap)
+        self.assert_matches_naive_loop(cycle(6), {0}, {3}, "push", 7, rng_seed=0, max_rounds=cap)
+
+    @pytest.mark.parametrize("cap", [None, 1, 0, -1])
+    def test_zero_when_start_meets_watched_whatever_the_cap(self, cap):
+        times = first_arrival_times(cycle(6), {0, 3}, {3, 4}, "pull", 5, rng_seed=0, max_rounds=cap)
+        assert np.array_equal(times, np.zeros(5, dtype=np.int64))
+        self.assert_matches_naive_loop(cycle(6), {0, 3}, {3, 4}, "pull", 5, rng_seed=0, max_rounds=cap)
+
+    def test_peak_memory_bounded_by_block(self):
+        # the (trials, n) arrays are stepped in kernel blocks of 2**22
+        # elements rather than as one 4096-row batch (382 MB before)
+        src = str(Path(protocols.__file__).resolve().parents[1])
+        code = (
+            "import resource, rumorspread as rs; "
+            "rs.first_arrival_times(rs.hypercube(11), {0}, {1}, 'pushpull', 4096, 7); "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=300,
+        )
+        peak_mb = int(proc.stdout) / 1024  # ru_maxrss is in KiB on Linux
+        assert peak_mb < 300
 
 
 class TestGrowthCheck:

@@ -9,6 +9,7 @@ from rumorspread.rng import (
     LANE_ORIGIN,
     LANE_ROUND,
     LANE_SAMPLER,
+    fill_sequential,
     fill_streams,
     streams,
 )
@@ -83,3 +84,24 @@ def test_streams_draw_what_fresh_streams_draw(seed):
         want = [int(stream(seed, LANE_ORIGIN, t).integers(high)) for t in trials]
         got = [int(gen.integers(high)) for gen in streams(seed, LANE_ORIGIN, trials)]
         assert got == want
+
+
+@pytest.mark.parametrize("seed", [0, -1, 2**70])
+def test_fill_sequential_reads_stream_slices(seed):
+    # offsets of every residue mod 4: Philox makes four doubles per counter
+    # step, so the seek advances the counter and drops the remainder
+    for lane in (LANE_SAMPLER, LANE_GROWTH):
+        want = stream(seed, lane).random(300)
+        for position in (0, 1, 2, 3, 4, 5, 6, 7, 28, 29, 30, 31, 97, 250):
+            for size in (1, 3, 4, 50):
+                got = fill_sequential(np.full(size, np.nan), seed, lane, position)
+                assert np.array_equal(got, want[position : position + size])
+        rows = fill_sequential(np.empty((3, 7)), seed, lane, 41)
+        assert np.array_equal(rows, want[41:62].reshape(3, 7))
+
+
+def test_fill_sequential_far_position():
+    # a seek past many counter steps equals drawing everything before it
+    position = 3 * 2**20 + 2
+    want = stream(6, LANE_SAMPLER).random(position + 10)[position:]
+    assert np.array_equal(fill_sequential(np.empty(10), 6, LANE_SAMPLER, position), want)
