@@ -355,11 +355,10 @@ def participating_fixed_point(
             log.append(RemovalStep(step, u, reason, f1, f2, ftot))
 
     pool = frozenset(v for v in range(g.n) if in_pool[v])
-    if running is not None and _potential_parts(g, s_plus, pool, unit) != (
-        running.phi1_send,
-        running.phi2_send,
-    ):
-        raise AssertionError("running potential drifted from its recompute; internal bug")
+    if running is not None:
+        end = (running.phi1_send, running.phi2_send)
+        if _potential_parts(g, s_plus, pool, unit) != end:
+            raise AssertionError("running potential drifted from its recompute; internal bug")
     act = pool & s_plus
     return ParticipatingResult(
         participating=pool,
