@@ -103,13 +103,6 @@ def _load_graph(path: str) -> tuple[Graph, dict]:
         raise InputError(f"cannot read graph file {path}: {exc}") from exc
 
 
-def _parse_node_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.replace(",", " ").split())
-    except ValueError as exc:
-        raise InputError(f"bad node list {text!r}: {exc}") from exc
-
-
 def _read_set_labels(path: str) -> list[str]:
     """Labels of a node-set file, one per line, kept as strings so they match
     edge-list labels exactly; blank lines and ``#`` lines are skipped."""

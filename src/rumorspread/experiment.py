@@ -77,8 +77,15 @@ class ExperimentConfig:
             raise InputError("sweep must have at least one point")
         if self.trials < 1:
             raise InputError("trials must be >= 1")
-        if self.predictor_values is not None and len(self.predictor_values) != len(self.sweep):
+        predictors = self.predictor_values
+        if predictors is not None and len(predictors) != len(self.sweep):
             raise InputError("predictor_values must match the sweep length")
+        # NaN fails both comparisons
+        if predictors is not None and not all(0 < v < math.inf for v in predictors):
+            raise InputError(f"predictor_values must be positive and finite: {predictors}")
+        factor = self.max_rounds_factor
+        if factor is not None and not 0 < factor < math.inf:
+            raise InputError(f"max_rounds_factor must be positive and finite: {factor}")
         if not self.quantiles or not all(0 < q < 1 for q in self.quantiles):
             raise InputError("quantiles must be in (0,1)")
         if self.max_rounds is not None and self.max_rounds_factor is not None:
@@ -248,7 +255,10 @@ def run_experiment(
             raise InputError(f"bad informed value {cfg.informed!r}")
 
         if cfg.max_rounds_factor is not None:
-            max_rounds = max(1, math.ceil(cfg.max_rounds_factor * g.n))
+            scaled = cfg.max_rounds_factor * g.n
+            if math.isinf(scaled):
+                raise InputError(f"max_rounds_factor {cfg.max_rounds_factor} overflows at n={g.n}")
+            max_rounds = max(1, math.ceil(scaled))
         else:
             max_rounds = cfg.max_rounds  # None -> engine default
 

@@ -13,44 +13,47 @@ the round, so information never travels two hops in one round. Draws are a
 pure function of (rng_seed, trial, round, node id), which makes traces
 byte-replayable and lets different variants run coupled on identical draws.
 
-One round kernel, ``_spread``, advances a block of trials together on a
-(trials x nodes) informed mask and takes each round's uniforms from a source
-it is given; ``run`` and ``run_restricted`` are blocks of one trial.
-``monte_carlo`` runs its trials in blocks of at most ``_BLOCK_ELEMENTS // n``
-rows to bound memory; since every draw is addressed by its trial and round,
-the block size never changes a result. Boundary, harmonic mass and informed
-sets are tracked only when traces are returned.
+One round kernel, ``_spread``, runs a range of trials on a (trials x nodes)
+informed mask, builds their start sets from the config, and takes each
+round's uniforms from a source it is given; ``run`` and ``run_restricted``
+are ranges of one trial. The kernel bounds memory for every caller by
+stepping its trials in blocks of at most ``_BLOCK_ELEMENTS // n`` rows; since
+every draw is addressed by its trial and round, or by its position in a
+sequential stream, the block size never changes a result. Boundary, harmonic
+mass and informed sets are tracked only when traces are returned.
 
 ``first_arrival_times`` and ``pull_growth_check`` instead read one sequential
-sampler stream, so their batch sizes are part of what their seeds reproduce.
-``first_arrival_times`` still steps through ``_spread``, in blocks of at
-most ``_BLOCK_ELEMENTS // n`` rows: its source seeks each round's uniforms by
-their position in that stream, so a block's finished rows are no longer
-stepped and memory stays bounded whatever the batch size.
+stream, so their batch sizes are part of what their seeds reproduce.
+``first_arrival_times`` still steps through ``_spread``, one batch of
+``_ARRIVAL_BATCH`` trials per call: its source seeks each round's uniforms
+by their position in the sampler stream, so finished trials are no longer
+stepped.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Collection, Sequence
 
 import numpy as np
 
 from . import rng
 from .errors import IncompleteSpreadError, InputError
+from .expansion import _boundary_contacts, boundary_expansion_exact
 from .graph import Graph, NodeSet
 
 VARIANTS = ("push", "pull", "pushpull")
 # Trials per first_arrival_times batch; the batch size decides which sampler
 # draws each trial gets, so changing it changes the results.
 _ARRIVAL_BATCH = 4096
-# Elements (trials x nodes) per round-kernel block. Every kernel draw is
-# addressed by its trial and round, or by its position in a sequential
-# stream, so this bounds memory only and never changes results.
+# Elements (trials x nodes) per block of the round kernel and of
+# pull_growth_check. Every draw there is addressed by its trial and round, or
+# by its position in a sequential stream, so this bounds memory only and never
+# changes results.
 _BLOCK_ELEMENTS = 1 << 22
 
-# Fills out[:len(rows)] with round t's uniforms of the block rows ``rows``
+# Fills out[:len(trials)] with round t's uniforms of the trial ids ``trials``
 # (ascending) and returns that slice; it may use the rest of ``out`` as
 # scratch.
 _UniformSource = Callable[[np.ndarray, np.ndarray, int], np.ndarray]
@@ -210,14 +213,13 @@ def _neighbour_positions(
     return indices[indptr[nodes][owner] + within] + (nz - nodes)[owner]
 
 
-def _round_streams(seed: int, first_trial: int) -> _UniformSource:
-    """The kernel's own uniforms: block row i draws from stream
-    (seed, LANE_ROUND, first_trial + i, t) in round t, so what a trial does
-    depends neither on the block it runs in nor on its position there."""
+def _round_streams(seed: int) -> _UniformSource:
+    """The kernel's own uniforms: trial i draws from stream
+    (seed, LANE_ROUND, i, t) in round t, so what a trial does depends neither
+    on the block it runs in nor on its position there."""
 
-    def fill(out: np.ndarray, rows: np.ndarray, t: int) -> np.ndarray:
-        trials = (first_trial + rows).tolist()
-        return rng.fill_streams(out[: len(rows)], seed, rng.LANE_ROUND, trials, t)
+    def fill(out: np.ndarray, trials: np.ndarray, t: int) -> np.ndarray:
+        return rng.fill_streams(out[: len(trials)], seed, rng.LANE_ROUND, trials.tolist(), t)
 
     return fill
 
@@ -225,7 +227,7 @@ def _round_streams(seed: int, first_trial: int) -> _UniformSource:
 def _spread(
     g: Graph,
     cfg: ProtocolConfig,
-    starts: np.ndarray,
+    trials: range,
     source: _UniformSource,
     *,
     restricted: tuple[np.ndarray, np.ndarray] | None = None,
@@ -233,14 +235,17 @@ def _spread(
     stop_at_target: bool = False,
     traces: bool = False,
 ) -> tuple[list[int | None], list[int | None], list[int | None], list[SpreadTrace]]:
-    """The round kernel: one trial per start mask ``starts[i]``, all advanced
-    one round at a time on a (live rows, n) informed mask, row i taking its
-    round-t uniforms from ``source``.
+    """The round kernel: one trial per id in ``trials``, started from
+    ``_starts`` and advanced one round at a time on a (live trials, n)
+    informed mask, trial i taking its round-t uniforms from ``source``.
 
-    A trial leaves the live rows once it completes, or once ``target`` is hit
-    when ``stop_at_target``, or at the round cap. ``restricted`` =
-    (active, participating) masks turns every round into the restricted
-    pushpull round. Returns per-trial t_half, t_all and t_target (None while
+    Trials run in blocks of at most ``_BLOCK_ELEMENTS // n`` rows, so memory
+    stays bounded for every caller; a source addresses each draw by trial id
+    and round, so the block size never changes a result. A trial leaves the
+    live rows once it completes, or once ``target`` is hit when
+    ``stop_at_target``, or at the round cap. ``restricted`` = (active,
+    participating) masks turns every round into the restricted pushpull
+    round. Returns per-trial t_half, t_all and t_target (None while
     unreached or without a target), and with ``traces`` one SpreadTrace per
     trial; boundary, harmonic mass and sets are computed only then.
     """
@@ -249,78 +254,82 @@ def _spread(
     degs = np.diff(indptr)
     cap = cfg.max_rounds if cfg.max_rounds is not None else default_max_rounds(n)
     half = n // 2 + 1
-    b = len(starts)
-    live = np.arange(b)  # trial offset of each live row
-    ids = live.tolist()
-    informed = np.zeros((b, n), dtype=bool)
-    counts = np.zeros(b, dtype=np.int64)
-    t_half = np.full(b, -1, dtype=np.int64)
-    t_all = np.full(b, -1, dtype=np.int64)
-    t_target = np.full(b, -1, dtype=np.int64)
+    nt = len(trials)
+    t_half = np.full(nt, -1, dtype=np.int64)
+    t_all = np.full(nt, -1, dtype=np.int64)
+    t_target = np.full(nt, -1, dtype=np.int64)
     tgt = None
     if target is not None:
         tgt = np.fromiter(sorted(target), dtype=np.int64, count=len(target))
     out: list[SpreadTrace] = []
     if traces:
         inv_deg = 1.0 / degs
-        reached = np.zeros((b, n), dtype=bool)  # has an informed neighbor
-        harmonic = [0.0] * b
+        harmonic = [0.0] * nt
         out = [
             SpreadTrace([], [], [], [], [], [] if cfg.record_sets else None, None, None, False)
-            for _ in range(b)
+            for _ in range(nt)
         ]
-    uniforms = np.empty((b, n))
-    offsets = np.arange(b)[:, None] * n
-    new = starts
-    t = 0
-    while True:
-        informed |= new
-        counts += np.count_nonzero(new, axis=1)
+    rows = max(1, _BLOCK_ELEMENTS // n)
+    for first in range(0, nt, rows):
+        live = np.arange(first, min(nt, first + rows))  # trial offset of each live row
+        ids = live.tolist()
+        b = len(live)
+        informed = np.zeros((b, n), dtype=bool)
+        counts = np.zeros(b, dtype=np.int64)
         if traces:
-            nz = np.flatnonzero(new)
-            reached.ravel()[_neighbour_positions(nz, n, indptr, indices, degs)] = True
-            # one sum per trial over its new nodes in ascending order, added
-            # to a running float: the float order the trace files pin
-            nodes = nz % n
-            bounds = np.searchsorted(nz, np.arange(len(ids) + 1) * n).tolist()
-            for i, lo, hi in zip(ids, bounds, bounds[1:]):
-                if hi > lo:
-                    harmonic[i] += float(inv_deg[nodes[lo:hi]].sum())
-            bnd = np.count_nonzero(reached & ~informed, axis=1).tolist()
-            for row, (i, c, bd) in enumerate(zip(ids, counts.tolist(), bnd)):
-                tr = out[i]
-                tr.informed.append(c)
-                tr.boundary.append(bd)
-                tr.closure.append(c + bd)
-                tr.psi.append(c + bd / 2.0)
-                tr.harmonic_mass.append(harmonic[i])
-                if tr.sets is not None:
-                    tr.sets.append(frozenset(np.flatnonzero(informed[row]).tolist()))
-        t_half[live[(counts >= half) & (t_half[live] < 0)]] = t
-        keep = counts < n
-        t_all[live[~keep]] = t
-        if tgt is not None:
-            hit = informed[:, tgt].any(axis=1)
-            t_target[live[hit & (t_target[live] < 0)]] = t
-            if stop_at_target:
-                keep &= ~hit
-        if t == cap or not keep.any():
-            break
-        if not keep.all():
-            live, informed, counts = live[keep], informed[keep], counts[keep]
-            ids = live.tolist()
+            reached = np.zeros((b, n), dtype=bool)  # has an informed neighbor
+        uniforms = np.empty((b, n))
+        offsets = np.arange(b)[:, None] * n
+        new = _starts(g, cfg, trials[first : first + b])
+        t = 0
+        while True:
+            informed |= new
+            counts += np.count_nonzero(new, axis=1)
             if traces:
-                reached = reached[keep]
-        t += 1
-        k = len(live)
-        drawn = _draw(source(uniforms, live, t), indptr, indices, degs)
-        if restricted is None:
-            variant, drawers = cfg.variant, None
-        else:
-            active, participating = restricted
-            variant, drawers = "pushpull", (active & participating[drawn]).ravel()
-        drawn += offsets[:k]
-        new = _step(informed.ravel(), drawn.ravel(), variant, drawers).reshape(k, n)
+                nz = np.flatnonzero(new)
+                reached.ravel()[_neighbour_positions(nz, n, indptr, indices, degs)] = True
+                # one sum per trial over its new nodes in ascending order, added
+                # to a running float: the float order the trace files pin
+                nodes = nz % n
+                bounds = np.searchsorted(nz, np.arange(len(ids) + 1) * n).tolist()
+                for i, lo, hi in zip(ids, bounds, bounds[1:]):
+                    if hi > lo:
+                        harmonic[i] += float(inv_deg[nodes[lo:hi]].sum())
+                bnd = np.count_nonzero(reached & ~informed, axis=1).tolist()
+                for row, (i, c, bd) in enumerate(zip(ids, counts.tolist(), bnd)):
+                    tr = out[i]
+                    tr.informed.append(c)
+                    tr.boundary.append(bd)
+                    tr.closure.append(c + bd)
+                    tr.psi.append(c + bd / 2.0)
+                    tr.harmonic_mass.append(harmonic[i])
+                    if tr.sets is not None:
+                        tr.sets.append(frozenset(np.flatnonzero(informed[row]).tolist()))
+            t_half[live[(counts >= half) & (t_half[live] < 0)]] = t
+            keep = counts < n
+            t_all[live[~keep]] = t
+            if tgt is not None:
+                hit = informed[:, tgt].any(axis=1)
+                t_target[live[hit & (t_target[live] < 0)]] = t
+                if stop_at_target:
+                    keep &= ~hit
+            if t == cap or not keep.any():
+                break
+            if not keep.all():
+                live, informed, counts = live[keep], informed[keep], counts[keep]
+                ids = live.tolist()
+                if traces:
+                    reached = reached[keep]
+            t += 1
+            k = len(live)
+            drawn = _draw(source(uniforms, trials.start + live, t), indptr, indices, degs)
+            if restricted is None:
+                variant, drawers = cfg.variant, None
+            else:
+                active, participating = restricted
+                variant, drawers = "pushpull", (active & participating[drawn]).ravel()
+            drawn += offsets[:k]
+            new = _step(informed.ravel(), drawn.ravel(), variant, drawers).reshape(k, n)
 
     def opt(x: int) -> int | None:
         return None if x < 0 else int(x)
@@ -345,13 +354,12 @@ def run(
     ``target``, when given, makes the trace record the first round at which
     some target node is informed; with ``stop_at_target`` the run ends there.
     """
-    starts = _starts(g, cfg, range(trial, trial + 1))
     tgt = g.check_set(target) if target is not None else None
     *_, traces = _spread(
         g,
         cfg,
-        starts,
-        _round_streams(cfg.rng_seed, trial),
+        range(trial, trial + 1),
+        _round_streams(cfg.rng_seed),
         target=tgt,
         stop_at_target=stop_at_target,
         traces=True,
@@ -402,9 +410,9 @@ def run_restricted(
         raise InputError(f"origin {origin} is not participating")
     *_, traces = _spread(
         g,
-        cfg,
-        _mask(g.n, [origin])[None],
-        _round_streams(cfg.rng_seed, 0),
+        replace(cfg, initial_informed=frozenset({origin})),
+        range(1),
+        _round_streams(cfg.rng_seed),
         restricted=(_mask(g.n, act), _mask(g.n, part)),
         target=s_set,
         stop_at_target=stop_at_target,
@@ -418,40 +426,25 @@ def monte_carlo(
 ) -> tuple[MonteCarloSummary, list[SpreadTrace]]:
     """Run independent trials and summarize completion times.
 
-    Trials run through the round kernel in blocks of at most 2**22 // n
-    trials, so memory stays bounded. Deterministic
-    given (cfg.rng_seed, trials): trial i draws from streams keyed by i, so
-    results depend neither on the block size nor on execution order.
+    Trials run through the round kernel, which bounds their memory.
+    Deterministic given (cfg.rng_seed, trials): trial i draws from streams
+    keyed by i, so results depend neither on the kernel's block size nor on
+    execution order.
     """
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
-    block = max(1, _BLOCK_ELEMENTS // g.n)
-    t_half: list[int | None] = []
-    t_all: list[int | None] = []
-    traces: list[SpreadTrace] = []
-    for first in range(0, trials, block):
-        block_trials = range(first, min(trials, first + block))
-        th, ta, _, tr = _spread(
-            g,
-            cfg,
-            _starts(g, cfg, block_trials),
-            _round_streams(cfg.rng_seed, first),
-            traces=keep_traces,
-        )
-        t_half += th
-        t_all += ta
-        traces += tr
+    t_half, t_all, _, traces = _spread(
+        g, cfg, range(trials), _round_streams(cfg.rng_seed), traces=keep_traces
+    )
     completed = [t is not None for t in t_all]
     return MonteCarloSummary(trials, t_half, t_all, completed), traces
 
 
-def _sampler_rows(
-    seed: int, n: int, position: int, batch: int, first_row: int
-) -> _UniformSource:
-    """Uniforms of the rows ``first_row`` onward of a first_arrival_times
-    batch of ``batch`` rows whose round 1 starts at double ``position`` of the
-    sequential sampler stream: round t draws the whole (batch, n) array
-    after round t - 1, row after row.
+def _sampler_rows(seed: int, n: int, position: int, batch: int) -> _UniformSource:
+    """Uniforms of the rows of a first_arrival_times batch of ``batch`` rows,
+    trial i of the batch being row i, whose round 1 starts at double
+    ``position`` of the sequential sampler stream: round t draws the whole
+    (batch, n) array after round t - 1, row after row.
 
     Each round seeks once, to the first live row, and draws on to the last;
     finished rows in between are drawn and dropped.
@@ -459,7 +452,7 @@ def _sampler_rows(
 
     def fill(out: np.ndarray, rows: np.ndarray, t: int) -> np.ndarray:
         lo, span = int(rows[0]), int(rows[-1] - rows[0]) + 1
-        at = position + ((t - 1) * batch + first_row + lo) * n
+        at = position + ((t - 1) * batch + lo) * n
         rng.fill_sequential(out[:span], seed, rng.LANE_SAMPLER, at)
         if span > len(rows):
             out[: len(rows)] = out[rows - lo]
@@ -481,8 +474,10 @@ def first_arrival_times(
 
     Trials run in batches of ``_ARRIVAL_BATCH`` on one sequential sampler
     stream, each round drawing a whole batch's (trials, n) uniforms after
-    the last round's, so the result is fixed by the arguments. Raises
-    IncompleteSpreadError if a trial of a batch exhausts the round cap first.
+    the last round's, so the result is fixed by the arguments. Each batch
+    steps through the round kernel, which bounds its memory and stops
+    stepping finished trials. Raises IncompleteSpreadError if a trial of a
+    batch exhausts the round cap first.
     """
     if variant not in VARIANTS:
         raise InputError(f"unknown variant {variant!r}")
@@ -504,22 +499,15 @@ def first_arrival_times(
     if cap < 1:
         raise incomplete(min(trials, _ARRIVAL_BATCH))
     n = g.n
-    cfg = ProtocolConfig(variant=variant, max_rounds=cap, rng_seed=rng_seed)
-    start_mask = _mask(n, start_set)
-    rows = max(1, _BLOCK_ELEMENTS // n)
+    cfg = ProtocolConfig(
+        variant=variant, initial_informed=start_set, max_rounds=cap, rng_seed=rng_seed
+    )
     out = np.empty(trials, dtype=np.int64)
     position = 0  # first sampler double of the current batch
     for done in range(0, trials, _ARRIVAL_BATCH):
         b = min(_ARRIVAL_BATCH, trials - done)
-        times: list[int | None] = []
-        for first in range(0, b, rows):
-            k = min(rows, b - first)
-            source = _sampler_rows(rng_seed, n, position, b, first)
-            _, _, t_target, _ = _spread(
-                g, cfg, np.tile(start_mask, (k, 1)), source,
-                target=watched_set, stop_at_target=True,
-            )
-            times += t_target
+        source = _sampler_rows(rng_seed, n, position, b)
+        _, _, times, _ = _spread(g, cfg, range(b), source, target=watched_set, stop_at_target=True)
         if None in times:
             raise incomplete(times.count(None))
         out[done : done + b] = times
@@ -555,8 +543,6 @@ def pull_growth_check(
     check passes when the mean is no more than ``slack_sigmas`` standard
     errors below the floor.
     """
-    from .expansion import _boundary_contacts, boundary_expansion_exact
-
     s_set = g.check_set(s)
     if not s_set or len(s_set) == g.n:
         raise InputError("need a nonempty proper subset to measure growth")
@@ -576,7 +562,7 @@ def pull_growth_check(
     s_mask = _mask(n, s_set)
     gen = rng.stream(rng_seed, rng.LANE_GROWTH)
     growth = np.empty(trials, dtype=np.int64)
-    batch = max(1, min(trials, (1 << 22) // n))
+    batch = max(1, min(trials, _BLOCK_ELEMENTS // n))
     for done in range(0, trials, batch):
         b = min(batch, trials - done)
         drawn = _draw(gen.random((b, n)), indptr, indices, degs)

@@ -683,6 +683,11 @@ class TestExperimentAndReport:
             ('{"family": "cycle", "sweep": [{"n": "8"}]}', "sweep"),
             ('[{"family": "hypercube", "sweep": [{"d": 2}]}]', "JSON object"),
         ]
+        # json.load reads NaN and Infinity, which must not reach the sweep
+        point = '{"family": "hypercube", "sweep": [{"d": 2}], '
+        for key, values in (("max_rounds_factor", ("NaN", "Infinity", "-1", "1e308")),
+                            ("predictor_values", ("[0]", "[-1.5]", "[NaN]"))):
+            cases += [(point + f'"{key}": {value}}}', key) for value in values]
         for text, message in cases:
             cfg = tmp_path / "broken.json"
             cfg.write_text(text)

@@ -47,6 +47,12 @@ class TestConfig:
             tiny_config(quantiles=(0.5, 1.5))
         with pytest.raises(InputError):
             tiny_config(max_rounds=10, max_rounds_factor=2.0)
+        for factor in (0, -1.0, math.nan, math.inf):
+            with pytest.raises(InputError, match="max_rounds_factor"):
+                tiny_config(max_rounds_factor=factor)
+        for bad in (0, -2.0, math.nan, math.inf):
+            with pytest.raises(InputError, match="predictor_values"):
+                tiny_config(predictor_values=(4.0, bad))
 
     def test_from_json_dict(self):
         cfg = ExperimentConfig.from_json_dict(

@@ -264,6 +264,22 @@ class TestRestrictedRuns:
             passive_informed += len(trace.sets[-1] - act)
         assert passive_informed > 0
 
+    def test_ignores_config_variant_and_start(self):
+        # a restricted run is pushpull from its origin whatever the config
+        # says: the kernel builds its start set from a copy of the config
+        from helpers import random_connected
+
+        g = random_connected(random.Random(3), 13)
+        part = frozenset(range(1, 12))
+        act = frozenset(range(1, 8))
+        base = ProtocolConfig(rng_seed=5, record_sets=True, max_rounds=20)
+        want = repr(run_restricted(g, {11}, 2, base, part, act))
+        for variant in ("push", "pull"):
+            cfg = dataclasses.replace(
+                base, variant=variant, initial_informed=frozenset({0, 9})
+            )
+            assert repr(run_restricted(g, {11}, 2, cfg, part, act)) == want
+
     def test_validation(self):
         g = cycle(6)
         cfg = ProtocolConfig()
@@ -369,6 +385,10 @@ class TestRoundKernel:
                     blocked, blocked_traces = monte_carlo(g, cfg, 11, keep_traces=True)
                 assert repr(blocked) == repr(whole)
                 assert repr(blocked_traces) == repr(whole_traces)
+        # the growth check's one sequential stream is cut into the same blocks
+        whole_growth = pull_growth_check(g, {0, 1}, 23, rng_seed=6)
+        monkeypatch.setattr(protocols, "_BLOCK_ELEMENTS", rows * g.n)
+        assert repr(pull_growth_check(g, {0, 1}, 23, rng_seed=6)) == repr(whole_growth)
 
     def test_harmonic_mass_float_order(self):
         # each round adds one numpy sum over the trial's new nodes in
