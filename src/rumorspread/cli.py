@@ -204,10 +204,14 @@ def cmd_analyze(args) -> int:
         "augmented-combined-expansion": expansion.augmented_combined_expansion_set,
     }
     set_or_graph = {
-        "vertex-expansion": (expansion.vertex_expansion_set, expansion.vertex_expansion_graph),
-        "conductance": (expansion.conductance_set, expansion.conductance_graph),
-        "combined-expansion": (expansion.combined_expansion_set, expansion.combined_expansion_graph),
+        "vertex-expansion": expansion.vertex_expansion_set,
+        "conductance": expansion.conductance_set,
+        "combined-expansion": expansion.combined_expansion_set,
     }
+    # every graph-level measure comes from one enumeration, run where the
+    # first of them is requested so errors keep their order
+    graph_level = [name for name in requested if name in set_or_graph]
+    enumerated: dict[str, expansion.ExpansionReport] = {}
     reports = []
     for name in requested:
         if name in set_only:
@@ -220,9 +224,11 @@ def cmd_analyze(args) -> int:
             else:
                 rep = as_report(name, set_only[name](g, s))
         elif s is not None:
-            rep = as_report(name, set_or_graph[name][0](g, s))
+            rep = as_report(name, set_or_graph[name](g, s))
         else:
-            rep = set_or_graph[name][1](g, limit)
+            if not enumerated:
+                enumerated = expansion._enumerated(g, graph_level, limit)
+            rep = enumerated[name]
         reports.append(rep.to_json_dict())
 
     payload: dict = {"graph": args.graph, "n": g.n, "measures": reports}

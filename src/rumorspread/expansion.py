@@ -7,8 +7,10 @@ caller to per-set evaluation. The enumeration is vectorized over int64 subset
 bitmasks: per-digit lookup tables (16 nodes a digit) give the size, volume,
 internal edge count and neighbourhood of any mask, and the subsets are visited
 in chunks of 2^16 masks that share their higher bits, so memory stays a few
-megabytes whatever n is. Masks cap the enumeration at 62 nodes, whatever
-limit the caller sets.
+megabytes whatever n is. One walk serves every measure requested together:
+each chunk's tables are read once, and each measure folds the chunk into its
+own running minimum. Masks cap the enumeration at 62 nodes, whatever limit
+the caller sets.
 
 Measures:
 
@@ -30,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, NamedTuple
+from typing import Collection, NamedTuple, Sequence
 
 import numpy as np
 
@@ -295,25 +297,6 @@ class _MaskTables:
         return nbr
 
 
-def _terms(
-    tables: _MaskTables, g: Graph, masks: np.ndarray, measure: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The masks in the domain of ``measure``, with the numerator and the
-    (positive) denominator of their values."""
-    size, vol, edges = tables.stats(masks)
-    if measure == "conductance":
-        keep = (vol > 0) & (vol <= g.num_edges)  # at most half the total volume
-        return masks[keep], (vol - 2 * edges)[keep], vol[keep]
-    keep = (size > 0) & (2 * size <= g.n)
-    masks, size = masks[keep], size[keep]
-    bd = tables.neighbourhood(masks) & ~masks
-    bd_size, bd_vol, bd_edges = tables.stats(bd)
-    if measure == "vertex-expansion":
-        return masks, bd_size, size
-    # combined: (|B|/|S|) * (cut(B)/vol(B)) as one fraction
-    return masks, bd_size * (bd_vol - 2 * bd_edges), size * bd_vol
-
-
 def _lex_smallest(masks: np.ndarray) -> int:
     """The mask whose sorted member tuple is lexicographically smallest.
 
@@ -331,18 +314,19 @@ def _lex_smallest(masks: np.ndarray) -> int:
     return int(masks[0])
 
 
-def _exact_minimum(g: Graph, measure: str) -> tuple[Fraction, tuple[int, ...]]:
-    """Exact minimum of ``measure`` over all subsets in its domain, and the
-    lexicographically smallest minimizing member tuple."""
-    tables = _MaskTables(g)
-    width = min(g.n, _DIGIT_BITS)
-    low = np.arange(1 << width, dtype=np.int64)
-    best: tuple[int, int] | None = None
-    tied: list[np.ndarray] = []
-    for high in range(1 << (g.n - width)):
-        masks, num, den = _terms(tables, g, low | (high << width), measure)
+class _RunningMinimum:
+    """The exact minimum of one measure over the chunks folded so far, with
+    the masks that attain it."""
+
+    def __init__(self) -> None:
+        self.best: tuple[int, int] | None = None
+        self.tied: list[np.ndarray] = []
+
+    def fold(self, masks: np.ndarray, num: np.ndarray, den: np.ndarray) -> None:
+        """Fold in one chunk: the masks in the measure's domain, with the
+        numerators and (positive) denominators of their values."""
         if not masks.size:
-            continue
+            return
         # The float argmin proposes p/q. Two distinct values differ by at
         # least 1/(q q'), with q, q' < 2^17, which float64 resolves; integer
         # cross-multiplication confirms it.
@@ -350,52 +334,104 @@ def _exact_minimum(g: Graph, measure: str) -> tuple[Fraction, tuple[int, ...]]:
         p, q = int(num[i]), int(den[i])
         if (num * q < p * den).any():
             raise AssertionError("float argmin is not the exact minimum; internal bug")
-        if best is not None:
-            if p * best[1] > best[0] * q:
-                continue
-            if p * best[1] < best[0] * q:
-                tied = []
-        best = (p, q)
-        tied.append(masks[num * q == p * den])
-    assert best is not None
-    witness = _lex_smallest(np.concatenate(tied))
-    return Fraction(*best), tuple(v for v in range(g.n) if witness >> v & 1)
+        if self.best is not None:
+            if p * self.best[1] > self.best[0] * q:
+                return
+            if p * self.best[1] < self.best[0] * q:
+                self.tied = []
+        self.best = (p, q)
+        self.tied.append(masks[num * q == p * den])
+
+    def result(self, n: int) -> tuple[Fraction, tuple[int, ...]]:
+        """The minimum and the lexicographically smallest minimizing member
+        tuple."""
+        assert self.best is not None
+        witness = _lex_smallest(np.concatenate(self.tied))
+        return Fraction(*self.best), tuple(v for v in range(n) if witness >> v & 1)
 
 
-def _enumerated(g: Graph, measure: str, max_nodes: int | None) -> ExpansionReport:
-    """The exact graph-level minimum of ``measure`` as a report."""
-    _check_enumerable(g, max_nodes, measure.replace("-", " "))
-    best, witness = _exact_minimum(g, measure)
-    return ExpansionReport(
-        measure=measure,
-        value=float(best),
-        witness=witness,
-        method="exact-enumeration",
-        exact=best,
-    )
+def _exact_minima(
+    g: Graph, measures: Collection[str]
+) -> dict[str, tuple[Fraction, tuple[int, ...]]]:
+    """Exact minimum of each of ``measures`` over all subsets in its domain,
+    and the lexicographically smallest minimizing member tuple, from one walk
+    over the subsets.
+
+    Each chunk's size, volume and edge counts are computed once, and so are
+    the boundaries that vertex and combined expansion share. Each measure is
+    folded into its running minimum as soon as its arrays exist, before the
+    next measure's are built, so peak memory stays that of a one-measure walk.
+    """
+    minima = {measure: _RunningMinimum() for measure in measures}
+    conductance = minima.get("conductance")
+    alpha = minima.get("vertex-expansion")
+    xi = minima.get("combined-expansion")
+    tables = _MaskTables(g)
+    width = min(g.n, _DIGIT_BITS)
+    low = np.arange(1 << width, dtype=np.int64)
+    for high in range(1 << (g.n - width)):
+        masks = low | (high << width)
+        size, vol, edges = tables.stats(masks)
+        if conductance is not None:
+            keep = (vol > 0) & (vol <= g.num_edges)  # at most half the total volume
+            conductance.fold(masks[keep], (vol - 2 * edges)[keep], vol[keep])
+        if alpha is None and xi is None:
+            continue
+        keep = (size > 0) & (2 * size <= g.n)
+        masks, size = masks[keep], size[keep]
+        del vol, edges, keep
+        bd = tables.neighbourhood(masks) & ~masks
+        bd_size, bd_vol, bd_edges = tables.stats(bd)
+        del bd
+        if alpha is not None:
+            alpha.fold(masks, bd_size, size)
+        if xi is not None:
+            # (|B|/|S|) * (cut(B)/vol(B)) as one fraction
+            xi.fold(masks, bd_size * (bd_vol - 2 * bd_edges), size * bd_vol)
+    return {measure: minimum.result(g.n) for measure, minimum in minima.items()}
+
+
+def _enumerated(
+    g: Graph, measures: Sequence[str], max_nodes: int | None
+) -> dict[str, ExpansionReport]:
+    """The exact graph-level minimum of each of ``measures`` as a report,
+    from one enumeration; a measure named twice is computed once. The cap's
+    error message names the first measure."""
+    _check_enumerable(g, max_nodes, measures[0].replace("-", " "))
+    return {
+        measure: ExpansionReport(
+            measure=measure,
+            value=float(best),
+            witness=witness,
+            method="exact-enumeration",
+            exact=best,
+        )
+        for measure, (best, witness) in _exact_minima(g, measures).items()
+    }
 
 
 def vertex_expansion_graph(g: Graph, max_nodes: int | None = None) -> ExpansionReport:
     """Minimum vertex expansion over subsets of at most half the nodes."""
-    return _enumerated(g, "vertex-expansion", max_nodes)
+    return _enumerated(g, ["vertex-expansion"], max_nodes)["vertex-expansion"]
 
 
 def conductance_graph(g: Graph, max_nodes: int | None = None) -> ExpansionReport:
     """Minimum conductance over subsets of at most half the total volume."""
-    return _enumerated(g, "conductance", max_nodes)
+    return _enumerated(g, ["conductance"], max_nodes)["conductance"]
 
 
 def combined_expansion_graph(g: Graph, max_nodes: int | None = None) -> ExpansionReport:
     """Minimum combined expansion over subsets of at most half the nodes."""
-    return _enumerated(g, "combined-expansion", max_nodes)
+    return _enumerated(g, ["combined-expansion"], max_nodes)["combined-expansion"]
 
 
 def sandwich_alpha_phi(g: Graph, max_nodes: int | None = None) -> bool:
     """Check the degree-ratio sandwich between conductance and vertex
     expansion: (min_deg/max_deg) * conductance <= vertex expansion
     <= max_deg * conductance, both graph-level."""
-    alpha = vertex_expansion_graph(g, max_nodes).exact
-    phi = conductance_graph(g, max_nodes).exact
+    reports = _enumerated(g, ["vertex-expansion", "conductance"], max_nodes)
+    alpha = reports["vertex-expansion"].exact
+    phi = reports["conductance"].exact
     lo = Fraction(g.min_degree, g.max_degree) * phi
     hi = Fraction(g.max_degree) * phi
     return lo <= alpha <= hi

@@ -275,6 +275,14 @@ def run_experiment(
         predictor = _predictor(cfg, index, g)
         quantile_values = {q: summary.quantile_t_all(q) for q in cfg.quantiles}
         primary = quantile_values[cfg.quantiles[0]]
+        # an incomplete quantile is infinite and so is its ratio; a finite
+        # quantile over a zero or subnormal predictor is an input error
+        ratio = primary / predictor if predictor else math.inf
+        if math.isfinite(primary) and not math.isfinite(ratio):
+            raise InputError(
+                f"sweep point {index}: predictor {predictor!r} gives the "
+                f"non-finite ratio {primary!r} / {predictor!r}"
+            )
         report.points.append(
             SweepPointResult(
                 index=index,
@@ -286,7 +294,7 @@ def run_experiment(
                 mean_t_all=summary.mean_t_all,
                 completed=summary.completed_count,
                 trials=summary.trials,
-                ratio=primary / predictor,
+                ratio=ratio,
             )
         )
     return report, summaries
@@ -426,8 +434,11 @@ def combined_vs_conductance_table(
             )
             g = spec.build()
             n = g.n
-            phis.append(expansion.conductance_graph(g, enumeration_limit).value)
-            xis.append(expansion.combined_expansion_graph(g, enumeration_limit).value)
+            reports = expansion._enumerated(
+                g, ["conductance", "combined-expansion"], enumeration_limit
+            )
+            phis.append(reports["conductance"].value)
+            xis.append(reports["combined-expansion"].value)
         mean_phi = sum(phis) / len(phis)
         mean_xi = sum(xis) / len(xis)
         rows.append(

@@ -298,6 +298,30 @@ class TestAnalyze:
         assert code == EXIT_CAPABILITY
         assert "capped at 3 nodes" in capsys.readouterr().err
 
+    def test_set_only_measure_first_exit_2(self, k4, capsys):
+        # the set-only measure comes before the graph-level one, so its
+        # error fires before the enumeration refuses the graph
+        code = run_cli("analyze", "--graph", k4, "--measures", "h,alpha", "--limit", "3")
+        assert code == EXIT_INPUT
+        assert "boundary-expansion needs a node set" in capsys.readouterr().err
+
+    def test_graph_level_measure_first_exit_3(self, k4, capsys):
+        code = run_cli("analyze", "--graph", k4, "--measures", "alpha,h", "--limit", "3")
+        assert code == EXIT_CAPABILITY
+        err = capsys.readouterr().err
+        assert "vertex expansion enumerates all subsets and is capped at 3 nodes" in err
+
+    def test_repeated_measure_reported_twice(self, k4, capsys):
+        code = run_cli("analyze", "--graph", k4, "--measures", "alpha,phi,alpha")
+        assert code == EXIT_OK
+        reports = json.loads(capsys.readouterr().out)["measures"]
+        assert [m["measure"] for m in reports] == [
+            "vertex-expansion", "conductance", "vertex-expansion"
+        ]
+        assert reports[0] == reports[2]
+        assert reports[0]["value"] == pytest.approx(1.0)
+        assert reports[1]["value"] == pytest.approx(2 / 3)
+
     def test_original_labels_respected(self, tmp_path, capsys):
         cases = [
             ("a b\nb c\nc d\n", "a", 0, 0.5),
@@ -688,6 +712,13 @@ class TestExperimentAndReport:
         for key, values in (("max_rounds_factor", ("NaN", "Infinity", "-1", "1e308")),
                             ("predictor_values", ("[0]", "[-1.5]", "[NaN]"))):
             cases += [(point + f'"{key}": {value}}}', key) for value in values]
+        # positive finite predictors whose ratio is not finite: a subnormal
+        # value overflows it, and log2(max degree) is 0 on a single edge
+        cases += [
+            (point + '"predictor_values": [1e-320]}', "sweep point 0: predictor 1e-320"),
+            ('{"family": "path", "sweep": [{"n": 4}, {"n": 2}], '
+             '"bound_model": "logn_logdelta_over_alpha"}', "sweep point 1: predictor 0.0"),
+        ]
         for text, message in cases:
             cfg = tmp_path / "broken.json"
             cfg.write_text(text)

@@ -1,6 +1,7 @@
 """Expansion measures: set-level values, exhaustive graph-level minima,
 sampling, and the regular-graph relations."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -172,6 +173,32 @@ class TestGraphLevel:
         val, wit = oracles.naive_combined_expansion(g.adj, g.n)
         rep = combined_expansion_graph(g)
         assert rep.exact == val and rep.witness == wit
+
+    @given(connected_graphs(max_nodes=10))
+    @settings(max_examples=30, deadline=None)
+    def test_one_pass_matches_oracles(self, g):
+        # every ordered selection, repeats included, of one to three measures
+        want = {
+            "vertex-expansion": oracles.naive_vertex_expansion(g.adj, g.n),
+            "conductance": oracles.naive_conductance(g.adj, g.n),
+            "combined-expansion": oracles.naive_combined_expansion(g.adj, g.n),
+        }
+        for k in (1, 2, 3):
+            for selection in itertools.product(want, repeat=k):
+                reports = expansion._enumerated(g, selection, None)
+                assert set(reports) == set(selection)
+                for measure, rep in reports.items():
+                    assert rep.measure == measure
+                    assert (rep.exact, rep.witness) == want[measure]
+
+    @pytest.mark.parametrize("n", [17, 18])
+    def test_one_pass_equals_one_measure_passes(self, n):
+        # 2 and 4 chunks of 2^16 masks, over two table digits
+        g = random_connected(random.Random(n), n, extra=0.2)
+        measures = ("vertex-expansion", "conductance", "combined-expansion")
+        together = expansion._enumerated(g, measures, None)
+        for measure in measures:
+            assert together[measure] == expansion._enumerated(g, [measure], None)[measure]
 
     def test_capability_cap(self):
         g = cycle(10)

@@ -526,12 +526,15 @@ class TestFirstArrival:
 
     def test_peak_memory_bounded_by_block(self):
         # the (trials, n) arrays are stepped in kernel blocks of 2**22
-        # elements rather than as one 4096-row batch (382 MB before)
+        # elements rather than as one 4096-row batch (382 MB before).
+        # ru_maxrss would carry this process's own peak across the exec, so
+        # the child reports its VmHWM, which covers the child alone.
         src = str(Path(protocols.__file__).resolve().parents[1])
         code = (
-            "import resource, rumorspread as rs; "
+            "import rumorspread as rs; "
             "rs.first_arrival_times(rs.hypercube(11), {0}, {1}, 'pushpull', 4096, 7); "
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+            "print(next(line.split()[1] for line in open('/proc/self/status') "
+            "if line.startswith('VmHWM:')))"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code],
@@ -541,7 +544,7 @@ class TestFirstArrival:
             check=True,
             timeout=300,
         )
-        peak_mb = int(proc.stdout) / 1024  # ru_maxrss is in KiB on Linux
+        peak_mb = int(proc.stdout) / 1024  # VmHWM is in kB
         assert peak_mb < 300
 
 
