@@ -175,7 +175,7 @@ class TestGraphLevel:
         assert rep.exact == val and rep.witness == wit
 
     @given(connected_graphs(max_nodes=10))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_one_pass_matches_oracles(self, g):
         # every ordered selection, repeats included, of one to three measures
         want = {
