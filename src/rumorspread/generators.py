@@ -8,6 +8,7 @@ they raise :class:`ConstructionError`.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass, field
 from typing import Any
@@ -231,20 +232,31 @@ def greedy_dominating_set(g: Graph) -> NodeSet:
     """Greedy max-coverage dominating set; ties broken by lowest node id.
 
     Repeatedly picks the node whose closed neighborhood covers the most
-    still-uncovered nodes until everything is covered.
+    still-uncovered nodes until everything is covered. Gains only fall, so a
+    heap of (-gain, node) entries is refreshed lazily: a stale top entry goes
+    back with its node's current gain, and a current one is the pick.
     """
-    uncovered = set(range(g.n))
-    chosen: set[int] = set()
-    gain = [len(g.adj[v]) + 1 for v in range(g.n)]
-    while uncovered:
-        best = max(range(g.n), key=lambda v: (gain[v], -v))
-        chosen.add(best)
-        newly = ({best} | set(g.adj[best])) & uncovered
-        uncovered -= newly
-        for w in newly:
-            gain[w] -= 1
-            for x in g.adj[w]:
-                gain[x] -= 1
+    adj = g.adj
+    gain = [len(nbrs) + 1 for nbrs in adj]
+    heap = [(-c, v) for v, c in enumerate(gain)]
+    heapq.heapify(heap)
+    uncovered = [True] * g.n
+    left = g.n
+    chosen: list[int] = []
+    while left:
+        neg, best = heap[0]
+        if -neg != gain[best]:
+            heapq.heapreplace(heap, (-gain[best], best))
+            continue
+        heapq.heappop(heap)
+        chosen.append(best)
+        for w in (best, *adj[best]):
+            if uncovered[w]:
+                uncovered[w] = False
+                left -= 1
+                gain[w] -= 1
+                for x in adj[w]:
+                    gain[x] -= 1
     return frozenset(chosen)
 
 

@@ -22,12 +22,15 @@ every draw is addressed by its trial and round, or by its position in a
 sequential stream, the block size never changes a result. Boundary, harmonic
 mass and informed sets are tracked only when traces are returned.
 
+Each source builds one ``rng.Streams`` generator per kernel call, and
+``_starts`` one per block; they reset it per (trial, round) row.
+
 ``first_arrival_times`` and ``pull_growth_check`` instead read one sequential
 stream, so their batch sizes are part of what their seeds reproduce.
 ``first_arrival_times`` still steps through ``_spread``, one batch of
 ``_ARRIVAL_BATCH`` trials per call: its source seeks each round's uniforms
-by their position in the sampler stream, so finished trials are no longer
-stepped.
+by their position in the sampler stream, once per run of live rows, so
+finished trials are neither stepped nor, past a short gap, drawn.
 """
 
 from __future__ import annotations
@@ -52,6 +55,10 @@ _ARRIVAL_BATCH = 4096
 # by its position in a sequential stream, so this bounds memory only and never
 # changes results.
 _BLOCK_ELEMENTS = 1 << 22
+# A first_arrival_times round seeks past a gap of finished rows wider than
+# this many doubles and generates the doubles of a narrower one: a seek costs
+# about as much as generating 250 doubles. Seeking never changes a result.
+_SEEK_DOUBLES = 256
 
 # Fills out[:len(trials)] with round t's uniforms of the trial ids ``trials``
 # (ascending) and returns that slice; it may use the rest of ``out`` as
@@ -196,8 +203,9 @@ def _starts(g: Graph, cfg: ProtocolConfig, trials: range) -> np.ndarray:
         mask = _mask(g.n, g.check_set(cfg.initial_informed))
         return np.tile(mask, (len(trials), 1))
     starts = np.zeros((len(trials), g.n), dtype=bool)
-    for row, gen in zip(starts, rng.streams(cfg.rng_seed, rng.LANE_ORIGIN, trials)):
-        row[int(gen.integers(g.n))] = True
+    origins = rng.Streams(cfg.rng_seed, rng.LANE_ORIGIN)
+    for row, trial in zip(starts, trials):
+        row[int(origins.at(trial).integers(g.n))] = True
     return starts
 
 
@@ -217,9 +225,10 @@ def _round_streams(seed: int) -> _UniformSource:
     """The kernel's own uniforms: trial i draws from stream
     (seed, LANE_ROUND, i, t) in round t, so what a trial does depends neither
     on the block it runs in nor on its position there."""
+    streams = rng.Streams(seed, rng.LANE_ROUND)
 
     def fill(out: np.ndarray, trials: np.ndarray, t: int) -> np.ndarray:
-        return rng.fill_streams(out[: len(trials)], seed, rng.LANE_ROUND, trials.tolist(), t)
+        return streams.fill(out[: len(trials)], trials.tolist(), t)
 
     return fill
 
@@ -446,17 +455,24 @@ def _sampler_rows(seed: int, n: int, position: int, batch: int) -> _UniformSourc
     ``position`` of the sequential sampler stream: round t draws the whole
     (batch, n) array after round t - 1, row after row.
 
-    Each round seeks once, to the first live row, and draws on to the last;
-    finished rows in between are drawn and dropped.
+    Each round splits its live rows into runs wherever finished rows leave a
+    gap of more than ``_SEEK_DOUBLES`` doubles, and seeks once per run; only
+    the finished rows inside a run are drawn and dropped.
     """
+    streams = rng.Streams(seed, rng.LANE_SAMPLER)
 
     def fill(out: np.ndarray, rows: np.ndarray, t: int) -> np.ndarray:
-        lo, span = int(rows[0]), int(rows[-1] - rows[0]) + 1
-        at = position + ((t - 1) * batch + lo) * n
-        rng.fill_sequential(out[:span], seed, rng.LANE_SAMPLER, at)
-        if span > len(rows):
-            out[: len(rows)] = out[rows - lo]
-        return out[: len(rows)]
+        at = position + (t - 1) * batch * n
+        cuts = np.flatnonzero((np.diff(rows) - 1) * n > _SEEK_DOUBLES) + 1
+        bounds = [0, *cuts.tolist(), len(rows)]
+        k = 0  # live rows filled so far
+        for lo, hi in zip(bounds, bounds[1:]):
+            first, span = int(rows[lo]), int(rows[hi - 1] - rows[lo]) + 1
+            streams.seek(at + first * n).random(out=out[k : k + span])
+            if span > hi - lo:
+                out[k : k + hi - lo] = out[k + rows[lo:hi] - first]
+            k += hi - lo
+        return out[:k]
 
     return fill
 

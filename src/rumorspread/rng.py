@@ -3,23 +3,27 @@
 Every stream is a Philox generator keyed by the master seed with the counter
 words set to (block=0, round, trial, lane). Streams for distinct
 (lane, trial, round) triples never overlap because drawing only advances the
-low counter word, and each triple starts from its own counter: ``stream``
-builds a fresh generator, ``streams`` resets one generator to that same
-state for each trial of a batch, and ``fill_streams`` fills one row per
-trial from it. This makes every draw a pure function of
-(seed, lane, trial, round, position), so traces can be replayed and protocol
-variants can be coupled on identical draws.
+low counter word, and each triple starts from its own counter. This makes
+every draw a pure function of (seed, lane, trial, round, position), so traces
+can be replayed and protocol variants can be coupled on identical draws.
+
+``Streams`` is the one place that builds a Philox generator. It puts that
+generator at any address of one lane by assigning a state dict of plain
+Python ints through the public ``state`` setter, which costs about a
+microsecond, far less than building a generator. ``at`` and ``fill`` reset
+it to the start of a (trial, round) stream, one trial or one row at a time;
+``stream`` is a fresh generator at one such address.
 
 A sequential stream ``stream(seed, lane)`` can be read from any position as
-well: Philox makes four doubles per counter step, so ``fill_sequential``
-advances the counter and drops the remainder instead of drawing every double
-before the one it needs (the counter-based addressing of Salmon et al.,
-"Parallel random numbers: as easy as 1, 2, 3", SC'11).
+well: Philox makes four doubles per counter step, so ``Streams.seek`` sets
+the counter and drops the remainder instead of drawing every double before
+the one it needs (the counter-based addressing of Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC'11).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -32,53 +36,61 @@ LANE_SAMPLER = 2  # boundary-expansion Monte-Carlo sampling
 LANE_GROWTH = 3  # one-round growth estimation
 
 
+class Streams:
+    """One generator that can be put at any address of lane ``lane``.
+
+    ``at`` and ``seek`` return the same ``Generator`` every time, with its
+    counter words and output buffer reset: draw from it before moving it
+    again.
+    """
+
+    def __init__(self, seed: int, lane: int) -> None:
+        self._bitgen = np.random.Philox(key=int(seed) & _MASK64)
+        self._gen = np.random.Generator(self._bitgen)
+        # plain ints: the state setter takes them faster than numpy arrays,
+        # and exactly at any 64-bit value
+        self._counter = [0, 0, 0, int(lane) & _MASK64]
+        state = self._bitgen.state  # a fresh generator's, with an empty buffer
+        state["state"] = {"counter": self._counter, "key": state["state"]["key"].tolist()}
+        state["buffer"] = state["buffer"].tolist()
+        self._state = state
+
+    def at(self, trial: int, round_index: int = 0) -> np.random.Generator:
+        """The generator in the state ``stream(seed, lane, trial,
+        round_index)`` starts in."""
+        c = self._counter
+        c[0], c[1], c[2] = 0, int(round_index) & _MASK64, int(trial) & _MASK64
+        self._bitgen.state = self._state
+        return self._gen
+
+    def fill(self, out: np.ndarray, trials: Iterable[int], round_index: int) -> np.ndarray:
+        """Fill row i of the C-contiguous float64 array ``out`` with
+        ``stream(seed, lane, trials[i], round_index).random(out.shape[1])``."""
+        c, bitgen, gen, state = self._counter, self._bitgen, self._gen, self._state
+        c[0], c[1] = 0, int(round_index) & _MASK64
+        for row, trial in zip(out, trials):
+            c[2] = trial & _MASK64
+            bitgen.state = state
+            gen.random(out=row)
+        return out
+
+    def seek(self, position: int) -> np.random.Generator:
+        """The generator at double ``position`` (below 2**194) of
+        ``stream(seed, lane).random()``, without generating the ones before:
+        counter words 0-2 count blocks of four doubles, and the first
+        ``position % 4`` doubles of the block are dropped."""
+        step, drop = divmod(position, 4)
+        c = self._counter
+        c[0], c[1], c[2] = step & _MASK64, (step >> 64) & _MASK64, step >> 128
+        self._bitgen.state = self._state
+        if drop:
+            self._bitgen.random_raw(drop)
+        return self._gen
+
+
 def stream(seed: int, lane: int, trial: int = 0, round_index: int = 0) -> np.random.Generator:
     """A fresh generator for the given (seed, lane, trial, round) address."""
-    counter = [0, round_index & _MASK64, trial & _MASK64, lane & _MASK64]
-    return np.random.Generator(np.random.Philox(key=int(seed) & _MASK64, counter=counter))
-
-
-def streams(
-    seed: int, lane: int, trials: Iterable[int], round_index: int = 0
-) -> Iterator[np.random.Generator]:
-    """For each trial in turn, one generator in the state that
-    ``stream(seed, lane, trial, round_index)`` starts in.
-
-    It is the same generator every time: its counter words and output
-    buffer are reset through the public ``state`` setter, which costs a
-    fraction of building a generator per trial. Draw from it before asking
-    for the next trial.
-    """
-    bitgen = np.random.Philox(key=int(seed) & _MASK64)
-    gen = np.random.Generator(bitgen)
-    state = bitgen.state
-    counter = state["state"]["counter"]
-    counter[:] = [0, round_index & _MASK64, 0, lane & _MASK64]
-    for trial in trials:
-        counter[2] = trial & _MASK64
-        bitgen.state = state
-        yield gen
-
-
-def fill_streams(
-    out: np.ndarray, seed: int, lane: int, trials: Iterable[int], round_index: int = 0
-) -> np.ndarray:
-    """Fill row i of the C-contiguous float64 array ``out`` with
-    ``stream(seed, lane, trials[i], round_index).random(out.shape[1])``."""
-    for row, gen in zip(out, streams(seed, lane, trials, round_index)):
-        gen.random(out=row)
-    return out
-
-
-def fill_sequential(out: np.ndarray, seed: int, lane: int, position: int) -> np.ndarray:
-    """Fill the C-contiguous float64 array ``out`` with doubles ``position``,
-    ``position + 1``, ... of ``stream(seed, lane).random()``, without
-    generating the ones before."""
-    gen = stream(seed, lane)
-    gen.bit_generator.advance(position // 4)
-    gen.random(position % 4)
-    gen.random(out=out)
-    return out
+    return Streams(seed, lane).at(trial, round_index)
 
 
 def derive_seed(seed: int, *path: int) -> int:

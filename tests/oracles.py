@@ -182,6 +182,25 @@ def naive_restricted_round(
     return new
 
 
+def naive_greedy_dominating_set(adj: Adj) -> set[int]:
+    """Greedy max-coverage dominating set, lowest id on ties: each pick
+    scans every node for the largest count of uncovered closed neighbors."""
+    n = len(adj)
+    uncovered = set(range(n))
+    chosen: set[int] = set()
+    gain = [len(adj[v]) + 1 for v in range(n)]
+    while uncovered:
+        best = max(range(n), key=lambda v: (gain[v], -v))
+        chosen.add(best)
+        newly = ({best} | set(adj[best])) & uncovered
+        uncovered -= newly
+        for w in newly:
+            gain[w] -= 1
+            for x in adj[w]:
+                gain[x] -= 1
+    return chosen
+
+
 # -- edge-list files -----------------------------------------------------------
 #
 # The set-based builder and line-by-line loader that preceded the CSR graph,

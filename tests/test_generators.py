@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
+import oracles
 from conftest import connected_graphs
 from rumorspread import (
     ConstructionError,
@@ -141,6 +142,11 @@ class TestGreedyDominating:
     def test_always_dominating(self, g):
         d = greedy_dominating_set(g)
         assert is_dominating(g, d)
+
+    @given(connected_graphs(max_nodes=60))
+    def test_matches_naive_scan(self, g):
+        # the lazy heap picks what a full scan per pick picks
+        assert greedy_dominating_set(g) == oracles.naive_greedy_dominating_set(g.adj)
 
     def test_small_on_random_regular(self):
         # greedy cover of an 8-regular graph needs roughly n/9 picks or more,

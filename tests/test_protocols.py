@@ -41,7 +41,7 @@ from rumorspread import (
     write_summary_csv,
     write_trace_csv,
 )
-from rumorspread import protocols
+from rumorspread import protocols, rng
 from rumorspread.rng import LANE_ORIGIN, LANE_ROUND, stream
 
 
@@ -313,6 +313,23 @@ class TestMonteCarlo:
         with pytest.raises(InputError):
             monte_carlo(cycle(4), ProtocolConfig(), 0)
 
+    def test_one_generator_per_lane(self, monkeypatch):
+        # the round and origin sources each build one generator per call and
+        # reset it per (trial, round) row, never one per round or per trial
+        built = []
+        philox = np.random.Philox
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return philox(*args, **kwargs)
+
+        cfg = ProtocolConfig(rng_seed=3)
+        want, _ = monte_carlo(hypercube(4), cfg, 1000)
+        monkeypatch.setattr(np.random, "Philox", counting)
+        got, _ = monte_carlo(hypercube(4), cfg, 1000)
+        assert len(built) <= 2
+        assert got == want
+
 
 def replay(g, cfg, trial):
     """(t_half, t_all, completed) of one trial, replayed round by round with
@@ -523,6 +540,27 @@ class TestFirstArrival:
         times = first_arrival_times(cycle(6), {0, 3}, {3, 4}, "pull", 5, rng_seed=0, max_rounds=cap)
         assert np.array_equal(times, np.zeros(5, dtype=np.int64))
         self.assert_matches_naive_loop(cycle(6), {0, 3}, {3, 4}, "pull", 5, rng_seed=0, max_rounds=cap)
+
+    def test_seeks_past_finished_rows(self, monkeypatch):
+        # dumbbell(6) push: most trials arrive within a few rounds, so the
+        # later rounds' live rows fall into many runs, one seek each; seeking
+        # past every gap or past none reads the same uniforms
+        args = (dumbbell(6), {0}, {11}, "push", 9000)
+        want = self.assert_matches_naive_loop(*args, rng_seed=5)
+        seek, default = rng.Streams.seek, protocols._SEEK_DOUBLES
+        seeks = {}
+        for doubles in (1, default, 10**9):
+            calls = []
+
+            def counting(streams, position):
+                calls.append(position)
+                return seek(streams, position)
+
+            monkeypatch.setattr(rng.Streams, "seek", counting)
+            monkeypatch.setattr(protocols, "_SEEK_DOUBLES", doubles)
+            assert self.outcome(first_arrival_times, *args, rng_seed=5) == want
+            seeks[doubles] = len(calls)
+        assert seeks[1] > seeks[default] > 2 * seeks[10**9]
 
     def test_peak_memory_bounded_by_block(self):
         # the (trials, n) arrays are stepped in kernel blocks of 2**22

@@ -1,5 +1,7 @@
 """Counter-based random streams: determinism and separation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,17 @@ from rumorspread.rng import (
     LANE_ORIGIN,
     LANE_ROUND,
     LANE_SAMPLER,
-    fill_sequential,
-    fill_streams,
-    streams,
+    Streams,
 )
+
+_MASK64 = (1 << 64) - 1
+
+
+def reference_stream(seed, lane, trial=0, round_index=0):
+    """A generator built at the address from a uint64 counter array, which
+    keeps every bit of every word."""
+    counter = np.array([0, round_index & _MASK64, trial & _MASK64, lane & _MASK64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=seed & _MASK64, counter=counter))
 
 
 def test_stream_deterministic():
@@ -61,18 +70,25 @@ def test_stream_values_frozen():
 @pytest.mark.parametrize("seed", [0, 42, -1, 2**63 + 5, 2**70])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 33, 4096])
 def test_fill_streams_rows_equal_streams(seed, n):
-    # 2**64 + 3 wraps to trial 3 under the 64-bit counter mask
-    trials = [0, 7, 2**64 + 3]
-    for lane, round_index in ((LANE_ROUND, 5), (LANE_SAMPLER, 0), (LANE_ROUND, 2**64 + 1)):
-        want = np.array([stream(seed, lane, t, round_index).random(n) for t in trials])
-        got = fill_streams(np.empty((3, n)), seed, lane, trials, round_index)
+    # 2**64 + 3 wraps to trial 3 and -1 to 2**64 - 1 under the 64-bit
+    # counter mask; words at or above 2**63 must keep their low bits
+    trials = [0, 7, 2**64 + 3, 2**63 + 1, 2**64 - 1, -1]
+    rounds = ((LANE_ROUND, 5), (LANE_SAMPLER, 0), (LANE_ROUND, 2**64 + 1), (LANE_ROUND, 2**63 + 1))
+    for lane, round_index in rounds:
+        want = np.array([reference_stream(seed, lane, t, round_index).random(n) for t in trials])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fresh = np.array([stream(seed, lane, t, round_index).random(n) for t in trials])
+        assert np.array_equal(fresh, want)
+        got = Streams(seed, lane).fill(np.empty((len(trials), n)), trials, round_index)
         assert np.array_equal(got, want)
         assert np.array_equal(got[2], stream(seed, lane, 3, round_index).random(n))
+        assert np.array_equal(got[4], got[5])
         # rows filled out of order and over stale contents give the same
         # values: nothing buffered carries from one row into the next
-        order = [2, 0, 1]
-        shuffled = fill_streams(
-            np.full((3, n), np.nan), seed, lane, [trials[i] for i in order], round_index
+        order = [2, 0, 5, 1, 4, 3]
+        shuffled = Streams(seed, lane).fill(
+            np.full((len(trials), n), np.nan), [trials[i] for i in order], round_index
         )
         assert np.array_equal(shuffled, want[order])
 
@@ -80,28 +96,54 @@ def test_fill_streams_rows_equal_streams(seed, n):
 @pytest.mark.parametrize("seed", [0, 1, -1, 2**63 + 5, 2**70])
 def test_streams_draw_what_fresh_streams_draw(seed):
     trials = [0, 1, 7, 2**64 + 3, 5]
+    origins = Streams(seed, LANE_ORIGIN)
     for high in (2, 3, 17, 64, 4096, 2**33):
         want = [int(stream(seed, LANE_ORIGIN, t).integers(high)) for t in trials]
-        got = [int(gen.integers(high)) for gen in streams(seed, LANE_ORIGIN, trials)]
+        got = [int(origins.at(t).integers(high)) for t in trials]
         assert got == want
 
 
 @pytest.mark.parametrize("seed", [0, -1, 2**70])
 def test_fill_sequential_reads_stream_slices(seed):
     # offsets of every residue mod 4: Philox makes four doubles per counter
-    # step, so the seek advances the counter and drops the remainder
+    # step, so the seek sets the counter and drops the remainder. One object
+    # seeks back and forth, so nothing of an earlier seek carries over.
     for lane in (LANE_SAMPLER, LANE_GROWTH):
         want = stream(seed, lane).random(300)
-        for position in (0, 1, 2, 3, 4, 5, 6, 7, 28, 29, 30, 31, 97, 250):
+        streams = Streams(seed, lane)
+        for position in (0, 1, 2, 3, 4, 5, 6, 7, 28, 29, 30, 31, 97, 250, 2):
             for size in (1, 3, 4, 50):
-                got = fill_sequential(np.full(size, np.nan), seed, lane, position)
+                got = streams.seek(position).random(out=np.full(size, np.nan))
                 assert np.array_equal(got, want[position : position + size])
-        rows = fill_sequential(np.empty((3, 7)), seed, lane, 41)
+        rows = streams.seek(41).random(out=np.empty((3, 7)))
         assert np.array_equal(rows, want[41:62].reshape(3, 7))
 
 
 def test_fill_sequential_far_position():
-    # a seek past many counter steps equals drawing everything before it
-    position = 3 * 2**20 + 2
-    want = stream(6, LANE_SAMPLER).random(position + 10)[position:]
-    assert np.array_equal(fill_sequential(np.empty(10), 6, LANE_SAMPLER, position), want)
+    # a seek past many counter steps, also past the first counter word,
+    # equals advancing a fresh stream's counter and dropping the remainder
+    near = 3 * 2**20 + 2
+    streams = Streams(6, LANE_SAMPLER)
+    for position in (near, 4 * 2**64 + 4 * 12345 + 3, 4 * 2**130 + 1):
+        gen = stream(6, LANE_SAMPLER)
+        gen.bit_generator.advance(position // 4)
+        gen.random(position % 4)
+        want = gen.random(10)
+        assert np.array_equal(streams.seek(position).random(10), want)
+    want = stream(6, LANE_SAMPLER).random(near + 10)[near:]
+    assert np.array_equal(streams.seek(near).random(10), want)
+
+
+@pytest.mark.parametrize("seed", [0, -1, 2**70])
+def test_at_and_fill_after_seek_equal_fresh_streams(seed):
+    # a seek sets counter words 0-2; at and fill must reset word 0 as well
+    streams = Streams(seed, LANE_ROUND)
+    trials = [0, 3, 2**64 - 1]
+    far = 4 * (2**64 + 5) + 2
+    for round_index in (0, 9):
+        want = np.array([reference_stream(seed, LANE_ROUND, t, round_index).random(6) for t in trials])
+        for i, trial in enumerate(trials):
+            streams.seek(far).random(3)
+            assert np.array_equal(streams.at(trial, round_index).random(6), want[i])
+        streams.seek(far + 1)
+        assert np.array_equal(streams.fill(np.empty((3, 6)), trials, round_index), want)
