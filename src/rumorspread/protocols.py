@@ -56,9 +56,10 @@ _ARRIVAL_BATCH = 4096
 # changes results.
 _BLOCK_ELEMENTS = 1 << 22
 # A first_arrival_times round seeks past a gap of finished rows wider than
-# this many doubles and generates the doubles of a narrower one: a seek costs
-# about as much as generating 250 doubles. Seeking never changes a result.
-_SEEK_DOUBLES = 256
+# this many doubles and generates the doubles of a narrower one: a run's seek
+# and fill call cost about as much as generating 400 doubles. Seeking never
+# changes a result.
+_SEEK_DOUBLES = 384
 
 # Fills out[:len(trials)] with round t's uniforms of the trial ids ``trials``
 # (ascending) and returns that slice; it may use the rest of ``out`` as
