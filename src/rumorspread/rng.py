@@ -9,10 +9,10 @@ can be replayed and protocol variants can be coupled on identical draws.
 
 ``Streams`` is the one place that builds a Philox generator. It puts that
 generator at any address of one lane by assigning a state dict of plain
-Python ints through the public ``state`` setter, which costs about a
-microsecond, far less than building a generator. ``at`` and ``fill`` reset
-it to the start of a (trial, round) stream, one trial or one row at a time;
-``stream`` is a fresh generator at one such address.
+Python ints through the public ``state`` setter, which costs one to two
+microseconds against about twenty for building a generator. ``at`` and
+``fill`` reset it to the start of a (trial, round) stream, one trial or one
+row at a time; ``stream`` is a fresh generator at one such address.
 
 A sequential stream ``stream(seed, lane)`` can be read from any position as
 well: Philox makes four doubles per counter step, so ``Streams.seek`` sets
