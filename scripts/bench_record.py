@@ -11,26 +11,35 @@ every output is also checked against it) for ``run_seconds`` seconds,
 once plain for the end-to-end metrics and once with ``--trace 1`` for the
 per-layer ones. It gathers each run's result line and its run record
 (``.perfbench/record-<workload>.json``) into ``BENCH_N.json`` at the root of
-the checkout. It refuses to run while tracked files differ from HEAD, since
-each record's ``git_commit`` must name the code that ran: commit first.
+the checkout. It also runs the tier-1 test suite once (the command in
+``TIER1``, with ``src`` on ``PYTHONPATH``) and stores its wall time and
+outcome counts under ``tier1``. It refuses to run while tracked files differ
+from HEAD, since each record's ``git_commit`` must name the code that ran:
+commit first.
 
 ``--compare OLD [NEW]`` prints every end-to-end metric of NEW (by default the
 file just written) against OLD, and flags each one that is worse than OLD by
 more than its bound in ``BENCHMARK.json``. It exits 1 if any is, or if a run
-was incorrect or failed jobs. One run per workload is a single sample: a flag
-says where to look, and a claim needs the alternating pairs that
-``perfbench/README.md`` describes.
+was incorrect or failed jobs. It prints the tier-1 wall time and pass count
+of both files as well, without flagging them: ``BENCHMARK.json`` gives them
+no bound. One run per workload is a single sample: a flag says where to
+look, and a claim needs the alternating pairs that ``perfbench/README.md``
+describes.
 """
 
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCHMARK = os.path.join(ROOT, "BENCHMARK.json")
 SEED = 0
+# The tier-1 test suite, run from the root of the checkout.
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 def load_json(path: str):
@@ -49,6 +58,30 @@ def run_workload(benchmark: dict, workload: str, trace: bool) -> dict:
     return {
         "result": json.loads(lines[-1]),
         "record": load_json(os.path.join(ROOT, ".perfbench", f"record-{workload}.json")),
+    }
+
+
+def run_tier1() -> dict:
+    """One run of the tier-1 suite: its wall time, exit code and the counts
+    of its summary line (passed, failed, errors, ...)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
+    )
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=ROOT, env=env,
+                          capture_output=True, text=True)
+    wall_s = time.perf_counter() - start
+    summary = next((line for line in reversed(proc.stdout.splitlines())
+                    if re.search(r"\d+ (passed|failed|errors?)\b", line)), "")
+    counts = {word: int(k) for k, word in re.findall(r"(\d+) ([a-z]+)", summary)}
+    return {
+        "command": ["python", *TIER1],
+        "wall_s": round(wall_s, 3),
+        "returncode": proc.returncode,
+        "passed": counts.get("passed", 0),
+        "counts": counts,
+        "summary": summary.strip("= "),
     }
 
 
@@ -74,12 +107,14 @@ def record(benchmark: dict, pr: int) -> str:
         plain = run_workload(benchmark, name, trace=False)
         traced = run_workload(benchmark, name, trace=True)
         workloads[name] = {"plain": plain, "traced": traced}
+    print("running the tier-1 suite", file=sys.stderr)
     out = {
         "pr": pr,
         "seed": SEED,
         "seconds": benchmark["run_seconds"],
         "command": benchmark["command"],
         "workloads": workloads,
+        "tier1": run_tier1(),
     }
     path = os.path.join(ROOT, f"BENCH_{pr}.json")
     with open(path, "w", encoding="utf-8") as fh:
@@ -120,6 +155,10 @@ def compare(benchmark: dict, old: dict, new: dict) -> int:
             flagged += flag
             print(f"{name:<12}{key:<14}{a:>12.4g}{b:>12.4g}{worse:>+10.1%}{metric['bound']:>8.0%}"
                   + ("  BEYOND BOUND" if flag else ""))
+    tier1 = [run.get("tier1") for run in (old, new)]
+    for key in ("wall_s", "passed"):
+        a, b = ("n/a" if t is None else t[key] for t in tier1)
+        print(f"{'tier-1':<12}{key:<14}{a:>12}{b:>12}   (no bound)")
     return 1 if flagged else 0
 
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import rng
 from .errors import CapabilityError, InputError
-from .graph import Graph, NodeSet, boundary, closure, cut_size, edges_between, volume
+from .graph import Graph, NodeSet, _neighbour_lists, boundary, cut_size, edges_between, volume
 
 DEFAULT_ENUMERATION_LIMIT = 20
 
@@ -47,6 +47,20 @@ DEFAULT_ENUMERATION_LIMIT = 20
 _DIGIT_BITS = 16
 # Masks, and the subset count 2^n, must fit in int64.
 _MAX_ENUMERATION_NODES = 62
+# Elements of the largest array of one block, read at call time by every
+# blocked computation: the round kernel's (rows x n) arrays,
+# boundary_expansion_mc's (samples x max(|boundary|, |second shell|)) and
+# pull_growth_check's (trials x n), the second shell having fewer than n
+# nodes. Every draw there is addressed by (trial, round) or by its position
+# in a sequential stream, so this bounds memory only and never changes a
+# result.
+_BLOCK_ELEMENTS = 1 << 20
+
+
+def _block_rows(width: int) -> int:
+    """Rows per block when the largest array of a block has ``width``
+    columns."""
+    return max(1, _BLOCK_ELEMENTS // width)
 
 
 @dataclass
@@ -129,20 +143,32 @@ def _boundary_expansion(g: Graph, fs: NodeSet, bd: NodeSet, sampled: NodeSet, on
     return total / len(bd)
 
 
-def _boundary_contacts(g: Graph, fs: NodeSet) -> tuple[list, list, np.ndarray]:
-    """Sorted boundary, sorted boundary of the closure (second shell), and the
-    float32 0/1 matrix whose entry (i, j) marks an edge between the i-th
-    second-shell node and the j-th boundary node."""
-    bd = sorted(boundary(g, fs))
-    bd2 = sorted(boundary(g, fs | frozenset(bd)))
-    bd_index = {u: j for j, u in enumerate(bd)}
-    contact = np.zeros((len(bd2), len(bd)), dtype=np.float32)
-    for i, v in enumerate(bd2):
-        for u in g.adj[v]:
-            j = bd_index.get(u)
-            if j is not None:
-                contact[i, j] = 1.0
-    return bd, bd2, contact
+class _BoundaryHits:
+    """The sorted boundary of a set, the sorted boundary of its closure (the
+    second shell) and the boundary's degrees, all from the graph's CSR
+    arrays, with the float32 0/1 matrix whose entry (i, j) marks an edge
+    between the i-th second-shell node and the j-th boundary node."""
+
+    def __init__(self, g: Graph, fs: NodeSet):
+        closed = np.zeros(g.n, dtype=bool)  # the set, then its closure
+        members = np.fromiter(fs, dtype=np.int64, count=len(fs))
+        closed[members] = True
+        nbrs, _ = _neighbour_lists(g, members)
+        self.boundary = np.unique(nbrs[~closed[nbrs]])
+        closed[self.boundary] = True
+        nbrs, owner = _neighbour_lists(g, self.boundary)
+        out = ~closed[nbrs]
+        nbrs, owner = nbrs[out], owner[out]
+        self.shell = np.unique(nbrs)
+        self.contact = np.zeros((self.shell.size, self.boundary.size), dtype=np.float32)
+        self.contact[np.searchsorted(self.shell, nbrs), owner] = 1.0
+        self.degrees = g.indptr[self.boundary + 1] - g.indptr[self.boundary]
+
+    def count(self, sampled: np.ndarray) -> np.ndarray:
+        """Second-shell nodes with a sampled neighbour, per row of the 0/1
+        (rows, |boundary|) array ``sampled``. The float32 matmul counts each
+        node's sampled neighbours exactly, as they are small integers."""
+        return np.count_nonzero(sampled.astype(np.float32) @ self.contact.T, axis=1)
 
 
 def boundary_expansion_exact(g: Graph, s: Collection[int]) -> float:
@@ -180,19 +206,17 @@ def boundary_expansion_mc(
     fs = _check_proper_subset(g, s)
     if samples < 2:
         raise InputError("need at least 2 samples")
-    bd, bd2, contact = _boundary_contacts(g, fs)
+    hits = _BoundaryHits(g, fs)
     mean = stderr = 0.0  # without a second shell there is nothing to hit
-    if bd2:
-        m = len(bd)
-        p = np.array([1.0 / len(g.adj[u]) for u in bd])
+    if hits.shell.size:
+        m = hits.boundary.size
+        p = 1.0 / hits.degrees
         gen = rng.stream(rng_seed, rng.LANE_SAMPLER)
         values = np.empty(samples, dtype=np.float64)
-        batch = max(1, min(samples, (1 << 22) // m))
-        for done in range(0, samples, batch):
-            b = min(batch, samples - done)
-            sampled = (gen.random((b, m)) < p).astype(np.float32)
-            hits = sampled @ contact.T
-            values[done : done + b] = (hits > 0).sum(axis=1) / m
+        rows = _block_rows(max(m, hits.shell.size))
+        for done in range(0, samples, rows):
+            b = min(rows, samples - done)
+            values[done : done + b] = hits.count(gen.random((b, m)) < p) / m
         mean = float(values.mean())
         stderr = float(values.std(ddof=1) / math.sqrt(samples))
     return ExpansionReport(

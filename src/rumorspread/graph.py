@@ -260,6 +260,15 @@ def closure(g: Graph, s: Collection[int]) -> NodeSet:
     return fs | boundary(g, fs)
 
 
+def _neighbour_lists(g: Graph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR neighbour lists of the int64 array ``nodes``, laid end to end,
+    and for each entry the index in ``nodes`` of the node it neighbours."""
+    first = g.indptr[nodes]
+    d = g.indptr[nodes + 1] - first
+    owner = np.repeat(np.arange(nodes.size), d)
+    return g.indices[np.arange(owner.size) + np.repeat(first - (np.cumsum(d) - d), d)], owner
+
+
 def cut_size(g: Graph, s: Collection[int]) -> int:
     """Number of edges with exactly one endpoint in ``s``."""
     fs = g.check_set(s)

@@ -16,21 +16,27 @@ byte-replayable and lets different variants run coupled on identical draws.
 One round kernel, ``_spread``, runs a range of trials on a (trials x nodes)
 informed mask, builds their start sets from the config, and takes each
 round's uniforms from a source it is given; ``run`` and ``run_restricted``
-are ranges of one trial. The kernel bounds memory for every caller by
-stepping its trials in blocks of at most ``_BLOCK_ELEMENTS // n`` rows; since
-every draw is addressed by its trial and round, or by its position in a
-sequential stream, the block size never changes a result. Boundary, harmonic
-mass and informed sets are tracked only when traces are returned.
+are ranges of one trial. Boundary, harmonic mass and informed sets are
+tracked only when traces are returned.
+
+One budget, ``expansion._BLOCK_ELEMENTS`` (2^20 elements), bounds the
+largest array of every block on the spread path: the kernel steps its trials
+in blocks of (rows x n), ``pull_growth_check`` draws its trials in blocks of
+(trials x n), and ``expansion.boundary_expansion_mc`` its samples in blocks
+of (samples x max(|boundary|, |second shell|)). Every draw is addressed by
+its trial and round, or by its position in a sequential stream, so no block
+size ever changes a result.
 
 Each source builds one ``rng.Streams`` generator per kernel call, and
 ``_starts`` one per block; they reset it per (trial, round) row.
 
 ``first_arrival_times`` and ``pull_growth_check`` instead read one sequential
-stream, so their batch sizes are part of what their seeds reproduce.
-``first_arrival_times`` still steps through ``_spread``, one batch of
-``_ARRIVAL_BATCH`` trials per call: its source seeks each round's uniforms
-by their position in the sampler stream, once per run of live rows, so
-finished trials are neither stepped nor, past a short gap, drawn.
+stream, so their results are fixed by their arguments and seed; the batch
+size of ``first_arrival_times`` is part of what its seed reproduces. It
+still steps through ``_spread``, one batch of ``_ARRIVAL_BATCH`` trials per
+call: its source seeks each round's uniforms by their position in the
+sampler stream, once per run of live rows, so finished trials are neither
+stepped nor, past a short gap, drawn.
 """
 
 from __future__ import annotations
@@ -43,18 +49,13 @@ import numpy as np
 
 from . import rng
 from .errors import IncompleteSpreadError, InputError
-from .expansion import _boundary_contacts, boundary_expansion_exact
-from .graph import Graph, NodeSet
+from .expansion import _block_rows, _BoundaryHits, boundary_expansion_exact
+from .graph import Graph, NodeSet, _neighbour_lists
 
 VARIANTS = ("push", "pull", "pushpull")
 # Trials per first_arrival_times batch; the batch size decides which sampler
 # draws each trial gets, so changing it changes the results.
 _ARRIVAL_BATCH = 4096
-# Elements (trials x nodes) per block of the round kernel and of
-# pull_growth_check. Every draw there is addressed by its trial and round, or
-# by its position in a sequential stream, so this bounds memory only and never
-# changes results.
-_BLOCK_ELEMENTS = 1 << 22
 # A first_arrival_times round seeks past a gap of finished rows wider than
 # this many doubles and generates the doubles of a narrower one: a run's seek
 # and fill call cost about as much as generating 400 doubles. Seeking never
@@ -163,9 +164,19 @@ def _draw(
     u: np.ndarray, indptr: np.ndarray, indices: np.ndarray, degs: np.ndarray
 ) -> np.ndarray:
     """Drawn neighbor of every node, from uniforms ``u`` in [0, 1) laid out
-    node by node along the last axis: slot floor(u * deg) of its CSR row."""
-    slots = np.minimum((u * degs).astype(np.int64), degs - 1)
-    return indices[indptr[:-1] + slots]
+    node by node along the last axis: slot floor(u * deg) of its CSR row.
+
+    Overwrites ``u`` with u * deg, and turns one int64 array of its shape
+    into the slots, their CSR positions and the drawn nodes in turn. Every
+    position lies in its node's row, so mode "clip" never clips; unlike
+    "raise", it lets ``take`` write over its own index array without a
+    buffer of the same size.
+    """
+    u *= degs
+    slots = u.astype(np.int64)
+    np.minimum(slots, degs - 1, out=slots)
+    slots += indptr[:-1]
+    return np.take(indices, slots, out=slots, mode="clip")
 
 
 def _step(
@@ -210,16 +221,12 @@ def _starts(g: Graph, cfg: ProtocolConfig, trials: range) -> np.ndarray:
     return starts
 
 
-def _neighbour_positions(
-    nz: np.ndarray, n: int, indptr: np.ndarray, indices: np.ndarray, degs: np.ndarray
-) -> np.ndarray:
+def _neighbour_positions(g: Graph, nz: np.ndarray) -> np.ndarray:
     """Flat positions of the neighbors of the flat positions ``nz`` of a
     (rows, n) array, each neighbor in the row of the node it neighbors."""
-    nodes = nz % n
-    d = degs[nodes]
-    owner = np.repeat(np.arange(nz.size), d)
-    within = np.arange(owner.size) - np.repeat(np.cumsum(d) - d, d)
-    return indices[indptr[nodes][owner] + within] + (nz - nodes)[owner]
+    nodes = nz % g.n
+    nbrs, owner = _neighbour_lists(g, nodes)
+    return nbrs + (nz - nodes)[owner]
 
 
 def _round_streams(seed: int) -> _UniformSource:
@@ -249,9 +256,9 @@ def _spread(
     ``_starts`` and advanced one round at a time on a (live trials, n)
     informed mask, trial i taking its round-t uniforms from ``source``.
 
-    Trials run in blocks of at most ``_BLOCK_ELEMENTS // n`` rows, so memory
-    stays bounded for every caller; a source addresses each draw by trial id
-    and round, so the block size never changes a result. A trial leaves the
+    Trials run in blocks of ``_block_rows(n)`` rows, so memory stays
+    bounded for every caller; a source addresses each draw by trial id and
+    round, so the block size never changes a result. A trial leaves the
     live rows once it completes, or once ``target`` is hit when
     ``stop_at_target``, or at the round cap. ``restricted`` = (active,
     participating) masks turns every round into the restricted pushpull
@@ -279,7 +286,7 @@ def _spread(
             SpreadTrace([], [], [], [], [], [] if cfg.record_sets else None, None, None, False)
             for _ in range(nt)
         ]
-    rows = max(1, _BLOCK_ELEMENTS // n)
+    rows = _block_rows(n)
     for first in range(0, nt, rows):
         live = np.arange(first, min(nt, first + rows))  # trial offset of each live row
         ids = live.tolist()
@@ -297,7 +304,7 @@ def _spread(
             counts += np.count_nonzero(new, axis=1)
             if traces:
                 nz = np.flatnonzero(new)
-                reached.ravel()[_neighbour_positions(nz, n, indptr, indices, degs)] = True
+                reached.ravel()[_neighbour_positions(g, nz)] = True
                 # one sum per trial over its new nodes in ascending order, added
                 # to a running float: the float order the trace files pin
                 nodes = nz % n
@@ -565,32 +572,33 @@ def pull_growth_check(
         raise InputError("need a nonempty proper subset to measure growth")
     if trials < 2:
         raise InputError("need at least 2 trials for a standard error")
-    bd, bd2, contact = _boundary_contacts(g, s_set)
+    hits = _BoundaryHits(g, s_set)
     h = boundary_expansion_exact(g, s_set)
-    floor = h * len(bd)
+    floor = h * hits.boundary.size
 
-    if not bd2:
+    if not hits.shell.size:
         # Closure already covers the graph; growth is identically zero.
-        return GrowthCheckReport(trials, 0.0, 0.0, floor, len(bd), passed=floor <= 0)
+        return GrowthCheckReport(
+            trials, 0.0, 0.0, floor, hits.boundary.size, passed=floor <= 0
+        )
 
     indptr, indices = g.csr
-    degs = np.array(g.degrees, dtype=np.int64)
+    degs = np.diff(indptr)
     n = g.n
     s_mask = _mask(n, s_set)
     gen = rng.stream(rng_seed, rng.LANE_GROWTH)
     growth = np.empty(trials, dtype=np.int64)
-    batch = max(1, min(trials, _BLOCK_ELEMENTS // n))
-    for done in range(0, trials, batch):
-        b = min(batch, trials - done)
+    rows = _block_rows(n)  # the (rows, n) draws outsize the second shell's hits
+    for done in range(0, trials, rows):
+        b = min(rows, trials - done)
         drawn = _draw(gen.random((b, n)), indptr, indices, degs)
         drawn += np.arange(b)[:, None] * n
         new_mask = _step(np.tile(s_mask, b), drawn.ravel(), "pushpull").reshape(b, n)
-        hits = new_mask[:, bd].astype(np.float32) @ contact.T
-        growth[done : done + b] = (hits > 0).sum(axis=1)
+        growth[done : done + b] = hits.count(new_mask[:, hits.boundary])
     mean = float(growth.mean())
     stderr = float(growth.std(ddof=1) / math.sqrt(trials))
     passed = mean >= floor - slack_sigmas * stderr
-    return GrowthCheckReport(trials, mean, stderr, floor, len(bd), passed)
+    return GrowthCheckReport(trials, mean, stderr, floor, hits.boundary.size, passed)
 
 
 def doubling_times(trace: SpreadTrace) -> list[tuple[int, int]]:

@@ -1,9 +1,14 @@
 """Deterministic random-instance builders shared by module and acceptance
-tests. Uses stdlib random only, so instances are independent of the package's
-own rng streams."""
+tests, and a peak-memory probe. Uses stdlib random only, so instances are
+independent of the package's own rng streams."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import rumorspread
 from rumorspread import (
     Graph,
     complete,
@@ -104,3 +109,25 @@ def regular_small_graphs() -> list[tuple[str, Graph]]:
         for seed in range(seeds):
             out.append((f"random-{n}-{d}-{seed}", random_regular(n, d, rng_seed=seed)))
     return out
+
+
+def child_peak_mb(call: str) -> float:
+    """Peak resident memory, in MB, of a fresh Python that imports the
+    package as ``rs`` and runs ``call``. ru_maxrss would carry this process's
+    own peak across the exec, so the child reports its VmHWM, which covers
+    the child alone."""
+    src = str(Path(rumorspread.__file__).resolve().parents[1])
+    code = (
+        f"import rumorspread as rs; {call}; "
+        "print(next(line.split()[1] for line in open('/proc/self/status') "
+        "if line.startswith('VmHWM:')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=300,
+    )
+    return int(proc.stdout) / 1024  # VmHWM is in kB

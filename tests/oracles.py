@@ -97,6 +97,13 @@ def naive_h(adj: Adj, s) -> Fraction:
     return total / len(bd)
 
 
+def naive_shell_hits(adj: Adj, s, sampled) -> int:
+    """Nodes of the closure's boundary (the second shell) with a neighbour
+    in ``sampled``."""
+    bd2 = naive_boundary(adj, naive_closure(adj, s))
+    return sum(1 for v in bd2 if any(u in sampled for u in adj[v]))
+
+
 def naive_h_due_to(adj: Adj, s, t) -> Fraction:
     bd = naive_boundary(adj, s)
     assert set(t) <= bd

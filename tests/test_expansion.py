@@ -9,10 +9,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import connected_graphs, graph_and_proper_subset
-from helpers import random_connected
+from helpers import child_peak_mb, random_connected
 from rumorspread import expansion
 from rumorspread import (
     CapabilityError,
@@ -35,6 +36,8 @@ from rumorspread import (
     hypercube,
     is_dominating,
     path,
+    pull_growth_check,
+    random_regular,
     regular_h_sandwich,
     regular_s_factor,
     sandwich_alpha_phi,
@@ -124,6 +127,62 @@ class TestBoundaryExpansion:
     def test_monte_carlo_dominating_set(self):
         rep = boundary_expansion_mc(star(6), {0}, samples=100, rng_seed=0)
         assert rep.value == 0.0 and rep.stderr == 0.0
+
+    @pytest.mark.parametrize("budget", [1, 2**40])
+    def test_block_budget_changes_nothing(self, monkeypatch, budget):
+        # by default the estimator runs these 3000 samples in two blocks
+        # (the second shell is the wider array) and the growth check its
+        # 3000 trials in three; a budget of 1 gives one-row blocks, and 2**40
+        # one block
+        g = random_regular(1024, 8, rng_seed=4)
+        s = frozenset(random.Random(4).sample(range(g.n), 16))
+        shells = expansion._BoundaryHits(g, s)
+        assert shells.boundary.size < shells.shell.size
+        assert expansion._block_rows(shells.shell.size) < 3000
+        whole = boundary_expansion_mc(g, s, samples=3000, rng_seed=7)
+        growth = pull_growth_check(g, s, trials=3000, rng_seed=7)
+        monkeypatch.setattr(expansion, "_BLOCK_ELEMENTS", budget)
+        assert repr(boundary_expansion_mc(g, s, samples=3000, rng_seed=7)) == repr(whole)
+        assert repr(pull_growth_check(g, s, trials=3000, rng_seed=7)) == repr(growth)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 40),
+        st.sampled_from([0.02, 0.1, 0.4]),
+        st.booleans(),
+    )
+    def test_hits_match_oracle(self, seed, n, extra, covering):
+        # random sample rows over the boundary; a set whose closure covers
+        # the graph has an empty second shell and no hits
+        rand = random.Random(seed)
+        g = random_connected(rand, n, extra)
+        if covering:
+            s = frozenset(range(g.n)) - {rand.randrange(g.n)}
+        else:
+            s = frozenset(rand.sample(range(g.n), rand.randint(1, g.n - 1)))
+        hits = expansion._BoundaryHits(g, s)
+        bd = oracles.naive_boundary(g.adj, s)
+        bd2 = oracles.naive_boundary(g.adj, oracles.naive_closure(g.adj, s))
+        assert hits.boundary.tolist() == sorted(bd)
+        assert hits.shell.tolist() == sorted(bd2)
+        assert hits.degrees.tolist() == [len(g.adj[u]) for u in sorted(bd)]
+        assert not (covering and bd2)
+        sampled = np.random.default_rng(seed).random((9, len(bd))) < rand.random()
+        want = [
+            oracles.naive_shell_hits(g.adj, s, set(hits.boundary[row].tolist()))
+            for row in sampled
+        ]
+        assert hits.count(sampled).tolist() == want
+
+    def test_monte_carlo_peak_memory(self):
+        # the sampled arrays are bounded by the block budget, the second
+        # shell's hits included (about 45 MB; 105 MB before, with blocks of
+        # 2**22 boundary columns)
+        assert child_peak_mb(
+            "import random; g = rs.random_regular(1024, 8, rng_seed=0); "
+            "s = random.Random(0).sample(range(g.n), 16); "
+            "rs.boundary_expansion_mc(g, s, 20000, 1)"
+        ) < 64
 
 
 def _subsets(n, k):

@@ -3,11 +3,7 @@ growth/doubling diagnostics."""
 
 import dataclasses
 import math
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import connected_graphs
+from helpers import child_peak_mb
 from rumorspread import (
     GrowthCheckReport,
     IncompleteSpreadError,
@@ -41,7 +38,7 @@ from rumorspread import (
     write_summary_csv,
     write_trace_csv,
 )
-from rumorspread import protocols, rng
+from rumorspread import expansion, protocols, rng
 from rumorspread.rng import LANE_ORIGIN, LANE_ROUND, stream
 
 
@@ -398,13 +395,13 @@ class TestRoundKernel:
                 )
                 whole, whole_traces = monte_carlo(g, cfg, 11, keep_traces=True)
                 with monkeypatch.context() as m:
-                    m.setattr(protocols, "_BLOCK_ELEMENTS", rows * g.n)
+                    m.setattr(expansion, "_BLOCK_ELEMENTS", rows * g.n)
                     blocked, blocked_traces = monte_carlo(g, cfg, 11, keep_traces=True)
                 assert repr(blocked) == repr(whole)
                 assert repr(blocked_traces) == repr(whole_traces)
         # the growth check's one sequential stream is cut into the same blocks
         whole_growth = pull_growth_check(g, {0, 1}, 23, rng_seed=6)
-        monkeypatch.setattr(protocols, "_BLOCK_ELEMENTS", rows * g.n)
+        monkeypatch.setattr(expansion, "_BLOCK_ELEMENTS", rows * g.n)
         assert repr(pull_growth_check(g, {0, 1}, 23, rng_seed=6)) == repr(whole_growth)
 
     def test_harmonic_mass_float_order(self):
@@ -503,7 +500,7 @@ class TestFirstArrival:
         # seeking its rows' uniforms in the batch's stream layout
         g = dumbbell(4)
         trials = 300 if rows == 1 else 4500
-        monkeypatch.setattr(protocols, "_BLOCK_ELEMENTS", rows * g.n)
+        monkeypatch.setattr(expansion, "_BLOCK_ELEMENTS", rows * g.n)
         self.assert_matches_naive_loop(g, {1}, {6, 7}, variant, trials, rng_seed=2)
 
     @pytest.mark.parametrize("variant", ["push", "pull", "pushpull"])
@@ -523,7 +520,7 @@ class TestFirstArrival:
 
     def test_capped_batches_block_split(self, monkeypatch):
         g = path(8)
-        monkeypatch.setattr(protocols, "_BLOCK_ELEMENTS", 100 * g.n)
+        monkeypatch.setattr(expansion, "_BLOCK_ELEMENTS", 100 * g.n)
         for cap in (7, 9, 12):
             self.assert_matches_naive_loop(g, {0}, {7}, "push", 500, rng_seed=1, max_rounds=cap)
 
@@ -563,27 +560,13 @@ class TestFirstArrival:
         assert seeks[1] > seeks[default] > 2 * seeks[10**9]
 
     def test_peak_memory_bounded_by_block(self):
-        # the (trials, n) arrays are stepped in kernel blocks of 2**22
-        # elements rather than as one 4096-row batch (382 MB before).
-        # ru_maxrss would carry this process's own peak across the exec, so
-        # the child reports its VmHWM, which covers the child alone.
-        src = str(Path(protocols.__file__).resolve().parents[1])
-        code = (
-            "import rumorspread as rs; "
-            "rs.first_arrival_times(rs.hypercube(11), {0}, {1}, 'pushpull', 4096, 7); "
-            "print(next(line.split()[1] for line in open('/proc/self/status') "
-            "if line.startswith('VmHWM:')))"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            env=dict(os.environ, PYTHONPATH=src),
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=300,
-        )
-        peak_mb = int(proc.stdout) / 1024  # VmHWM is in kB
-        assert peak_mb < 300
+        # the (trials, n) arrays are stepped in kernel blocks of 2**20
+        # elements rather than as one 4096-row batch (382 MB before), and
+        # the draw reuses its uniforms and one int64 array (about 65 MB in
+        # all; 198 MB with blocks of 2**22 and a draw that allocates).
+        assert child_peak_mb(
+            "rs.first_arrival_times(rs.hypercube(11), {0}, {1}, 'pushpull', 4096, 7)"
+        ) < 120
 
 
 class TestGrowthCheck:
