@@ -81,7 +81,6 @@ def run_tier1() -> dict:
         "returncode": proc.returncode,
         "passed": counts.get("passed", 0),
         "counts": counts,
-        "summary": summary.strip("= "),
     }
 
 
