@@ -20,6 +20,7 @@ from helpers import petersen, random_connected
 from rumorspread import (
     ParticipatingConfig,
     ProtocolConfig,
+    active_fraction_check,
     boundary,
     clustered_regular,
     combined_expansion_graph,
@@ -37,6 +38,7 @@ from rumorspread import (
     pull_growth_check,
     random_regular,
     run_restricted,
+    save_edge_list,
     two_cliques_shared_vertex,
     vertex_expansion_graph,
     write_removal_log_csv,
@@ -573,3 +575,179 @@ def thinning_digests(tmp_path, name, eps_p, start, order) -> tuple[str, str]:
 def test_thinning_log_and_trajectory(tmp_path, name, eps_p, start, order):
     got = thinning_digests(tmp_path, name, eps_p, start, order)
     assert got == THINNING_DIGESTS[(name, eps_p, start, order)]
+
+
+# (eps_p, eps_h) audit configs. At the default eps_h = 1/2, 3/20 is in the
+# guarantee regime and 2/5 is not (skipped by config); the random graphs'
+# boundary expansion exceeds 1/2 (skipped by h), so 1/20 with eps_h = 4/5
+# and 2/21 with eps_h = 7/10 put them in scope as well; at 2/21 the
+# restricted start leaves second-shell holes, so the start potential is
+# positive.
+AUDIT_CONFIGS = {
+    "3/20": ("3/20", "1/2"),
+    "2/5": ("2/5", "1/2"),
+    "1/20": ("1/20", "4/5"),
+    "2/21": ("2/21", "7/10"),
+}
+
+# (case, eps_p) -> repr(active_fraction_check(...))
+AUDIT_REPRS = {
+    ('clustered-64-a', '3/20'): (
+        "ActiveFractionReport(skipped=True, reason='boundary expansion 0.608383 exceeds eps_h=0.5', h_value=0.6083829365079365, boundary_size=None, surviving_boundary=None, fraction_floor=None, fraction_ok=None, phi_start=None, phi_start_ceiling=None, phi_start_ok=None, monotone_ok=None, active_drop_ok=None)"
+    ),
+    ('clustered-64-a', '2/5'): (
+        "ActiveFractionReport(skipped=True, reason='config outside guarantee regime: eps_p=2/5 >= (1-eps_h)/3=1/6', h_value=None, boundary_size=None, surviving_boundary=None, fraction_floor=None, fraction_ok=None, phi_start=None, phi_start_ceiling=None, phi_start_ok=None, monotone_ok=None, active_drop_ok=None)"
+    ),
+    ('clustered-64-a', '1/20'): (
+        'ActiveFractionReport(skipped=False, reason=None, h_value=0.6083829365079365, boundary_size=12, surviving_boundary=12, fraction_floor=0.06432748538011696, fraction_ok=True, phi_start=0.0, phi_start_ceiling=10.105263157894736, phi_start_ok=True, monotone_ok=True, active_drop_ok=True)'
+    ),
+    ('clustered-64-a', '2/21'): (
+        'ActiveFractionReport(skipped=False, reason=None, h_value=0.6083829365079365, boundary_size=12, surviving_boundary=12, fraction_floor=0.04427244582043344, fraction_ok=True, phi_start=2.1607142857142856, phi_start_ceiling=9.284210526315789, phi_start_ok=True, monotone_ok=True, active_drop_ok=True)'
+    ),
+    ('clustered-64-b', '3/20'): (
+        "ActiveFractionReport(skipped=True, reason='boundary expansion 0.803307 exceeds eps_h=0.5', h_value=0.8033068783068783, boundary_size=None, surviving_boundary=None, fraction_floor=None, fraction_ok=None, phi_start=None, phi_start_ceiling=None, phi_start_ok=None, monotone_ok=None, active_drop_ok=None)"
+    ),
+    ('clustered-64-b', '2/5'): (
+        "ActiveFractionReport(skipped=True, reason='config outside guarantee regime: eps_p=2/5 >= (1-eps_h)/3=1/6', h_value=None, boundary_size=None, surviving_boundary=None, fraction_floor=None, fraction_ok=None, phi_start=None, phi_start_ceiling=None, phi_start_ok=None, monotone_ok=None, active_drop_ok=None)"
+    ),
+    ('clustered-64-b', '1/20'): (
+        "ActiveFractionReport(skipped=True, reason='boundary expansion 0.803307 exceeds eps_h=0.8', h_value=0.8033068783068783, boundary_size=None, surviving_boundary=None, fraction_floor=None, fraction_ok=None, phi_start=None, phi_start_ceiling=None, phi_start_ok=None, monotone_ok=None, active_drop_ok=None)"
+    ),
+    ('clustered-64-b', '2/21'): (
+        "ActiveFractionReport(skipped=True, reason='boundary expansion 0.803307 exceeds eps_h=0.7', h_value=0.8033068783068783, boundary_size=None, surviving_boundary=None, fraction_floor=None, fraction_ok=None, phi_start=None, phi_start_ceiling=None, phi_start_ok=None, monotone_ok=None, active_drop_ok=None)"
+    ),
+    ('cycle-12', '3/20'): (
+        'ActiveFractionReport(skipped=False, reason=None, h_value=0.5, boundary_size=2, surviving_boundary=2, fraction_floor=0.15966386554621848, fraction_ok=True, phi_start=0.0, phi_start_ceiling=1.1764705882352942, phi_start_ok=True, monotone_ok=True, active_drop_ok=True)'
+    ),
+    ('cycle-12', '2/5'): (
+        "ActiveFractionReport(skipped=True, reason='config outside guarantee regime: eps_p=2/5 >= (1-eps_h)/3=1/6', h_value=None, boundary_size=None, surviving_boundary=None, fraction_floor=None, fraction_ok=None, phi_start=None, phi_start_ceiling=None, phi_start_ok=None, monotone_ok=None, active_drop_ok=None)"
+    ),
+    ('cycle-12', '1/20'): (
+        'ActiveFractionReport(skipped=False, reason=None, h_value=0.5, boundary_size=2, surviving_boundary=2, fraction_floor=0.06432748538011696, fraction_ok=True, phi_start=0.0, phi_start_ceiling=1.6842105263157894, phi_start_ok=True, monotone_ok=True, active_drop_ok=True)'
+    ),
+    ('cycle-12', '2/21'): (
+        'ActiveFractionReport(skipped=False, reason=None, h_value=0.5, boundary_size=2, surviving_boundary=2, fraction_floor=0.04427244582043344, fraction_ok=True, phi_start=0.0, phi_start_ceiling=1.5473684210526315, phi_start_ok=True, monotone_ok=True, active_drop_ok=True)'
+    ),
+    ('dumbbell-8', '3/20'): (
+        'ActiveFractionReport(skipped=False, reason=None, h_value=0.125, boundary_size=7, surviving_boundary=7, fraction_floor=0.15966386554621848, fraction_ok=True, phi_start=0.875, phi_start_ceiling=4.117647058823529, phi_start_ok=True, monotone_ok=True, active_drop_ok=True)'
+    ),
+    ('dumbbell-8', '2/5'): (
+        "ActiveFractionReport(skipped=True, reason='config outside guarantee regime: eps_p=2/5 >= (1-eps_h)/3=1/6', h_value=None, boundary_size=None, surviving_boundary=None, fraction_floor=None, fraction_ok=None, phi_start=None, phi_start_ceiling=None, phi_start_ok=None, monotone_ok=None, active_drop_ok=None)"
+    ),
+    ('dumbbell-8', '1/20'): (
+        'ActiveFractionReport(skipped=False, reason=None, h_value=0.125, boundary_size=7, surviving_boundary=7, fraction_floor=0.06432748538011696, fraction_ok=True, phi_start=0.0, phi_start_ceiling=5.894736842105263, phi_start_ok=True, monotone_ok=True, active_drop_ok=True)'
+    ),
+    ('dumbbell-8', '2/21'): (
+        'ActiveFractionReport(skipped=False, reason=None, h_value=0.125, boundary_size=7, surviving_boundary=7, fraction_floor=0.04427244582043344, fraction_ok=True, phi_start=0.875, phi_start_ceiling=5.41578947368421, phi_start_ok=True, monotone_ok=True, active_drop_ok=True)'
+    ),
+    ('rr-64-8', '3/20'): (
+        "ActiveFractionReport(skipped=True, reason='boundary expansion 0.676501 exceeds eps_h=0.5', h_value=0.67650146484375, boundary_size=None, surviving_boundary=None, fraction_floor=None, fraction_ok=None, phi_start=None, phi_start_ceiling=None, phi_start_ok=None, monotone_ok=None, active_drop_ok=None)"
+    ),
+    ('rr-64-8', '2/5'): (
+        "ActiveFractionReport(skipped=True, reason='config outside guarantee regime: eps_p=2/5 >= (1-eps_h)/3=1/6', h_value=None, boundary_size=None, surviving_boundary=None, fraction_floor=None, fraction_ok=None, phi_start=None, phi_start_ceiling=None, phi_start_ok=None, monotone_ok=None, active_drop_ok=None)"
+    ),
+    ('rr-64-8', '1/20'): (
+        'ActiveFractionReport(skipped=False, reason=None, h_value=0.67650146484375, boundary_size=15, surviving_boundary=15, fraction_floor=0.06432748538011696, fraction_ok=True, phi_start=0.0, phi_start_ceiling=12.631578947368421, phi_start_ok=True, monotone_ok=True, active_drop_ok=True)'
+    ),
+    ('rr-64-8', '2/21'): (
+        'ActiveFractionReport(skipped=False, reason=None, h_value=0.67650146484375, boundary_size=15, surviving_boundary=15, fraction_floor=0.04427244582043344, fraction_ok=True, phi_start=1.625, phi_start_ceiling=11.605263157894736, phi_start_ok=True, monotone_ok=True, active_drop_ok=True)'
+    ),
+    ('twocliques-10', '3/20'): (
+        'ActiveFractionReport(skipped=False, reason=None, h_value=0.05555555555555555, boundary_size=9, surviving_boundary=9, fraction_floor=0.15966386554621848, fraction_ok=True, phi_start=0.5, phi_start_ceiling=5.294117647058823, phi_start_ok=True, monotone_ok=True, active_drop_ok=True)'
+    ),
+    ('twocliques-10', '2/5'): (
+        "ActiveFractionReport(skipped=True, reason='config outside guarantee regime: eps_p=2/5 >= (1-eps_h)/3=1/6', h_value=None, boundary_size=None, surviving_boundary=None, fraction_floor=None, fraction_ok=None, phi_start=None, phi_start_ceiling=None, phi_start_ok=None, monotone_ok=None, active_drop_ok=None)"
+    ),
+    ('twocliques-10', '1/20'): (
+        'ActiveFractionReport(skipped=False, reason=None, h_value=0.05555555555555555, boundary_size=9, surviving_boundary=9, fraction_floor=0.06432748538011696, fraction_ok=True, phi_start=0.5, phi_start_ceiling=7.578947368421052, phi_start_ok=True, monotone_ok=True, active_drop_ok=True)'
+    ),
+    ('twocliques-10', '2/21'): (
+        'ActiveFractionReport(skipped=False, reason=None, h_value=0.05555555555555555, boundary_size=9, surviving_boundary=9, fraction_floor=0.04427244582043344, fraction_ok=True, phi_start=0.5, phi_start_ceiling=6.963157894736842, phi_start_ok=True, monotone_ok=True, active_drop_ok=True)'
+    ),
+}
+
+# (case, eps_p, start) -> sha256 of the stdout of ``participating --check``
+AUDIT_CLI_DIGESTS = {
+    ('clustered-64-a', '3/20', 'full'): "60156fb7482be310e19eb2ef5880d591b6bf916ca8a3c93c7367abdd6d006430",
+    ('clustered-64-a', '3/20', 'restricted'): "a234f409098469943a15d8141cacf468fe0ed7b0761e5e206d0d5621a91de0f6",
+    ('clustered-64-a', '2/5', 'full'): "47d44c5c7d2b111a9e731e337ab5dc4f8c3f7a3781f1f76a459c6fb9ed369b89",
+    ('clustered-64-a', '2/5', 'restricted'): "970d3f29cd35f430d5ab10c47ec2c92aaf2c6353c3150f92f920949b95bc9940",
+    ('clustered-64-a', '1/20', 'full'): "74783fb2271956cd0c1c39fc3723c1691cd62afc6883fe2955292697dbf1eabf",
+    ('clustered-64-a', '1/20', 'restricted'): "9cdc57bc503a82ed99e184f27537b25df4a99db087991cf13286d6f16a8de1a5",
+    ('clustered-64-a', '2/21', 'full'): "8616e6be581782658d97726c5ad76107a5fd498ac8bda6ef2c5c2334930b75a3",
+    ('clustered-64-a', '2/21', 'restricted'): "570b0bcadd6aae6e756a3d266ec050870b02c0bc4316886a1eb29e4863629cdc",
+    ('clustered-64-b', '3/20', 'full'): "3071585f9369d2ff68fd24bd95aeec249290e3e2ecb16aef2868dee22b0b4a7a",
+    ('clustered-64-b', '3/20', 'restricted'): "2bcfd5b9d748e83b8d27dad702ec9dcd405f1ec498fd67831f7c3b9be82d95d8",
+    ('clustered-64-b', '2/5', 'full'): "a16053548ade44c077d3144b8fd52f151df7635a3167e369d1763f7ff48fdcb6",
+    ('clustered-64-b', '2/5', 'restricted'): "0f2c474d6f8bd2cbed9bb2b2736ee089124a677464e6c10d1a4d1475e20bf653",
+    ('clustered-64-b', '1/20', 'full'): "7df69fe22ed54f503b8cfdbefb441fc476ed69e68b10a9c13f98014bee901672",
+    ('clustered-64-b', '1/20', 'restricted'): "c487a5d9abcf04f7e2847797d30579e34e7c4f5b4dcb847413ca6eea36d11b96",
+    ('clustered-64-b', '2/21', 'full'): "908ed1d5c4aa527fd199bee4216298bce7726dd43775bf48bb1361873437ccc4",
+    ('clustered-64-b', '2/21', 'restricted'): "9065e58c2881c6f9fcb0a2f74d13ba343eb403785a49dd57e02a8ed9e0528bc1",
+    ('cycle-12', '3/20', 'full'): "132ca92663a36772c69557f31eb2e2fb374f15f3c03bc4ae55a3e4d71ed7f497",
+    ('cycle-12', '3/20', 'restricted'): "177c0dd70da1ed2afb07182db7604b73b75915bf7d65f3497082a7a7ac38db4b",
+    ('cycle-12', '2/5', 'full'): "a0a032009aa3fdcba9c339458733a636b6f9febed17a3b5b2a5a49dbf571c0fb",
+    ('cycle-12', '2/5', 'restricted'): "2df85c04417791575b3bf354a2f033cd955482b8070f0fa97866e28c227aeff9",
+    ('cycle-12', '1/20', 'full'): "35515bcb3e52e57724f9a21702fbf460043f5ea9f1479eb2333b72e9d60880b3",
+    ('cycle-12', '1/20', 'restricted'): "da9b6f5e2da6c6a3fd102da91cbf30a64c3d1a3c94c0641e3fa759a390935c39",
+    ('cycle-12', '2/21', 'full'): "b54aed5b053268e9265dcacb8ce668f10cf0e5d8bef42fcefa741cc1b719b9c8",
+    ('cycle-12', '2/21', 'restricted'): "648020d5aa78e9e567c6c0cb06fbdf80faa7117e0f4339e41b480ed5d7260153",
+    ('dumbbell-8', '3/20', 'full'): "cc3f79721d7c38357280b5ece837344a319ddd3c96cb47e0f4989d76db6af0ec",
+    ('dumbbell-8', '3/20', 'restricted'): "74ec7bbed196648cd0e00c331eff4daf2c2834fdf0bb401e0892830614bdd6a9",
+    ('dumbbell-8', '2/5', 'full'): "e9350658ab48dce0bac136d59ead916d8df2ff32494bf077074b7951b5a076ce",
+    ('dumbbell-8', '2/5', 'restricted'): "6a0482db4e4cb83e0ee43d7065e1c3035a6d63bc2a982809846de3bace88b169",
+    ('dumbbell-8', '1/20', 'full'): "2eb9a8fb8c2bc5f429cf8665b21d0939d390259ddd46ca01f0b183680a25578d",
+    ('dumbbell-8', '1/20', 'restricted'): "4eecd1757694db74dfea198517f7fbfcaa5652834f50395fceccbb0a3914bce3",
+    ('dumbbell-8', '2/21', 'full'): "33b0c7111059c06a9c7237d6a694d422d9fb166de97bbd8c652a437bad48d197",
+    ('dumbbell-8', '2/21', 'restricted'): "388ddbd91eebef1ba455a6c6a7732095922d9b388fec340fe36fdd6dc8767cee",
+    ('rr-64-8', '3/20', 'full'): "0dbfc7248c9b761f1cdd025eaa77e1b2fb5562c26129e78ce6e63e748e6e481a",
+    ('rr-64-8', '3/20', 'restricted'): "c489c94ee45b2aec7c5fea80b2219a76c02808d7464ae3eeaccc038fdb2f1b0f",
+    ('rr-64-8', '2/5', 'full'): "48342e631ab7653321730418f7932107958bb0fa75a1eb1329aaa324131fc68e",
+    ('rr-64-8', '2/5', 'restricted'): "0777d2a688075fe0a87b7077e43420c114beeafd7a1584f23fd17d5582d45d66",
+    ('rr-64-8', '1/20', 'full'): "bde2d35c6b04c8d2a5af120fc18585bef4cf9ef9319c90a9402dbb61ff654cb9",
+    ('rr-64-8', '1/20', 'restricted'): "a10698cba690bb970d656b130822b59451224e9599dfa88b6a73c689acfbc80e",
+    ('rr-64-8', '2/21', 'full'): "daf9d60a97f241a1c29c980d29463454841774cebec501d96e5f8948a61d8502",
+    ('rr-64-8', '2/21', 'restricted'): "665f495b82c943ee4edb50ce8d8c35633ab339eef651517c88c059ca5d24b58e",
+    ('twocliques-10', '3/20', 'full'): "937694b59d900054a09e33bf0113c62c2ad63f7aa56da52a58821bccd3fe2768",
+    ('twocliques-10', '3/20', 'restricted'): "8ed0cd1e7a24c2ab981138cbb86fcdc323fd274e23f446b7b2345af41d79b202",
+    ('twocliques-10', '2/5', 'full'): "d72de0b4055efca50dc65458141aed92288ff8bf126e181699eda080929c5267",
+    ('twocliques-10', '2/5', 'restricted'): "22831f7256a1cf31ad51b0aa9b35a099d7cc609a391196cdbb798fd1e74465c9",
+    ('twocliques-10', '1/20', 'full'): "f61cd5e9ceec8e64702a6c3dab79d6300e1d32462b055cadfd77c567363374a9",
+    ('twocliques-10', '1/20', 'restricted'): "ecc1d8d1b82230a7f9a5514eff9aa45f13011439443ef3b5c31d7b70c8873800",
+    ('twocliques-10', '2/21', 'full'): "8aa110ba401b9516c9bb35564e761d6274abbc287670c3915d976fd90f05bf03",
+    ('twocliques-10', '2/21', 'restricted'): "6a27c450273b926d12a3ea4597b8e310d7c0e27775cdc579e28b9f43e50a8b41",
+}
+
+
+def audit_repr(name: str, eps_p: str) -> str:
+    make, s = THINNING_CASES[name]
+    eps_p, eps_h = AUDIT_CONFIGS[eps_p]
+    cfg = ParticipatingConfig(eps_p=Fraction(eps_p), eps_h=Fraction(eps_h))
+    return repr(active_fraction_check(make(), s, cfg))
+
+
+def audit_cli_digest(tmp_path, monkeypatch, capsys, name, eps_p, start) -> str:
+    make, s = THINNING_CASES[name]
+    eps_p, eps_h = AUDIT_CONFIGS[eps_p]
+    monkeypatch.chdir(tmp_path)
+    save_edge_list(make(), "graph.txt")
+    argv = [
+        "participating", "--graph", "graph.txt", "--set", ",".join(map(str, sorted(s))),
+        "--eps-p", eps_p, "--eps-h", eps_h, "--check",
+    ]
+    if start == "restricted":
+        argv.append("--restricted-start")
+    capsys.readouterr()
+    assert main(argv) == EXIT_OK
+    return _sha(capsys.readouterr().out.encode())
+
+
+@pytest.mark.parametrize("name,eps_p", sorted(AUDIT_REPRS))
+def test_active_fraction_check_report(name, eps_p):
+    assert audit_repr(name, eps_p) == AUDIT_REPRS[(name, eps_p)]
+
+
+@pytest.mark.parametrize("name,eps_p,start", sorted(AUDIT_CLI_DIGESTS))
+def test_participating_check_stdout(tmp_path, monkeypatch, capsys, name, eps_p, start):
+    got = audit_cli_digest(tmp_path, monkeypatch, capsys, name, eps_p, start)
+    assert got == AUDIT_CLI_DIGESTS[(name, eps_p, start)]
