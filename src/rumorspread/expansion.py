@@ -128,18 +128,17 @@ def conductance_set(g: Graph, s: Collection[int]) -> float:
     return cut_size(g, fs) / volume(g, fs)
 
 
-def _boundary_expansion(g: Graph, fs: NodeSet, bd: NodeSet, sampled: NodeSet, one):
+def _boundary_expansion(g: Graph, fs: NodeSet, bd: NodeSet, sampled: NodeSet) -> float:
     """Boundary-expansion formula with only ``sampled`` (part of the boundary
-    ``bd`` of ``fs``) sampled, in the arithmetic of ``one``: 1.0 for floats,
-    Fraction(1) for exact rationals."""
+    ``bd`` of ``fs``) sampled, in floats."""
     assert bd, "proper nonempty subset of a connected graph has a boundary"
-    total = one - one
+    total = 0.0
     for v in boundary(g, fs | bd):
-        miss = one
+        miss = 1.0
         for u in g.adj[v]:
             if u in sampled:
-                miss *= one - one / len(g.adj[u])
-        total += one - miss
+                miss *= 1.0 - 1.0 / len(g.adj[u])
+        total += 1.0 - miss
     return total / len(bd)
 
 
@@ -182,7 +181,7 @@ def boundary_expansion_exact(g: Graph, s: Collection[int]) -> float:
     """
     fs = _check_proper_subset(g, s)
     bd = boundary(g, fs)
-    return _boundary_expansion(g, fs, bd, bd, 1.0)
+    return _boundary_expansion(g, fs, bd, bd)
 
 
 def boundary_expansion_due_to(g: Graph, s: Collection[int], t: Collection[int]) -> float:
@@ -196,7 +195,7 @@ def boundary_expansion_due_to(g: Graph, s: Collection[int], t: Collection[int]) 
     ts = g.check_set(t)
     if not ts <= bd:
         raise InputError("t must be a subset of the boundary")
-    return _boundary_expansion(g, fs, bd, ts, 1.0)
+    return _boundary_expansion(g, fs, bd, ts)
 
 
 def boundary_expansion_mc(

@@ -22,9 +22,12 @@ receiver side, each updated by O(deg) deltas of the removed node, and the two
 forms must agree exactly after each step. A full recompute checks the start
 state and must reproduce the end state.
 
-All threshold comparisons are exact: sampling masses are integer numerators
-over the lcm of the degrees, cross-multiplied against eps_p. A float eps is
-interpreted by its decimal literal (0.15 means 3/20).
+Every exact value is an integer numerator end to end: sampling masses and
+the potential over the lcm of the degrees, the exact boundary expansion over
+the lcm of its terms' denominators, and thresholds cross-multiplied against
+eps_p's numerator and denominator. ``Fraction``s are built only where the
+public API returns them. A float eps is interpreted by its decimal literal
+(0.15 means 3/20).
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from fractions import Fraction
 from typing import Collection, Sequence
 
 from .errors import InputError
-from .expansion import _boundary_expansion
 from .graph import Graph, NodeSet, boundary, closure
 
 _ORDERS = ("lowest", "batch", "random")
@@ -50,6 +52,8 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise InputError(f"threshold must be finite, got {x!r}")
         return Fraction(str(x))
     raise InputError(f"cannot interpret threshold {x!r} as a rational")
 
@@ -197,11 +201,11 @@ class _RunningPotential:
     sender path charges x's own edges by count, then the one changed edge of
     each closure neighbour; the receiver path charges what x starts or stops
     receiving, then what each neighbour receives from x. ``parts()`` compares
-    the two forms and returns (phi1, phi2).
+    the two forms and returns the (phi1, phi2) numerators.
     """
 
-    def __init__(self, g: Graph, unit, scale, in_closure, in_pool, start) -> None:
-        self.adj, self.unit, self.scale = g.adj, unit, scale
+    def __init__(self, g: Graph, unit, in_closure, in_pool, start) -> None:
+        self.adj, self.unit = g.adj, unit
         self.in_closure, self.in_pool = in_closure, in_pool
         self.phi1_send = self.phi1_recv = start[0]
         self.phi2_send = self.phi2_recv = start[1]
@@ -238,10 +242,34 @@ class _RunningPotential:
                 else:
                     self.phi1_recv -= unit[x]
 
-    def parts(self) -> tuple[Fraction, Fraction]:
+    def parts(self) -> tuple[int, int]:
         if self.phi1_send != self.phi1_recv or self.phi2_send != self.phi2_recv:
             raise AssertionError("potential dual forms disagree; internal bug")
-        return Fraction(self.phi1_send, self.scale), Fraction(self.phi2_send, self.scale)
+        return self.phi1_send, self.phi2_send
+
+
+def _fraction_pairs(pairs: list[tuple[int, int]], scale: int) -> list[tuple[Fraction, Fraction]]:
+    """Numerator pairs over ``scale`` as ``Fraction`` pairs; a numerator
+    that repeats along the trajectory gets the same (immutable) object."""
+    made: dict[int, Fraction] = {}
+
+    def exact(a: int) -> Fraction:
+        f = made.get(a)
+        if f is None:
+            f = made[a] = Fraction(a, scale)
+        return f
+
+    return [(exact(a), exact(b)) for a, b in pairs]
+
+
+def _numerators(trajectory: list[tuple[Fraction, Fraction]]) -> tuple[list[int], int]:
+    """The potential phi1 + phi2 at every step of an exact trajectory, as
+    integer numerators over one common denominator, which is returned too."""
+    scale = math.lcm(*(f.denominator for pair in trajectory for f in pair))
+    return [
+        a.numerator * (scale // a.denominator) + b.numerator * (scale // b.denominator)
+        for a, b in trajectory
+    ], scale
 
 
 def participating_fixed_point(
@@ -307,12 +335,13 @@ def participating_fixed_point(
     for u in queue:
         queued[u] = True
 
+    # the potential after each step, as numerators over scale
     running: _RunningPotential | None = None
-    trajectory: list[tuple[Fraction, Fraction]] | None = None
+    pairs: list[tuple[int, int]] = []
     if track_potential:
         start_parts = _potential_parts(g, s_plus, pool_start, unit)
-        running = _RunningPotential(g, unit, scale, in_closure, in_pool, start_parts)
-        trajectory = [running.parts()]
+        running = _RunningPotential(g, unit, in_closure, in_pool, start_parts)
+        pairs.append(running.parts())
 
     def remove(u: int) -> None:
         if running is not None:
@@ -346,8 +375,9 @@ def participating_fixed_point(
             remove(u)
         if running is not None:
             p1, p2 = running.parts()
-            trajectory.append((p1, p2))
-            f1, f2, ftot = float(p1), float(p2), float(p1 + p2)
+            pairs.append((p1, p2))
+            # int true division rounds correctly, as float(Fraction) does
+            f1, f2, ftot = p1 / scale, p2 / scale, (p1 + p2) / scale
         else:
             f1 = f2 = ftot = float("nan")
         for u in batch:
@@ -355,10 +385,11 @@ def participating_fixed_point(
             log.append(RemovalStep(step, u, reason, f1, f2, ftot))
 
     pool = frozenset(v for v in range(g.n) if in_pool[v])
+    trajectory = None
     if running is not None:
-        end = (running.phi1_send, running.phi2_send)
-        if _potential_parts(g, s_plus, pool, unit) != end:
+        if _potential_parts(g, s_plus, pool, unit) != pairs[-1]:
             raise AssertionError("running potential drifted from its recompute; internal bug")
+        trajectory = _fraction_pairs(pairs, scale)
     act = pool & s_plus
     return ParticipatingResult(
         participating=pool,
@@ -394,12 +425,31 @@ def compute_participating_modified(
 
 
 def boundary_expansion_fraction(g: Graph, s: Collection[int]) -> Fraction:
-    """Boundary expansion as an exact rational (small graphs only)."""
+    """Boundary expansion as an exact rational.
+
+    A second-shell node whose boundary neighbours have degrees d_1..d_k is
+    hit with probability 1 - prod (d_i - 1)/d_i, that is
+    (prod d_i - prod (d_i - 1)) / prod d_i in Python ints, which do not
+    overflow. The terms are summed per denominator and then over the lcm of
+    the denominators, so one ``Fraction`` is built.
+    """
     fs = g.check_set(s)
     if not fs or len(fs) == g.n:
         raise InputError("set must be a nonempty proper subset")
     bd = boundary(g, fs)
-    return _boundary_expansion(g, fs, bd, bd, Fraction(1))
+    adj = g.adj
+    degree = {u: len(adj[u]) for u in bd}
+    hit: dict[int, int] = {}  # denominator -> sum of numerators over it
+    for v in boundary(g, fs | bd):
+        den = miss = 1
+        for u in adj[v]:
+            d = degree.get(u)
+            if d is not None:
+                den *= d
+                miss *= d - 1
+        hit[den] = hit.get(den, 0) + den - miss
+    scale = math.lcm(*hit)
+    return Fraction(sum(num * (scale // den) for den, num in hit.items()), scale * len(bd))
 
 
 @dataclass
@@ -441,6 +491,21 @@ def active_fraction_check(
     the instance's boundary expansion exceeds eps_h; both are hypothesis
     violations, not defects.
     """
+    return _active_fraction_check(g, s, cfg)
+
+
+def _active_fraction_check(
+    g: Graph,
+    s: Collection[int],
+    cfg: ParticipatingConfig,
+    *,
+    full: ParticipatingResult | None = None,
+    modified: ParticipatingResult | None = None,
+) -> ActiveFractionReport:
+    """``active_fraction_check`` reusing the fixed points a caller already
+    has: ``full`` from ``compute_participating`` (only its set is read) and
+    ``modified`` from ``compute_participating_modified``, tracked, in the
+    default order. Either one not given is computed here."""
     fs = g.check_set(s)
     if not fs or len(fs) == g.n:
         raise InputError("set must be a nonempty proper subset")
@@ -460,25 +525,26 @@ def active_fraction_check(
     bd = boundary(g, fs)
     b = len(bd)
 
-    modified = compute_participating_modified(g, s, cfg)
+    if modified is None:
+        modified = compute_participating_modified(g, fs, cfg)
     assert modified.trajectory is not None
-    phi0 = modified.phi(0)
+    # phi[i] / scale is the potential after step i; every comparison below
+    # is cross-multiplied
+    phi, scale = _numerators(modified.trajectory)
     phi0_ceiling = cfg.eps_h / (1 - cfg.eps_p) * b
-    phi0_ok = phi0 <= phi0_ceiling
+    phi0_ok = phi[0] * phi0_ceiling.denominator <= phi0_ceiling.numerator * scale
 
-    monotone_ok = all(
-        modified.phi(i + 1) <= modified.phi(i) for i in range(modified.steps)
-    )
+    monotone_ok = all(after <= before for before, after in zip(phi, phi[1:]))
     min_drop = 1 - 2 * cfg.eps_p
-    active_drop_ok = True
-    for entry in modified.removal_log:
-        if entry.reason == "active":
-            drop = modified.phi(entry.step - 1) - modified.phi(entry.step)
-            if drop < min_drop:
-                active_drop_ok = False
-                break
+    bound = min_drop.numerator * scale
+    active_drop_ok = all(
+        (phi[entry.step - 1] - phi[entry.step]) * min_drop.denominator >= bound
+        for entry in modified.removal_log
+        if entry.reason == "active"
+    )
 
-    full = compute_participating(g, s, cfg, track_potential=False)
+    if full is None:
+        full = compute_participating(g, fs, cfg, track_potential=False)
     surviving = len(bd & full.participating)
     floor = 1 - cfg.eps_h / ((1 - cfg.eps_p) * (1 - 2 * cfg.eps_p))
     fraction_ok = Fraction(surviving, b) >= floor
@@ -490,7 +556,7 @@ def active_fraction_check(
         surviving_boundary=surviving,
         fraction_floor=float(floor),
         fraction_ok=fraction_ok,
-        phi_start=float(phi0),
+        phi_start=phi[0] / scale,
         phi_start_ceiling=float(phi0_ceiling),
         phi_start_ok=phi0_ok,
         monotone_ok=monotone_ok,

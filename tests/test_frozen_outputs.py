@@ -2,8 +2,9 @@
 
 The determinism contract promises the same bytes for the same seed: summary
 and trace files, restricted traces, arrival times, growth statistics,
-estimator values, enumerated minima with their witnesses, and the thinning
-removal logs with their potential trajectories. Each expectation below was
+estimator values, enumerated minima with their witnesses, the thinning
+removal logs with their potential trajectories, and the guarantee audit's
+reports and ``participating --check`` output. Each expectation below was
 recorded from the implementation and must not move when the round kernel, the
 boundary-expansion formula, the subset enumerator or the thinning loop is
 restructured. A deliberate change of any of these values is a change of the

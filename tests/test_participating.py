@@ -1,5 +1,6 @@
 """Thinning fixed point, its potential accounting, and the guarantee audit."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from rumorspread import (
     Graph,
     InputError,
     ParticipatingConfig,
+    ParticipatingResult,
     active_fraction_check,
     boundary,
     boundary_expansion_exact,
@@ -37,6 +39,12 @@ EPS_P = st.sampled_from([Fraction(1, 10), Fraction(3, 20), Fraction(2, 5), Fract
 # 1/3 from node 1 and go; node 1 keeps a pooled share of only 1/3 and stays on
 # the mass 1 of its active neighbour 0, so the fixed point is {0, 1}.
 STAR_CASE = (Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)]), frozenset({0}))
+# A tree with S = {0, 3}: thinned from the restricted start at eps_p = 3/5,
+# it removes the active node 4 and the potential drops by only 1/12.
+DROP_CASE = (
+    Graph.from_edges(8, [(0, 1), (0, 2), (0, 3), (0, 4), (3, 5), (4, 6), (4, 7)]),
+    frozenset({0, 3}),
+)
 
 
 class TestConfig:
@@ -59,6 +67,12 @@ class TestConfig:
         with pytest.raises(InputError):
             ParticipatingConfig(eps_h=1)
         ParticipatingConfig(eps_h=0)  # allowed
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 1e400])
+    @pytest.mark.parametrize("name", ["eps_p", "eps_h"])
+    def test_non_finite_float_is_input_error(self, name, value):
+        with pytest.raises(InputError, match="finite"):
+            ParticipatingConfig(**{name: value})
 
     def test_hypothesis_flag(self):
         # the coupled constraint is not a hard error, only a flag
@@ -242,6 +256,25 @@ class TestRunningPotential:
             assert res.trajectory[i] == oracles.naive_potential(g.adj, s, pool), i
         assert pool == res.participating
 
+    @given(
+        gs=graph_and_proper_subset(min_nodes=3, max_nodes=12),
+        start=st.sampled_from(["full", "restricted"]),
+        eps_p=EPS_P,
+    )
+    def test_trajectory_repr_is_the_eager_fraction_list(self, gs, start, eps_p):
+        """The trajectory is a list of (Fraction, Fraction) tuples, printed
+        exactly as a list of independently built pairs would be."""
+        g, s = gs
+        cfg = ParticipatingConfig(eps_p=eps_p)
+        build = compute_participating if start == "full" else compute_participating_modified
+        res = build(g, s, cfg)
+        pool = set(res.start)
+        eager = [oracles.naive_potential(g.adj, s, pool)]
+        for entry in res.removal_log:
+            pool.discard(entry.node)
+            eager.append(oracles.naive_potential(g.adj, s, pool))
+        assert repr(res.trajectory) == repr(eager)
+
     def test_disagreeing_forms_raise(self, monkeypatch):
         remove = part_mod._RunningPotential.remove
 
@@ -280,6 +313,23 @@ class TestExactBoundaryExpansion:
     def test_hand_value(self):
         assert boundary_expansion_fraction(cycle(6), {0}) == Fraction(1, 2)
 
+    @given(graph_and_proper_subset(max_nodes=10))
+    def test_matches_oracle(self, gs):
+        g, s = gs
+        assert boundary_expansion_fraction(g, s) == oracles.naive_h(g.adj, s)
+
+    def test_wide_denominator(self):
+        """S = {0} joined to 40 hubs of degree 21, each joined to all 20
+        shell nodes: h = (21^40 - 20^40) / (2 * 21^40), whose denominator
+        has 177 bits, past any int64 or float shortcut."""
+        hubs, shell = range(1, 41), range(41, 61)
+        edges = [(0, u) for u in hubs] + [(u, v) for u in hubs for v in shell]
+        g = Graph.from_edges(61, edges)
+        h = boundary_expansion_fraction(g, {0})
+        assert h == Fraction(21**40 - 20**40, 2 * 21**40)
+        assert h.denominator.bit_length() == 177
+        assert h == oracles.naive_h(g.adj, {0})
+
 
 class TestGuaranteeAudit:
     def test_qualifying_instance(self):
@@ -315,6 +365,65 @@ class TestGuaranteeAudit:
         # a leaf's closure misses nothing qualifying; audit must not crash
         rep = active_fraction_check(star(6), {1}, ParticipatingConfig())
         assert rep.skipped or rep.all_ok
+
+    @given(
+        gs=graph_and_proper_subset(min_nodes=3, max_nodes=12),
+        eps=st.sampled_from(
+            [(Fraction(3, 20), Fraction(1, 2)), (Fraction(1, 20), Fraction(4, 5)),
+             (Fraction(1, 4), Fraction(1, 5))]
+        ),
+        run_eps_p=EPS_P,
+    )
+    @example(gs=DROP_CASE, eps=(Fraction(1, 20), Fraction(4, 5)), run_eps_p=Fraction(3, 5))
+    def test_flags_match_fraction_arithmetic(self, gs, eps, run_eps_p):
+        """The integer comparisons give the flags that Fraction arithmetic on
+        the public trajectory gives. The restricted run is handed in, thinned
+        at its own eps_p, so that active removals and failed drops occur,
+        which the guarantee regime itself rarely produces on small graphs."""
+        g, s = gs
+        cfg = ParticipatingConfig(eps_p=eps[0], eps_h=eps[1])
+        modified = compute_participating_modified(g, s, ParticipatingConfig(eps_p=run_eps_p))
+        rep = part_mod._active_fraction_check(g, s, cfg, modified=modified)
+        if rep.skipped:
+            return
+        phi = [modified.phi(i) for i in range(modified.steps + 1)]
+        assert rep.phi_start == float(phi[0])
+        assert rep.phi_start_ok == (phi[0] <= cfg.eps_h / (1 - cfg.eps_p) * rep.boundary_size)
+        assert rep.monotone_ok == all(b <= a for a, b in zip(phi, phi[1:]))
+        assert rep.active_drop_ok == all(
+            phi[e.step - 1] - phi[e.step] >= 1 - 2 * cfg.eps_p
+            for e in modified.removal_log
+            if e.reason == "active"
+        )
+
+    def test_small_active_drop_fails(self):
+        g, s = DROP_CASE
+        modified = compute_participating_modified(g, s, ParticipatingConfig(eps_p=Fraction(3, 5)))
+        assert [(e.step, e.node, e.reason) for e in modified.removal_log] == [(1, 4, "active")]
+        assert modified.phi(0) - modified.phi(1) == Fraction(1, 12)
+        cfg = ParticipatingConfig(eps_p=Fraction(1, 20), eps_h=Fraction(4, 5))
+        rep = part_mod._active_fraction_check(g, s, cfg, modified=modified)
+        assert not rep.skipped
+        assert rep.monotone_ok and not rep.active_drop_ok
+
+    @given(gs=graph_and_proper_subset(min_nodes=3, max_nodes=12), eps_p=EPS_P)
+    def test_reused_fixed_points_give_the_same_report(self, gs, eps_p):
+        g, s = gs
+        cfg = ParticipatingConfig(eps_p=eps_p / 4, eps_h=Fraction(3, 5))
+        want = active_fraction_check(g, s, cfg)
+        full = compute_participating(g, s, cfg)
+        modified = compute_participating_modified(g, s, cfg)
+        assert part_mod._active_fraction_check(g, s, cfg, full=full) == want
+        assert part_mod._active_fraction_check(g, s, cfg, modified=modified) == want
+
+
+class TestResultShape:
+    def test_field_names(self):
+        """Digests of a result walk its dataclass fields in order."""
+        assert [f.name for f in dataclasses.fields(ParticipatingResult)] == [
+            "participating", "active", "passive", "start", "start_rule", "eps_p",
+            "removal_log", "trajectory",
+        ]
 
 
 class TestRemovalLog:
