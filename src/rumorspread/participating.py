@@ -249,17 +249,10 @@ class _RunningPotential:
 
 
 def _fraction_pairs(pairs: list[tuple[int, int]], scale: int) -> list[tuple[Fraction, Fraction]]:
-    """Numerator pairs over ``scale`` as ``Fraction`` pairs; a numerator
-    that repeats along the trajectory gets the same (immutable) object."""
-    made: dict[int, Fraction] = {}
-
-    def exact(a: int) -> Fraction:
-        f = made.get(a)
-        if f is None:
-            f = made[a] = Fraction(a, scale)
-        return f
-
-    return [(exact(a), exact(b)) for a, b in pairs]
+    """Numerator pairs over ``scale`` as ``Fraction`` pairs, one (immutable)
+    object per distinct numerator: few values repeat along a trajectory."""
+    made = {a: Fraction(a, scale) for a in {a for pair in pairs for a in pair}}
+    return [(made[a], made[b]) for a, b in pairs]
 
 
 def _numerators(trajectory: list[tuple[Fraction, Fraction]]) -> tuple[list[int], int]:
