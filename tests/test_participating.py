@@ -250,29 +250,15 @@ class TestRunningPotential:
             removed_at.setdefault(entry.step, []).append(entry.node)
         assert sorted(removed_at) == list(range(1, res.steps + 1))
         pool = set(res.start)
-        assert res.trajectory[0] == oracles.naive_potential(g.adj, s, pool)
+        eager = [oracles.naive_potential(g.adj, s, pool)]
+        assert res.trajectory[0] == eager[0]
         for i in range(1, res.steps + 1):
             pool -= set(removed_at[i])
-            assert res.trajectory[i] == oracles.naive_potential(g.adj, s, pool), i
-        assert pool == res.participating
-
-    @given(
-        gs=graph_and_proper_subset(min_nodes=3, max_nodes=12),
-        start=st.sampled_from(["full", "restricted"]),
-        eps_p=EPS_P,
-    )
-    def test_trajectory_repr_is_the_eager_fraction_list(self, gs, start, eps_p):
-        """The trajectory is a list of (Fraction, Fraction) tuples, printed
-        exactly as a list of independently built pairs would be."""
-        g, s = gs
-        cfg = ParticipatingConfig(eps_p=eps_p)
-        build = compute_participating if start == "full" else compute_participating_modified
-        res = build(g, s, cfg)
-        pool = set(res.start)
-        eager = [oracles.naive_potential(g.adj, s, pool)]
-        for entry in res.removal_log:
-            pool.discard(entry.node)
             eager.append(oracles.naive_potential(g.adj, s, pool))
+            assert res.trajectory[i] == eager[i], i
+        assert pool == res.participating
+        # a list of (Fraction, Fraction) tuples, printed exactly as the
+        # independently built list is
         assert repr(res.trajectory) == repr(eager)
 
     def test_disagreeing_forms_raise(self, monkeypatch):
