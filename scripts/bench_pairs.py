@@ -6,7 +6,7 @@
 
 Each pair runs ``BENCHMARK.json``'s command (``perfbench/run.py``) once in
 each checkout, from that checkout's root, with the same workload, seed and
-run length (``run_seconds`` unless ``--seconds`` is given). Even pairs run
+``BENCHMARK.json``'s ``run_seconds``, untraced. Even pairs run
 the parent first and odd pairs the change first, so a drift of the host
 during a session falls on both sides alike. Before every run the
 ``__pycache__`` directories under both checkouts' ``src/`` are removed, so
@@ -23,15 +23,12 @@ failed a job, else 0.
 """
 
 import argparse
-import json
 import os
 import shutil
 import statistics
-import subprocess
 import sys
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BENCHMARK = os.path.join(ROOT, "BENCHMARK.json")
+from bench_record import BENCHMARK, load_json, run_workload
 
 
 def clear_bytecode(checkout: str) -> None:
@@ -39,16 +36,6 @@ def clear_bytecode(checkout: str) -> None:
         if "__pycache__" in dirnames:
             shutil.rmtree(os.path.join(dirpath, "__pycache__"))
             dirnames.remove("__pycache__")
-
-
-def run_once(command: list[str], checkout: str, args) -> dict:
-    """One benchmark run in ``checkout``: its parsed result line."""
-    argv = [sys.executable, *command[1:], "--workload", args.workload,
-            "--seed", str(args.seed), "--seconds", str(args.seconds)]
-    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise SystemExit(f"{checkout}: {' '.join(argv[1:])} exited {proc.returncode}:\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -80,12 +67,8 @@ def main(argv=None) -> int:
     p.add_argument("--workload", required=True)
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seconds", type=float, default=None, help="run length (default: run_seconds)")
     args = p.parse_args(argv)
-    with open(BENCHMARK, encoding="utf-8") as fh:
-        benchmark = json.load(fh)
-    if args.seconds is None:
-        args.seconds = benchmark["run_seconds"]
+    benchmark = load_json(BENCHMARK)
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     ok = True
@@ -94,14 +77,15 @@ def main(argv=None) -> int:
         for side in order:
             for checkout in sides.values():
                 clear_bytecode(checkout)
-            result = run_once(benchmark["command"], sides[side], args)
+            result = run_workload(benchmark, args.workload, trace=False, seed=args.seed,
+                                  cwd=sides[side])["result"]
             if not result["correct"] or result["failed"]:
                 print(f"pair {i}: {side} run incorrect or failed {result['failed']} jobs", file=sys.stderr)
                 ok = False
             runs[side].append(result["metrics"])
         print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr)
 
-    print(f"{args.workload}, seed {args.seed}, {args.seconds:g} s runs, {args.pairs} pairs; "
+    print(f"{args.workload}, seed {args.seed}, {benchmark['run_seconds']:g} s runs, {args.pairs} pairs; "
           "median [q1, q3] per side, change of the median, pairs won by the change")
     for metric in benchmark["end_to_end"]:
         name = metric["name"]

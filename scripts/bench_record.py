@@ -47,17 +47,19 @@ def load_json(path: str):
         return json.load(fh)
 
 
-def run_workload(benchmark: dict, workload: str, trace: bool) -> dict:
-    """One perfbench run: its parsed result line and run record."""
-    argv = [sys.executable, *benchmark["command"][1:], "--workload", workload, "--seed", str(SEED),
+def run_workload(benchmark: dict, workload: str, trace: bool, seed: int = SEED,
+                 cwd: str = ROOT) -> dict:
+    """One perfbench run from the checkout ``cwd``: its parsed result line
+    and run record."""
+    argv = [sys.executable, *benchmark["command"][1:], "--workload", workload, "--seed", str(seed),
             "--seconds", str(benchmark["run_seconds"]), "--trace", str(int(trace))]
-    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
+    proc = subprocess.run(argv, cwd=cwd, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise SystemExit(f"{' '.join(argv[1:])} exited {proc.returncode}:\n{proc.stderr}")
+        raise SystemExit(f"{cwd}: {' '.join(argv[1:])} exited {proc.returncode}:\n{proc.stderr}")
     lines = proc.stdout.strip().splitlines()
     return {
         "result": json.loads(lines[-1]),
-        "record": load_json(os.path.join(ROOT, ".perfbench", f"record-{workload}.json")),
+        "record": load_json(os.path.join(cwd, ".perfbench", f"record-{workload}.json")),
     }
 
 

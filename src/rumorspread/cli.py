@@ -323,7 +323,7 @@ def cmd_participating(args) -> int:
     if args.check:
         # the audit needs both fixed points; this one is already computed
         reuse = {"modified" if args.restricted_start else "full": result}
-        rep = part_mod._active_fraction_check(g, s, cfg, **reuse)
+        rep = part_mod.active_fraction_check(g, s, cfg, **reuse)
         payload["active_fraction_check"] = {
             "skipped": rep.skipped,
             "reason": rep.reason,

@@ -249,8 +249,9 @@ class _RunningPotential:
 
 
 def _fraction_pairs(pairs: list[tuple[int, int]], scale: int) -> list[tuple[Fraction, Fraction]]:
-    """Numerator pairs over ``scale`` as ``Fraction`` pairs, one (immutable)
-    object per distinct numerator: few values repeat along a trajectory."""
+    """Numerator pairs over ``scale`` as ``Fraction`` pairs: a trajectory has
+    few distinct numerators, so each (immutable) ``Fraction`` is built once
+    and shared."""
     made = {a: Fraction(a, scale) for a in {a for pair in pairs for a in pair}}
     return [(made[a], made[b]) for a, b in pairs]
 
@@ -476,18 +477,6 @@ class ActiveFractionReport:
 
 
 def active_fraction_check(
-    g: Graph, s: Collection[int], cfg: ParticipatingConfig
-) -> ActiveFractionReport:
-    """Audit the construction's guarantees on one instance.
-
-    Skips (without failing) when the config violates eps_p < (1-eps_h)/3 or
-    the instance's boundary expansion exceeds eps_h; both are hypothesis
-    violations, not defects.
-    """
-    return _active_fraction_check(g, s, cfg)
-
-
-def _active_fraction_check(
     g: Graph,
     s: Collection[int],
     cfg: ParticipatingConfig,
@@ -495,10 +484,17 @@ def _active_fraction_check(
     full: ParticipatingResult | None = None,
     modified: ParticipatingResult | None = None,
 ) -> ActiveFractionReport:
-    """``active_fraction_check`` reusing the fixed points a caller already
-    has: ``full`` from ``compute_participating`` (only its set is read) and
+    """Audit the construction's guarantees on one instance.
+
+    Skips (without failing) when the config violates eps_p < (1-eps_h)/3 or
+    the instance's boundary expansion exceeds eps_h; both are hypothesis
+    violations, not defects.
+
+    A caller that already has a fixed point of the instance can pass it:
+    ``full`` from ``compute_participating`` (only its set is read) and
     ``modified`` from ``compute_participating_modified``, tracked, in the
-    default order. Either one not given is computed here."""
+    default order. Either one not given is computed here.
+    """
     fs = g.check_set(s)
     if not fs or len(fs) == g.n:
         raise InputError("set must be a nonempty proper subset")

@@ -369,7 +369,7 @@ class TestGuaranteeAudit:
         g, s = gs
         cfg = ParticipatingConfig(eps_p=eps[0], eps_h=eps[1])
         modified = compute_participating_modified(g, s, ParticipatingConfig(eps_p=run_eps_p))
-        rep = part_mod._active_fraction_check(g, s, cfg, modified=modified)
+        rep = active_fraction_check(g, s, cfg, modified=modified)
         if rep.skipped:
             return
         phi = [modified.phi(i) for i in range(modified.steps + 1)]
@@ -388,7 +388,7 @@ class TestGuaranteeAudit:
         assert [(e.step, e.node, e.reason) for e in modified.removal_log] == [(1, 4, "active")]
         assert modified.phi(0) - modified.phi(1) == Fraction(1, 12)
         cfg = ParticipatingConfig(eps_p=Fraction(1, 20), eps_h=Fraction(4, 5))
-        rep = part_mod._active_fraction_check(g, s, cfg, modified=modified)
+        rep = active_fraction_check(g, s, cfg, modified=modified)
         assert not rep.skipped
         assert rep.monotone_ok and not rep.active_drop_ok
 
@@ -399,8 +399,8 @@ class TestGuaranteeAudit:
         want = active_fraction_check(g, s, cfg)
         full = compute_participating(g, s, cfg)
         modified = compute_participating_modified(g, s, cfg)
-        assert part_mod._active_fraction_check(g, s, cfg, full=full) == want
-        assert part_mod._active_fraction_check(g, s, cfg, modified=modified) == want
+        assert active_fraction_check(g, s, cfg, full=full) == want
+        assert active_fraction_check(g, s, cfg, modified=modified) == want
 
 
 class TestResultShape:
