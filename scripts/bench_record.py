@@ -25,6 +25,15 @@ of both files as well, without flagging them: ``BENCHMARK.json`` gives them
 no bound. One run per workload is a single sample: a flag says where to
 look, and a claim needs the alternating pairs that ``perfbench/README.md``
 describes.
+
+Each workload's metrics are rescaled by the host slowness its run measured,
+so two records of different sessions can disagree with their own raw times.
+For every workload the comparison also prints both records' unrescaled pass
+wall (``raw_wall_s``) and host-slowness median, and says when those medians
+differ by more than ``DRIFT`` (15%): the two records come from hosts of
+different speed, and only same-session pairs (``scripts/bench_pairs.py``)
+can tell a regression from that drift. The note does not change the exit
+status.
 """
 
 import argparse
@@ -38,6 +47,8 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCHMARK = os.path.join(ROOT, "BENCHMARK.json")
 SEED = 0
+# Host-slowness medians further apart than this mark a cross-session compare.
+DRIFT = 0.15
 # The tier-1 test suite, run from the root of the checkout.
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 
@@ -133,6 +144,20 @@ def worse_by(old: float, new: float, better: str) -> float:
     return change if better == "lower" else -change
 
 
+def drift_note(name: str, old: dict, new: dict) -> None:
+    """Print both run records' raw pass wall and host-slowness median, and a
+    warning when the medians differ by more than ``DRIFT``."""
+    walls = [record.get("raw_wall_s") for record in (old, new)]
+    slow = [record.get("host_slowness", {}).get("p50") for record in (old, new)]
+    for key, (a, b) in (("raw_wall_s", walls), ("slowness_p50", slow)):
+        a, b = ("n/a" if x is None else f"{x:.4g}" for x in (a, b))
+        print(f"{name:<12}{key:<14}{a:>12}{b:>12}   (unrescaled, no bound)")
+    if None not in slow and abs(slow[1] - slow[0]) > DRIFT * slow[0]:
+        print(f"{name:<12}host slowness medians differ by more than {DRIFT:.0%}: this comparison crosses "
+              "sessions, and only same-session pairs (scripts/bench_pairs.py) can separate a regression "
+              "from host drift")
+
+
 def compare(benchmark: dict, old: dict, new: dict) -> int:
     flagged = 0
     print(f"{'workload':<12}{'metric':<14}{'old':>12}{'new':>12}{'worse by':>10}{'bound':>8}")
@@ -156,6 +181,7 @@ def compare(benchmark: dict, old: dict, new: dict) -> int:
             flagged += flag
             print(f"{name:<12}{key:<14}{a:>12.4g}{b:>12.4g}{worse:>+10.1%}{metric['bound']:>8.0%}"
                   + ("  BEYOND BOUND" if flag else ""))
+        drift_note(name, old["workloads"][name]["plain"]["record"], new["workloads"][name]["plain"]["record"])
     tier1 = [run.get("tier1") for run in (old, new)]
     for key in ("wall_s", "passed"):
         a, b = ("n/a" if t is None else t[key] for t in tier1)

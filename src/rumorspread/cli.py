@@ -96,7 +96,7 @@ def _parse_fraction(text: str, flag: str) -> Fraction:
     )
 
 
-def _load_graph(path: str) -> tuple[Graph, dict]:
+def _load_graph(path: str) -> tuple[Graph, dict[str, int]]:
     try:
         return load_edge_list(path)
     except (OSError, UnicodeDecodeError) as exc:
@@ -115,10 +115,11 @@ def _read_set_labels(path: str) -> list[str]:
 
 
 def _resolve_set(
-    text: str | None, path: str | None, g: Graph, mapping: dict
+    text: str | None, path: str | None, g: Graph, mapping: dict[str, int]
 ) -> frozenset[int]:
     """Read a node set given as ``--set`` text or a ``--set-file`` path, in
-    original labels, and map it to internal ids."""
+    original labels, and map it to internal ids through the label -> id
+    mapping of ``load_edge_list``."""
     if text is not None and path:
         raise InputError("give --set or --set-file, not both")
     if text is not None:
@@ -127,12 +128,11 @@ def _resolve_set(
         labels = _read_set_labels(path)
     else:
         raise InputError("a node set is required (--set or --set-file)")
-    inverse = {str(orig): new for orig, new in mapping.items()}
     members = []
     for label in labels:
-        if label not in inverse:
+        if label not in mapping:
             raise InputError(f"node {label!r} is not in the graph")
-        members.append(inverse[label])
+        members.append(mapping[label])
     return g.check_set(members)
 
 
@@ -232,8 +232,8 @@ def cmd_analyze(args) -> int:
         reports.append(rep.to_json_dict())
 
     payload: dict = {"graph": args.graph, "n": g.n, "measures": reports}
-    if any(str(orig) != str(new) for orig, new in mapping.items()):
-        payload["node_mapping"] = {str(orig): new for orig, new in mapping.items()}
+    if list(mapping) != list(map(str, range(g.n))):  # the labels, in id order
+        payload["node_mapping"] = mapping
     if args.decompose:
         if s is None:
             raise InputError("--decompose needs a node set (--set)")
@@ -306,7 +306,7 @@ def cmd_participating(args) -> int:
         else part_mod.compute_participating
     )
     result = build(g, s, cfg)
-    back = {new: str(orig) for orig, new in mapping.items()}
+    back = list(mapping)  # the labels in id order
     payload = {
         "graph": args.graph,
         "start_rule": result.start_rule,

@@ -3,7 +3,8 @@
 A graph on node ids 0..n-1 is stored in compressed sparse row (CSR) form: two
 read-only int64 arrays, ``indptr`` (n + 1 offsets) and ``indices`` (every
 node's neighbors in ascending order, 2m entries). The adjacency tuples
-``adj``, the ``degrees`` and ``edges()`` are derived from them on first use.
+``adj``, the same arrays as Python lists ``csr_lists``, the ``degrees`` and
+``edges()`` are derived from them on first use.
 Graphs are validated at construction time: no self-loops, no parallel edges,
 connected, at least two nodes. All set-valued operations take and return
 ``frozenset`` of node ids.
@@ -77,8 +78,7 @@ class Graph:
                 fewer than two nodes, or a disconnected result. The first
                 offending edge in input order is the one named.
         """
-        if n < 2:
-            raise InputError(f"graph needs at least 2 nodes, got n={n}")
+        _check_order(n)
         if not isinstance(edges, np.ndarray):
             edges = list(edges)
             if len(edges) < _NUMPY_MIN_EDGES:
@@ -93,9 +93,7 @@ class Graph:
             return _python_graph(n, edges)
         if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
             return _python_graph(n, pairs.tolist())  # raises, naming the first bad edge
-        u, v = pairs.astype(np.int64, copy=False).T
-        keys = np.concatenate((u * n + v, v * n + u))  # every edge both ways
-        keys.sort()
+        keys = _sorted_arcs(n, *pairs.astype(np.int64, copy=False).T)
         if np.count_nonzero(keys[1:] == keys[:-1]):  # a self-loop or a repeat
             return _python_graph(n, pairs.tolist())  # raises, naming the first bad edge
         return _connected_graph(n, keys)
@@ -108,6 +106,13 @@ class Graph:
         flat = self.indices.tolist()
         ptr = self.indptr.tolist()
         return tuple(tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:]))
+
+    @cached_property
+    def csr_lists(self) -> tuple[list[int], list[int]]:
+        """``(indptr, indices)`` as Python lists, for code that walks the
+        graph node by node: far cheaper to build than ``adj``, and a slice
+        ``indices[indptr[v]:indptr[v + 1]]`` is a list of Python ints."""
+        return self.indptr.tolist(), self.indices.tolist()
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         self.check_node(v)
@@ -163,6 +168,8 @@ class Graph:
     def check_set(self, s: Collection[int]) -> NodeSet:
         """Normalize a node collection to a frozenset, validating ids."""
         fs = frozenset(s)
+        if fs and set(map(type, fs)) == {int} and min(fs) >= 0 and max(fs) < self.n:
+            return fs  # Python ints in range, checked without a Python loop
         for v in fs:
             if not isinstance(v, (int, np.integer)) or not (0 <= v < self.n):
                 raise InputError(f"node id {v!r} out of range for n={self.n}")
@@ -170,11 +177,16 @@ class Graph:
 
 
 # Below this many edges a graph is built in Python, where numpy's fixed cost
-# per call would outweigh the work. Measured on loads that run between other
+# per call would outweigh the work. Measured on builds that run between other
 # work, as one per CLI call does (caches cold), the two builds break even at
-# about 200 edges; in a tight loop of loads, at about 64. Both give the same
+# about 200 edges; in a tight loop of builds, at about 64. Both give the same
 # graph.
 _NUMPY_MIN_EDGES = 200
+
+
+def _check_order(n: int) -> None:
+    if n < 2:
+        raise InputError(f"graph needs at least 2 nodes, got n={n}")
 
 
 def _python_graph(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
@@ -218,6 +230,13 @@ def _read_only(values) -> np.ndarray:
     arr = np.array(values, dtype=np.int64)
     arr.setflags(write=False)
     return arr
+
+
+def _sorted_arcs(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The keys ``u * n + v`` of every edge both ways, sorted."""
+    keys = np.concatenate((u * n + v, v * n + u))
+    keys.sort()
+    return keys
 
 
 def _connected_graph(n: int, keys: np.ndarray) -> Graph:
@@ -267,6 +286,19 @@ def _neighbour_lists(g: Graph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarra
     d = g.indptr[nodes + 1] - first
     owner = np.repeat(np.arange(nodes.size), d)
     return g.indices[np.arange(owner.size) + np.repeat(first - (np.cumsum(d) - d), d)], owner
+
+
+def _neighbour_sums(g: Graph, values: np.ndarray) -> np.ndarray:
+    """Per node, the sum of ``values`` (one per node) over its neighbours;
+    counts for a boolean ``values``."""
+    return np.add.reduceat(values[g.indices], g.indptr[:-1])
+
+
+def _mask(n: int, nodes: Collection[int]) -> np.ndarray:
+    """A boolean mask over 0..n-1 of the int collection ``nodes``."""
+    mask = np.zeros(n, dtype=bool)
+    mask[np.fromiter(nodes, dtype=np.int64, count=len(nodes))] = True
+    return mask
 
 
 def cut_size(g: Graph, s: Collection[int]) -> int:
@@ -329,25 +361,49 @@ def diameter(g: Graph) -> int:
 
 # -- file formats ----------------------------------------------------------
 
-# Lines that are all blank or ``#`` comments, then lines that each hold two
-# canonical integers (as ``str(int(token))`` writes them). At most 18 digits,
-# so every value fits in int64. The body is checked by searching for a line
-# break that does not start such a line: a repeated group matching the
-# lines instead would keep backtracking state for every line (hundreds of
-# bytes each) unless its quantifier were possessive, which needs Python 3.11.
-_INT = r"(?:0|-?[1-9][0-9]{0,17})"
-_HEADER = r"(?:[ \t]*(?:#[^\n]*)?\n)*"
-_NOT_INT_PAIR = rf"\n(?![ \t]*{_INT}[ \t]+{_INT}[ \t]*(?:\n|\Z))"
+# Files of at least this many lines are parsed with numpy when they hold only
+# integer pairs (see ``_int_pairs``), shorter ones line by line, where
+# numpy's fixed cost per call would outweigh the parse. Measured on loads
+# that run between other work, as one per CLI call does (caches cold), the
+# two paths break even between 73 and 81 lines: about 0.34 ms each, against
+# 0.27 ms at 49 lines and 0.44 ms at 113 for the line-by-line path. Both
+# give the same result.
+_NUMPY_MIN_LINES = 76
+
+# Blank lines and ``#`` comment lines at the top of a file.
+_HEADER = rb"(?:[ \t]*(?:#[^\n]*)?\n)*"
+
+# True for every byte that is neither a digit nor a minus sign.
+_SEPARATOR = np.ones(256, dtype=bool)
+_SEPARATOR[list(b"0123456789-")] = False
 
 
-def _int_pairs(text: str) -> tuple[dict[str, int], np.ndarray] | None:
+def _int_pairs(data: bytes) -> tuple[dict[str, int], np.ndarray] | None:
     """The label -> id mapping and the flat (u, v, u, v, ...) ids of an edge
-    list holding only canonical integers after its header, or None for any
-    other text."""
+    list whose lines after its header all read ``<int> <int>``: one space
+    between two integers written as ``str(int(token))`` writes them, with at
+    most 18 digits so that each fits in int64. None for any other text.
+
+    The check is a fixed number of numpy passes over the bytes. The bytes
+    that are neither digits nor minus signs must alternate space, line break;
+    a minus sign may only start a token, and a token is ``0`` or an optional
+    minus and one to 18 digits, the first of them not 0."""
     # compiled on first use (and cached by re), not at import
-    start = re.compile(_HEADER).match(text).end()
-    body = "\n" + text[start : len(text) - text.endswith("\n")]  # each line after a break
-    if re.compile(_NOT_INT_PAIR).search(body):  # an empty body fails here too
+    body = data[re.compile(_HEADER).match(data).end() :]
+    if not body.endswith(b"\n"):
+        body += b"\n"
+    b = np.frombuffer(body, dtype=np.uint8)
+    seps = np.flatnonzero(_SEPARATOR.take(b))
+    # each pair of separators, read as one little-endian uint16, must be b" \n"
+    if seps.size % 2 or np.count_nonzero(b[seps].view("<u2") != 0x0A20):
+        return None
+    starts = np.concatenate(([0], seps[:-1] + 1))
+    lengths = seps - starts
+    neg = b[starts] == ord("-")
+    lead = b[starts + neg]  # the first digit, if the token has one
+    bad = (lead - ord("1") > 8) & ((lead != ord("0")) | (lengths != 1))  # uint8 wraps
+    bad |= lengths - neg > 18
+    if np.count_nonzero(bad) or body.count(b"-") != np.count_nonzero(neg):
         return None
     values = np.fromstring(body, dtype=np.int64, sep=" ")
     lo, hi = int(values.min()), int(values.max())
@@ -389,25 +445,28 @@ def load_edge_list(path: str) -> tuple[Graph, dict[str, int]]:
     """Read a whitespace-separated edge list file.
 
     Node labels may be arbitrary tokens; they are relabeled to 0..n-1 and the
-    label -> id mapping is returned alongside the graph. Labels that all parse
-    as integers are ordered numerically (``01`` before ``1``, by the string),
-    otherwise lexicographically. Lines starting with ``#`` are ignored.
-    Self-loops and repeated edges are dropped with a warning; a disconnected
-    result is rejected.
+    label -> id mapping, in id order, is returned alongside the graph. Labels
+    that all parse as integers are ordered numerically (``01`` before ``1``,
+    by the string), otherwise lexicographically. Lines starting with ``#``
+    are ignored. Self-loops and repeated edges are dropped with a warning; a
+    disconnected result is rejected.
 
-    A file of canonical integer pairs after a block of comment and blank
-    lines, which is what :func:`save_edge_list` writes, is parsed in one
-    vectorized pass once it is long enough for numpy to pay off; other text
-    is tokenized line by line.
+    A file of at least ``_NUMPY_MIN_LINES`` (76) lines whose lines after a
+    block of comment and blank lines all read ``<int> <int>`` (one space
+    between two canonical integers of at most 18 digits, which is what
+    :func:`save_edge_list` writes) is parsed and built with numpy; any other
+    text is tokenized line by line, with the same result.
     """
     # bytes decoded at once skip the text layer, which costs more than the
     # parse of a small file; line ends are translated as text mode would
     with open(path, "rb") as fh:
-        text = fh.read().decode("utf-8")
+        data = fh.read()
+    text = data.decode("utf-8")
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    small = text.count("\n") < _NUMPY_MIN_EDGES
-    parsed = None if small else _int_pairs(text)
+        data = text.encode("utf-8")
+    small = data.count(b"\n") < _NUMPY_MIN_LINES
+    parsed = None if small else _int_pairs(data)
     mapping, ids = parsed or _tokenized_pairs(path, text.split("\n"))
     n = len(mapping)
     if small:
@@ -419,17 +478,21 @@ def load_edge_list(path: str) -> tuple[Graph, dict[str, int]]:
         u, v = np.asarray(ids, dtype=np.int64).reshape(-1, 2).T
         keep = u != v
         dropped_loops = u.size - int(np.count_nonzero(keep))
-        keys = np.sort(np.minimum(u, v)[keep] * n + np.maximum(u, v)[keep])
-        first = np.ones(keys.size, dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        edges = np.stack(np.divmod(keys[first], n), axis=1)
-        dropped_dups = keys.size - len(edges)
+        keys = _sorted_arcs(n, u[keep], v[keep])
+        repeat = keys[1:] == keys[:-1]
+        dropped_dups = int(np.count_nonzero(repeat)) // 2  # a repeated edge repeats both arcs
+        if dropped_dups:
+            keys = keys[np.concatenate(([True], ~repeat))]
     if dropped_loops:
         warnings.warn(f"{path}: dropped {dropped_loops} self-loop(s)", stacklevel=2)
     if dropped_dups:
         warnings.warn(f"{path}: dropped {dropped_dups} duplicate edge(s)", stacklevel=2)
     try:
-        g = Graph.from_edges(n, edges)
+        if small:
+            g = Graph.from_edges(n, edges)
+        else:
+            _check_order(n)
+            g = _connected_graph(n, keys)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
     return g, mapping

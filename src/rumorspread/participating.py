@@ -22,12 +22,19 @@ receiver side, each updated by O(deg) deltas of the removed node, and the two
 forms must agree exactly after each step. A full recompute checks the start
 state and must reproduce the end state.
 
+Everything before the first removal, and the potential recomputes, runs on
+the graph's CSR arrays with numpy: the closure, the sampling masses, each
+node's pooled-neighbour count and active mass, and the first violators. The
+worklist then walks neighbour slices of ``Graph.csr_lists``; the adjacency
+tuples ``Graph.adj`` are never built.
+
 Every exact value is an integer numerator end to end: sampling masses and
 the potential over the lcm of the degrees, the exact boundary expansion over
-the lcm of its terms' denominators, and thresholds cross-multiplied against
-eps_p's numerator and denominator. ``Fraction``s are built only where the
-public API returns them. A float eps is interpreted by its decimal literal
-(0.15 means 3/20).
+the lcm of its terms' denominators, and thresholds compared as integers
+(lhs / scale < eps_p as lhs < ceil(eps_p * scale)). The numpy arrays hold
+int64 when every sum they take fits, else Python ints. ``Fraction``s are
+built only where the public API returns them. A float eps is interpreted by
+its decimal literal (0.15 means 3/20).
 """
 
 from __future__ import annotations
@@ -38,10 +45,12 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Collection, Sequence
+from typing import Collection
+
+import numpy as np
 
 from .errors import InputError
-from .graph import Graph, NodeSet, boundary, closure
+from .graph import Graph, NodeSet, _mask, _neighbour_lists, _neighbour_sums
 
 _ORDERS = ("lowest", "batch", "random")
 
@@ -124,36 +133,52 @@ class ParticipatingResult:
         return len(self.trajectory) - 1 if self.trajectory is not None else 0
 
 
-def _sampling_units(g: Graph) -> tuple[list[int], int]:
+def _sampling_units(g: Graph) -> tuple[np.ndarray, int]:
     """Sampling masses as integer numerators over one common denominator:
-    1/deg(v) == unit[v] / scale, scale being the lcm of all degrees."""
-    scale = math.lcm(*(len(nbrs) for nbrs in g.adj))
-    return [scale // len(nbrs) for nbrs in g.adj], scale
+    1/deg(v) == unit[v] / scale, scale being the lcm of all degrees.
+
+    Every sum of masses taken here, over the edges at a node or over all
+    arcs, is at most (2m + 1) * scale. When that fits in int64 ``unit`` is
+    an int64 array, else an object array of Python ints, so numpy sums it
+    exactly either way."""
+    degree = np.diff(g.indptr)
+    scale = math.lcm(*np.flatnonzero(np.bincount(degree)).tolist())
+    if scale * (g.indices.size + 1) > np.iinfo(np.int64).max:
+        degree = degree.astype(object)
+    return scale // degree, scale
+
+
+def _closure(g: Graph, fs: NodeSet) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean masks of the boundary of ``fs`` and of its closure."""
+    in_s = _mask(g.n, fs)
+    in_closure = in_s | (_neighbour_sums(g, in_s) > 0)
+    return in_closure & ~in_s, in_closure
 
 
 def _potential_parts(
-    g: Graph, s_plus: NodeSet, pool: Collection[int], unit: Sequence[int]
+    g: Graph, in_closure: np.ndarray, in_pool: np.ndarray, unit: np.ndarray
 ) -> tuple[int, int]:
     """Both potential components as numerators over the scale of ``unit``
-    (see ``_sampling_units``), each computed two ways and cross-checked.
+    (see ``_sampling_units``), for the closure and pool given as boolean
+    masks, each computed two ways and cross-checked.
 
     phi1 charges edges from active nodes to removed nodes; phi2 charges edges
     from removed closure nodes back into the pool. Each is summed once from
-    the sender side, a node's unit times its count of charged edges, and once
-    from the receiver side, edge by edge; the two forms must agree exactly,
-    which guards the bookkeeping here and in any caller.
+    the sender side, a node's unit times its count of charged edges, and
+    once from the receiver side, the units a node receives summed over its
+    own neighbour list; the two forms must agree exactly, which guards the
+    bookkeeping here and in any caller.
     """
-    adj = g.adj
-    p = frozenset(pool)
-    a = p & s_plus
-    removed_closure = s_plus - a
-    phi1_send = sum(unit[u] * sum(1 for v in adj[u] if v not in p) for u in a)
-    phi1_recv = sum(unit[v] for u in range(g.n) if u not in p for v in adj[u] if v in a)
-    phi2_send = sum(unit[u] * sum(1 for v in adj[u] if v in p) for u in removed_closure)
-    phi2_recv = sum(unit[v] for u in p for v in adj[u] if v in removed_closure)
+    active = in_closure & in_pool
+    removed = in_closure & ~in_pool
+    into_pool = _neighbour_sums(g, in_pool)
+    phi1_send = (unit * (np.diff(g.indptr) - into_pool))[active].sum()
+    phi2_send = (unit * into_pool)[removed].sum()
+    phi1_recv = _neighbour_sums(g, np.where(active, unit, 0))[~in_pool].sum()
+    phi2_recv = _neighbour_sums(g, np.where(removed, unit, 0))[in_pool].sum()
     if phi1_send != phi1_recv or phi2_send != phi2_recv:
         raise AssertionError("potential dual forms disagree; internal bug")
-    return phi1_send, phi2_send
+    return int(phi1_send), int(phi2_send)
 
 
 def potential(g: Graph, s: Collection[int], pool: Collection[int]) -> tuple[float, float, float]:
@@ -165,11 +190,14 @@ def potential(g: Graph, s: Collection[int], pool: Collection[int]) -> tuple[floa
     fs = g.check_set(s)
     if not fs:
         raise InputError("set must be nonempty")
-    s_plus = closure(g, fs)
     unit, scale = _sampling_units(g)
-    p1, p2 = _potential_parts(g, s_plus, g.check_set(pool), unit)
+    p1, p2 = _potential_parts(g, _closure(g, fs)[1], _mask(g.n, g.check_set(pool)), unit)
     # int true division rounds correctly, as float(Fraction) does
     return p1 / scale, p2 / scale, (p1 + p2) / scale
+
+
+def _ceil_div(a: int, b: int) -> int:
+    return -(-a // b)
 
 
 def restricted_start(g: Graph, s: Collection[int], cfg: ParticipatingConfig) -> NodeSet:
@@ -179,15 +207,12 @@ def restricted_start(g: Graph, s: Collection[int], cfg: ParticipatingConfig) -> 
     fs = g.check_set(s)
     if not fs:
         raise InputError("set must be nonempty")
-    bd = boundary(g, fs)
-    s_plus = fs | bd
-    bd2 = boundary(g, s_plus)
+    in_bd, in_closure = _closure(g, fs)
     unit, scale = _sampling_units(g)
-    # mass >= 2 eps_p, with mass = num / scale, cross-multiplied
-    bound = 2 * cfg.eps_p.numerator * scale
-    den = cfg.eps_p.denominator
-    extra = {u for u in bd2 if sum(unit[v] for v in g.adj[u] if v in bd) * den >= bound}
-    return s_plus | extra
+    mass = _neighbour_sums(g, np.where(in_bd, unit, 0))
+    # mass / scale >= 2 eps_p, for an integer mass
+    least = _ceil_div(2 * cfg.eps_p.numerator * scale, cfg.eps_p.denominator)
+    return frozenset(np.flatnonzero(in_closure | (mass >= least)).tolist())
 
 
 class _RunningPotential:
@@ -205,14 +230,15 @@ class _RunningPotential:
     """
 
     def __init__(self, g: Graph, unit, in_closure, in_pool, start) -> None:
-        self.adj, self.unit = g.adj, unit
+        self.ptr, self.flat = g.csr_lists
+        self.unit = unit
         self.in_closure, self.in_pool = in_closure, in_pool
         self.phi1_send = self.phi1_recv = start[0]
         self.phi2_send = self.phi2_recv = start[1]
 
     def remove(self, x: int) -> None:
         unit, in_closure, in_pool = self.unit, self.in_closure, self.in_pool
-        nbrs = self.adj[x]
+        nbrs = self.flat[self.ptr[x] : self.ptr[x + 1]]
         # sender side: an active x stops sending into its holes and becomes
         # a removed closure node sending into the pool; each closure
         # neighbour gains a hole (if pooled) or loses a pooled target
@@ -291,61 +317,64 @@ def participating_fixed_point(
     fs = g.check_set(s)
     if not fs or len(fs) == g.n:
         raise InputError("set must be a nonempty proper subset")
-    s_plus = closure(g, fs)
-    pool_start = g.check_set(start) if start is not None else g.node_set
-    adj = g.adj
-    unit, scale = _sampling_units(g)
+    closure_mask = _closure(g, fs)[1]
+    units, scale = _sampling_units(g)
+    # The start state, in numpy: per node, its pooled-neighbour count and the
+    # sampling mass of its active (pooled closure) neighbours, as a numerator
+    # over scale.
+    if start is None:
+        pool_start = g.node_set
+        pool_mask = np.ones(g.n, dtype=bool)
+        pool_nbrs = np.diff(g.indptr)
+    else:
+        pool_start = g.check_set(start)
+        pool_mask = _mask(g.n, pool_start)
+        pool_nbrs = _neighbour_sums(g, pool_mask)
+    active_mass = _neighbour_sums(g, np.where(closure_mask & pool_mask, units, 0))
+    # a node violates when lhs_num / scale < eps_p, that is, for an integer
+    # lhs_num, when lhs_num < ceil(eps_p * scale)
+    least = _ceil_div(cfg.eps_p.numerator * scale, cfg.eps_p.denominator)
+    violators = pool_mask & (active_mass + np.where(closure_mask, pool_nbrs * units, 0) < least)
 
-    in_pool = [False] * g.n
-    for v in pool_start:
-        in_pool[v] = True
-    in_closure = [v in s_plus for v in range(g.n)]
-    # Incremental per-node state: pooled-neighbor count and the sampling mass
-    # of active (pooled closure) neighbors, as a numerator over scale.
-    pool_nbrs = [0] * g.n
-    active_mass = [0] * g.n
-    for v in pool_start:
-        for w in adj[v]:
-            pool_nbrs[w] += 1
-            if in_closure[v]:
-                active_mass[w] += unit[v]
-    # lhs < eps_p, with lhs = lhs_num / scale, cross-multiplied
-    eps_num, eps_den = cfg.eps_p.numerator, cfg.eps_p.denominator
-    bound = eps_num * scale
+    # the potential after each step, as numerators over scale
+    pairs: list[tuple[int, int]] = []
+    if track_potential:
+        pairs.append(_potential_parts(g, closure_mask, pool_mask, units))
+
+    # the worklist runs on Python lists
+    ptr, flat = g.csr_lists
+    in_pool, in_closure, unit = pool_mask.tolist(), closure_mask.tolist(), units.tolist()
+    pool_nbrs, active_mass = pool_nbrs.tolist(), active_mass.tolist()
 
     def violates(u: int) -> bool:
         lhs_num = active_mass[u]
         if in_closure[u]:
             lhs_num += pool_nbrs[u] * unit[u]
-        return lhs_num * eps_den < bound
+        return lhs_num < least
 
     # The queue holds exactly the pooled violators: violation is monotone in
     # the pool, so a queued node stays a violator, and a removal can only
     # turn its own neighbours into violators. "lowest" keeps a min-heap,
     # "random" a sorted list (indexed like the ascending violator list),
     # "batch" the violators found since the last batch.
-    queued = [False] * g.n
-    queue = [u for u in range(g.n) if in_pool[u] and violates(u)]
-    for u in queue:
-        queued[u] = True
-
-    # the potential after each step, as numerators over scale
-    running: _RunningPotential | None = None
-    pairs: list[tuple[int, int]] = []
-    if track_potential:
-        start_parts = _potential_parts(g, s_plus, pool_start, unit)
-        running = _RunningPotential(g, unit, in_closure, in_pool, start_parts)
-        pairs.append(running.parts())
+    queued = violators.tolist()
+    queue = np.flatnonzero(violators).tolist()
+    running = _RunningPotential(g, unit, in_closure, in_pool, pairs[0]) if pairs else None
 
     def remove(u: int) -> None:
         if running is not None:
             running.remove(u)
         in_pool[u] = False
-        for w in adj[u]:
-            pool_nbrs[w] -= 1
-            if in_closure[u]:
-                active_mass[w] -= unit[u]
-        for w in adj[u]:
+        nbrs = flat[ptr[u] : ptr[u + 1]]
+        if in_closure[u]:
+            mass = unit[u]
+            for w in nbrs:
+                pool_nbrs[w] -= 1
+                active_mass[w] -= mass
+        else:
+            for w in nbrs:
+                pool_nbrs[w] -= 1
+        for w in nbrs:
             if in_pool[w] and not queued[w] and violates(w):
                 queued[w] = True
                 if order == "lowest":
@@ -378,13 +407,14 @@ def participating_fixed_point(
             reason = "active" if in_closure[u] else "passive"
             log.append(RemovalStep(step, u, reason, f1, f2, ftot))
 
-    pool = frozenset(v for v in range(g.n) if in_pool[v])
+    pool_mask[[entry.node for entry in log]] = False
     trajectory = None
     if running is not None:
-        if _potential_parts(g, s_plus, pool, unit) != pairs[-1]:
+        if _potential_parts(g, closure_mask, pool_mask, units) != pairs[-1]:
             raise AssertionError("running potential drifted from its recompute; internal bug")
         trajectory = _fraction_pairs(pairs, scale)
-    act = pool & s_plus
+    pool = frozenset(np.flatnonzero(pool_mask).tolist())
+    act = frozenset(np.flatnonzero(pool_mask & closure_mask).tolist())
     return ParticipatingResult(
         participating=pool,
         active=act,
@@ -430,18 +460,20 @@ def boundary_expansion_fraction(g: Graph, s: Collection[int]) -> Fraction:
     fs = g.check_set(s)
     if not fs or len(fs) == g.n:
         raise InputError("set must be a nonempty proper subset")
-    bd = boundary(g, fs)
-    adj = g.adj
-    degree = {u: len(adj[u]) for u in bd}
+    in_bd, in_closure = _closure(g, fs)
+    bd = np.flatnonzero(in_bd)
+    nbrs, owner = _neighbour_lists(g, bd)
+    outer = ~in_closure[nbrs]
+    # each (second-shell node, degree of a boundary neighbour) pair
+    degree = (g.indptr[bd + 1] - g.indptr[bd])[owner[outer]]
+    den: dict[int, int] = {}
+    miss: dict[int, int] = {}
+    for v, d in zip(nbrs[outer].tolist(), degree.tolist()):
+        den[v] = den.get(v, 1) * d
+        miss[v] = miss.get(v, 1) * (d - 1)
     hit: dict[int, int] = {}  # denominator -> sum of numerators over it
-    for v in boundary(g, fs | bd):
-        den = miss = 1
-        for u in adj[v]:
-            d = degree.get(u)
-            if d is not None:
-                den *= d
-                miss *= d - 1
-        hit[den] = hit.get(den, 0) + den - miss
+    for v, d in den.items():
+        hit[d] = hit.get(d, 0) + d - miss[v]
     scale = math.lcm(*hit)
     return Fraction(sum(num * (scale // den) for den, num in hit.items()), scale * len(bd))
 
@@ -511,8 +543,8 @@ def active_fraction_check(
             reason=f"boundary expansion {float(h):.6g} exceeds eps_h={float(cfg.eps_h):.6g}",
             h_value=float(h),
         )
-    bd = boundary(g, fs)
-    b = len(bd)
+    in_bd = _closure(g, fs)[0]
+    b = int(np.count_nonzero(in_bd))
 
     if modified is None:
         modified = compute_participating_modified(g, fs, cfg)
@@ -534,7 +566,7 @@ def active_fraction_check(
 
     if full is None:
         full = compute_participating(g, fs, cfg, track_potential=False)
-    surviving = len(bd & full.participating)
+    surviving = int(np.count_nonzero(in_bd & _mask(g.n, full.participating)))
     floor = 1 - cfg.eps_h / ((1 - cfg.eps_p) * (1 - 2 * cfg.eps_p))
     fraction_ok = Fraction(surviving, b) >= floor
 

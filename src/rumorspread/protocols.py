@@ -50,7 +50,7 @@ import numpy as np
 from . import rng
 from .errors import IncompleteSpreadError, InputError
 from .expansion import _block_rows, _BoundaryHits, boundary_expansion_exact
-from .graph import Graph, NodeSet, _neighbour_lists
+from .graph import Graph, NodeSet, _mask, _neighbour_lists
 
 VARIANTS = ("push", "pull", "pushpull")
 # Trials per first_arrival_times batch; the batch size decides which sampler
@@ -200,12 +200,6 @@ def _step(
     if variant in ("pull", "pushpull"):
         add |= informed[drawn] if drawers is None else informed[drawn] & drawers
     return add & ~informed
-
-
-def _mask(n: int, nodes: Collection[int]) -> np.ndarray:
-    mask = np.zeros(n, dtype=bool)
-    mask[np.fromiter(nodes, dtype=np.int64, count=len(nodes))] = True
-    return mask
 
 
 def _starts(g: Graph, cfg: ProtocolConfig, trials: range) -> np.ndarray:

@@ -40,7 +40,13 @@ from rumorspread import (
     volume,
 )
 from rumorspread import graph as graph_module
-from rumorspread.graph import _NUMPY_MIN_EDGES, _python_graph, bfs_distances, diameter
+from rumorspread.graph import (
+    _NUMPY_MIN_EDGES,
+    _NUMPY_MIN_LINES,
+    _python_graph,
+    bfs_distances,
+    diameter,
+)
 
 
 class TestConstruction:
@@ -243,10 +249,11 @@ PADDING = st.sampled_from(["", "", " ", "\t"])
 @st.composite
 def edge_list_texts(draw):
     """A chain of canonical integer edges, long enough at times to cross the
-    numpy threshold, with stray lines spliced in: edges over any labels,
-    loops, repeats, comments, blank lines and lines of one or three tokens."""
+    loader's numpy threshold, with stray lines spliced in: edges over any
+    labels, loops, repeats, comments, blank lines and lines of one or three
+    tokens."""
     offset = draw(st.sampled_from([0, 0, 3, 1000, -5]))
-    chain = draw(st.integers(0, 2 * _NUMPY_MIN_EDGES + 20))
+    chain = draw(st.integers(0, 4 * _NUMPY_MIN_LINES + 20))
     lines = [f"{offset + i} {offset + i + 1}" for i in range(chain)]
     if draw(st.booleans()):
         lines.insert(0, "# family=test n=1")
@@ -289,19 +296,45 @@ def _csr_of(adj):
     return indptr, np.array([v for a in adj for v in a], dtype=np.int64)
 
 
+# a chain of canonical edges just long enough for the vectorized parser
+CHAIN = "".join(f"{i} {i + 1}\n" for i in range(_NUMPY_MIN_LINES))
+
+
 class TestLoaderAgainstOracle:
     @given(edge_list_texts())
     @settings(max_examples=300)
-    # long enough for the vectorized parser, which must refuse every label
-    # that is not written as str(int(label)) would write it
-    @example("".join(f"{i} {i + 1}\n" for i in range(200)) + "01 7\n-0 3\n007 5\n")
-    @example("".join(f"{i} {i + 1}\n" for i in range(200)) + "+1 2\n1_0 4\n")
+    # the vectorized parser must refuse every label that is not written as
+    # str(int(label)) would write it
+    @example(CHAIN + "01 7\n-0 3\n007 5\n")
+    @example(CHAIN + "+1 2\n1_0 4\n")
     # a line that starts with two integers but holds more
-    @example("".join(f"{i} {i + 1}\n" for i in range(200)) + "3 4 5\n")
-    @example("".join(f"{i} {i + 1}\n" for i in range(200)) + "5 6x\n1 3")
+    @example(CHAIN + "3 4 5\n")
+    @example(CHAIN + "5 6x\n1 3")
     # labels too sparse for a presence table over their range
     @example("".join(f"{i * 10**15} {(i + 1) * 10**15}\n" for i in range(-100, 150)) + "5 0\n")
-    @example("# header\n\n" + "".join(f"{i}\t{i + 1} \n" for i in range(-3, 200)) + "7 7\n5 6\n6 5")
+    @example("# header\n\n" + "".join(f"{i}\t{i + 1} \n" for i in range(-3, _NUMPY_MIN_LINES)) + "7 7\n5 6\n6 5")
+    # 19 digits, beyond the fast path's int64 guarantee, on either side of 2**63
+    @example(CHAIN + "1000000000000000000 3\n")
+    @example(CHAIN + "9223372036854775808 3\n")
+    @example(CHAIN + "-1000000000000000000 3\n")
+    @example(CHAIN + "999999999999999999 -999999999999999999\n")
+    # minus signs that do not start a canonical integer
+    @example(CHAIN + "- 3\n")
+    @example(CHAIN + "3 -\n")
+    @example(CHAIN + "1-2 3\n")
+    @example(CHAIN + "--3 4\n")
+    @example(CHAIN + "3 4-\n")
+    # other separators inside one line, blank lines and line ends
+    @example(CHAIN + "3\t4\n")
+    @example(CHAIN + "3  4\n")
+    @example(CHAIN + " 3 4\n")
+    @example(CHAIN + "3 4 \n")
+    @example(CHAIN + "3 4\n\n")
+    @example(CHAIN + "\n3 4\n")
+    @example(CHAIN.replace("\n", "\r\n"))
+    @example(CHAIN + "3 4\r\n5 6")
+    @example("# header\n" + CHAIN[:-1])
+    @example("# caf\u00e9\n" + CHAIN + "0 0\n")
     def test_matches_line_by_line_loader(self, text):
         with tempfile.TemporaryDirectory() as tmp:
             path = str(Path(tmp) / "g.txt")
@@ -323,12 +356,27 @@ class TestLoaderAgainstOracle:
         assert g.degrees == tuple(len(a) for a in adj)
         assert g.edges() == [(u, v) for u in range(len(adj)) for v in adj[u] if u < v]
 
+    @given(edge_list_texts())
+    @settings(max_examples=300)
+    @example(CHAIN + "999999999999999999 -999999999999999999\n")
+    @example(CHAIN + "1000000000000000000 3\n")
+    @example(CHAIN + "- 3\n")
+    @example(CHAIN + "0 -0\n")
+    @example("# header\n" + CHAIN[:-1])
+    def test_fast_path_takes_exactly_canonical_pairs(self, text):
+        data = text.replace("\r\n", "\n").replace("\r", "\n").encode()
+        body = data[re.match(graph_module._HEADER, data).end() :].decode()
+        lines = body.removesuffix("\n").split("\n")
+        canonical = re.compile(r"(?:0|-?[1-9][0-9]{0,17}) (?:0|-?[1-9][0-9]{0,17})")
+        want = bool(body) and all(canonical.fullmatch(line) for line in lines)
+        assert (graph_module._int_pairs(data) is not None) == want
+
     def test_patterns_compile_on_python_310(self):
         # possessive quantifiers (*+, ++, ?+, {m,n}+) and atomic groups are
         # Python 3.11 syntax; pyproject.toml admits 3.10, where the loader
         # would fail on every file long enough to reach the fast path
-        for pattern in (graph_module._HEADER, graph_module._NOT_INT_PAIR):
-            assert not re.search(r"[*+?}]\+|\(\?>", pattern), pattern
+        pattern = graph_module._HEADER
+        assert not re.search(rb"[*+?}]\+|\(\?>", pattern), pattern
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """Thinning fixed point, its potential accounting, and the guarantee audit."""
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -25,10 +26,13 @@ from rumorspread import (
     compute_participating_modified,
     cycle,
     erdos_renyi,
+    load_edge_list,
     participating_fixed_point,
     path,
     potential,
+    random_regular,
     restricted_start,
+    save_edge_list,
     star,
     write_removal_log_csv,
 )
@@ -45,6 +49,38 @@ DROP_CASE = (
     Graph.from_edges(8, [(0, 1), (0, 2), (0, 3), (0, 4), (3, 5), (4, 6), (4, 7)]),
     frozenset({0, 3}),
 )
+
+
+def assert_trajectory_matches_oracle(g, s, res):
+    """Replay the removal log: the pool after step i is the start minus every
+    node logged at a step <= i, and its potential must be the oracle's."""
+    removed_at: dict[int, list[int]] = {}
+    for entry in res.removal_log:
+        removed_at.setdefault(entry.step, []).append(entry.node)
+    assert sorted(removed_at) == list(range(1, res.steps + 1))
+    pool = set(res.start)
+    eager = [oracles.naive_potential(g.adj, s, pool)]
+    assert res.trajectory[0] == eager[0]
+    for i in range(1, res.steps + 1):
+        pool -= set(removed_at[i])
+        eager.append(oracles.naive_potential(g.adj, s, pool))
+        assert res.trajectory[i] == eager[i], i
+    assert pool == res.participating
+    # a list of (Fraction, Fraction) tuples, printed exactly as the
+    # independently built list is
+    assert repr(res.trajectory) == repr(eager)
+
+
+def wide_degree_graph() -> Graph:
+    """Hub 0 joined to nodes 1..42, node c (1 <= c <= 42) also joined to
+    leaves 43..42 + c: node c has degree c + 1 and leaf 42 + i degree 43 - i,
+    so the degrees span 1..43, whose lcm 9419588158802421600 is past int64."""
+    edges = [(0, c) for c in range(1, 43)]
+    edges += [(c, 42 + i) for c in range(1, 43) for i in range(1, c + 1)]
+    return Graph.from_edges(85, edges)
+
+
+WIDE = wide_degree_graph()
 
 
 class TestConfig:
@@ -243,23 +279,7 @@ class TestRunningPotential:
         res = participating_fixed_point(
             g, s, cfg, start=start, order=order, rng=rand
         )
-        # replay the log: the pool after step i is the start minus every
-        # node logged at a step <= i
-        removed_at: dict[int, list[int]] = {}
-        for entry in res.removal_log:
-            removed_at.setdefault(entry.step, []).append(entry.node)
-        assert sorted(removed_at) == list(range(1, res.steps + 1))
-        pool = set(res.start)
-        eager = [oracles.naive_potential(g.adj, s, pool)]
-        assert res.trajectory[0] == eager[0]
-        for i in range(1, res.steps + 1):
-            pool -= set(removed_at[i])
-            eager.append(oracles.naive_potential(g.adj, s, pool))
-            assert res.trajectory[i] == eager[i], i
-        assert pool == res.participating
-        # a list of (Fraction, Fraction) tuples, printed exactly as the
-        # independently built list is
-        assert repr(res.trajectory) == repr(eager)
+        assert_trajectory_matches_oracle(g, s, res)
 
     def test_disagreeing_forms_raise(self, monkeypatch):
         remove = part_mod._RunningPotential.remove
@@ -285,6 +305,80 @@ class TestRunningPotential:
         monkeypatch.setattr(part_mod._RunningPotential, "remove", skewed)
         with pytest.raises(AssertionError, match="drifted"):
             compute_participating(cycle(6), {0}, ParticipatingConfig())
+
+
+class TestScalePastInt64:
+    """Degrees 1..43 make the common denominator of the sampling masses too
+    large for int64: the start state, the potential and the restricted start
+    must still be exact."""
+
+    # the last two remove active nodes at eps_p = 3/5, from either start
+    SETS = [frozenset({0}), frozenset({43, 6}), frozenset({84, 1, 2}), frozenset({51}), frozenset({9, 12, 42})]
+
+    def test_scale_is_past_int64(self):
+        unit, scale = part_mod._sampling_units(WIDE)
+        assert scale == math.lcm(*range(1, 44)) == 9419588158802421600 > 2**63
+        assert unit.dtype == object and sorted(set(WIDE.degrees)) == list(range(1, 44))
+
+    @pytest.mark.parametrize("s", SETS)
+    @pytest.mark.parametrize("eps_p", [Fraction(3, 20), Fraction(2, 5), Fraction(3, 5)])
+    def test_fixed_points_match_oracles(self, s, eps_p):
+        cfg = ParticipatingConfig(eps_p=eps_p)
+        want = oracles.naive_participating(WIDE.adj, s, eps_p)
+        for order in ("lowest", "batch", "random"):
+            res = participating_fixed_point(WIDE, s, cfg, order=order, rng=random.Random(1))
+            assert res.participating == want, order
+            assert_trajectory_matches_oracle(WIDE, s, res)
+        start = restricted_start(WIDE, s, cfg)
+        bd = oracles.naive_boundary(WIDE.adj, s)
+        closure_s = set(s) | bd
+        shell = oracles.naive_boundary(WIDE.adj, closure_s)
+        mass = {u: sum(Fraction(1, len(WIDE.adj[v])) for v in WIDE.adj[u] if v in bd) for u in shell}
+        assert start == closure_s | {u for u in shell if mass[u] >= 2 * eps_p}
+        res = compute_participating_modified(WIDE, s, cfg)
+        assert res.participating == oracles.naive_participating(WIDE.adj, s, eps_p, start=start)
+        assert_trajectory_matches_oracle(WIDE, s, res)
+
+    @pytest.mark.parametrize("s", SETS)
+    def test_potential_matches_oracle(self, s):
+        rand = random.Random(len(s))
+        for _ in range(5):
+            pool = {v for v in range(WIDE.n) if rand.random() < 0.6}
+            phi1, phi2 = oracles.naive_potential(WIDE.adj, s, pool)
+            assert potential(WIDE, s, pool) == (float(phi1), float(phi2), float(phi1 + phi2))
+
+
+class TestNoAdjacencyTuples:
+    """Thinning reads the CSR arrays: a graph loaded through numpy never
+    builds its ``adj`` tuples for it."""
+
+    def test_library_and_cli(self, tmp_path, monkeypatch):
+        import rumorspread.cli as cli
+
+        path = str(tmp_path / "g.txt")
+        save_edge_list(random_regular(64, 8, rng_seed=3), path)
+        s = {0, 9, 17, 40}
+        cfg = ParticipatingConfig()
+        g, _ = load_edge_list(path)
+        assert "adj" not in g.__dict__  # built by numpy, not edge by edge
+        full = compute_participating(g, s, cfg)
+        rep = active_fraction_check(g, s, cfg, full=full)
+        assert not rep.skipped and rep.all_ok
+        assert "adj" not in g.__dict__
+
+        loaded = []
+
+        def load(p):
+            g, mapping = load_edge_list(p)
+            loaded.append(g)
+            return g, mapping
+
+        monkeypatch.setattr(cli, "load_edge_list", load)
+        for extra in ([], ["--restricted-start"]):
+            argv = ["participating", "--graph", path, "--set", "0,9,17,40", "--check",
+                    "--log-csv", str(tmp_path / "log.csv"), "--out", str(tmp_path / "out.json")]
+            assert cli.main(argv + extra) == 0
+            assert "adj" not in loaded[-1].__dict__
 
 
 class TestExactBoundaryExpansion:
