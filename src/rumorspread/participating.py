@@ -137,9 +137,9 @@ def _sampling_units(g: Graph) -> tuple[np.ndarray, int]:
     """Sampling masses as integer numerators over one common denominator:
     1/deg(v) == unit[v] / scale, scale being the lcm of all degrees.
 
-    Every sum of masses taken here, over the edges at a node or over all
-    arcs, is at most (2m + 1) * scale. When that fits in int64 ``unit`` is
-    an int64 array, else an object array of Python ints, so numpy sums it
+    Every sum of masses this module takes, over the edges at a node or over
+    all arcs, is at most (2m + 1) * scale. When that fits in int64 ``unit``
+    is an int64 array, else an object array of Python ints, so numpy sums it
     exactly either way."""
     degree = np.diff(g.indptr)
     scale = math.lcm(*np.flatnonzero(np.bincount(degree)).tolist())

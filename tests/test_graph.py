@@ -361,6 +361,7 @@ class TestLoaderAgainstOracle:
     @example(CHAIN + "999999999999999999 -999999999999999999\n")
     @example(CHAIN + "1000000000000000000 3\n")
     @example(CHAIN + "- 3\n")
+    @example(CHAIN + "1-2 3\n")
     @example(CHAIN + "0 -0\n")
     @example("# header\n" + CHAIN[:-1])
     def test_fast_path_takes_exactly_canonical_pairs(self, text):
