@@ -25,6 +25,10 @@ Measures:
 Minima are exact: a float argmin proposes a candidate value that integer
 cross-multiplication confirms, and ties go to the lexicographically smallest
 witness tuple.
+
+One walk on the CSR arrays, ``_BoundaryHits``, gives a set's boundary, second
+shell and the edges between them to every reader but the float boundary
+expansion, whose output bytes pin its summation order over a frozenset.
 """
 
 from __future__ import annotations
@@ -32,13 +36,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Collection, NamedTuple, Sequence
 
 import numpy as np
 
 from . import rng
 from .errors import CapabilityError, InputError
-from .graph import Graph, NodeSet, _neighbour_lists, boundary, cut_size, edges_between, volume
+from .graph import (
+    Graph, NodeSet, _closure, _neighbour_lists, boundary, cut_size, edges_between, volume
+)
 
 DEFAULT_ENUMERATION_LIMIT = 20
 
@@ -102,6 +109,8 @@ def _check_proper_subset(g: Graph, s: Collection[int]) -> NodeSet:
 
 
 def _check_enumerable(g: Graph, max_nodes: int | None, what: str) -> None:
+    if max_nodes is not None and max_nodes < 1:
+        raise InputError(f"enumeration cap must be at least 1 node, got {max_nodes}")
     limit = DEFAULT_ENUMERATION_LIMIT if max_nodes is None else max_nodes
     limit = min(limit, _MAX_ENUMERATION_NODES)
     if g.n > limit:
@@ -143,31 +152,50 @@ def _boundary_expansion(g: Graph, fs: NodeSet, bd: NodeSet, sampled: NodeSet) ->
 
 
 class _BoundaryHits:
-    """The sorted boundary of a set, the sorted boundary of its closure (the
-    second shell) and the boundary's degrees, all from the graph's CSR
-    arrays, with the float32 0/1 matrix whose entry (i, j) marks an edge
-    between the i-th second-shell node and the j-th boundary node."""
+    """From one closure and one walk over the boundary's CSR lists: the sorted
+    boundary of a set and its degrees, the sorted second shell (the boundary
+    of the closure), and each edge between them as ``outer`` (its shell node)
+    and ``owner`` (the index in ``boundary`` of its boundary node)."""
 
     def __init__(self, g: Graph, fs: NodeSet):
-        closed = np.zeros(g.n, dtype=bool)  # the set, then its closure
-        members = np.fromiter(fs, dtype=np.int64, count=len(fs))
-        closed[members] = True
-        nbrs, _ = _neighbour_lists(g, members)
-        self.boundary = np.unique(nbrs[~closed[nbrs]])
-        closed[self.boundary] = True
-        nbrs, owner = _neighbour_lists(g, self.boundary)
-        out = ~closed[nbrs]
-        nbrs, owner = nbrs[out], owner[out]
-        self.shell = np.unique(nbrs)
-        self.contact = np.zeros((self.shell.size, self.boundary.size), dtype=np.float32)
-        self.contact[np.searchsorted(self.shell, nbrs), owner] = 1.0
+        in_bd, in_closure = _closure(g, fs)
+        self.boundary = np.flatnonzero(in_bd)
         self.degrees = g.indptr[self.boundary + 1] - g.indptr[self.boundary]
+        nbrs, owner = _neighbour_lists(g, self.boundary)
+        out = ~in_closure[nbrs]
+        self.outer, self.owner = nbrs[out], owner[out]
+        self.shell = np.flatnonzero(np.bincount(self.outer, minlength=g.n))
+
+    @cached_property
+    def contact(self) -> np.ndarray:
+        """The float32 0/1 matrix whose entry (i, j) marks an edge between
+        the i-th second-shell node and the j-th boundary node."""
+        contact = np.zeros((self.shell.size, self.boundary.size), dtype=np.float32)
+        contact[np.searchsorted(self.shell, self.outer), self.owner] = 1.0
+        return contact
 
     def count(self, sampled: np.ndarray) -> np.ndarray:
         """Second-shell nodes with a sampled neighbour, per row of the 0/1
         (rows, |boundary|) array ``sampled``. The float32 matmul counts each
         node's sampled neighbours exactly, as they are small integers."""
         return np.count_nonzero(sampled.astype(np.float32) @ self.contact.T, axis=1)
+
+    def exact(self) -> Fraction:
+        """The boundary expansion as an exact rational. A shell node whose
+        boundary neighbours have degrees d_1..d_k is hit with probability
+        (prod d_i - prod (d_i - 1)) / prod d_i, in Python ints; the terms are
+        summed per denominator, then over the lcm of the denominators."""
+        den: dict[int, int] = {}
+        miss: dict[int, int] = {}
+        for v, d in zip(self.outer.tolist(), self.degrees[self.owner].tolist()):
+            den[v] = den.get(v, 1) * d
+            miss[v] = miss.get(v, 1) * (d - 1)
+        hit: dict[int, int] = {}  # denominator -> sum of numerators over it
+        for v, d in den.items():
+            hit[d] = hit.get(d, 0) + d - miss[v]
+        scale = math.lcm(*hit)
+        total = sum(num * (scale // d) for d, num in hit.items())
+        return Fraction(total, scale * self.boundary.size)
 
 
 def boundary_expansion_exact(g: Graph, s: Collection[int]) -> float:
@@ -478,12 +506,11 @@ def regular_h_sandwich(g: Graph, s: Collection[int]) -> tuple[float, float, floa
     """
     deg = _require_regular(g, "the boundary-edge sandwich")
     fs = _check_proper_subset(g, s)
-    bd = boundary(g, fs)
-    bd2 = boundary(g, fs | bd)
-    e = edges_between(g, bd, bd2) if bd2 else 0
+    hits = _BoundaryHits(g, fs)
+    e, b = hits.outer.size, hits.boundary.size  # the edges between the two shells
     h = boundary_expansion_exact(g, fs)
-    lower = e / (2 * deg * len(bd))
-    upper = e / (deg * len(bd))
+    lower = e / (2 * deg * b)
+    upper = e / (deg * b)
     if not (lower <= h + 1e-12 and h <= upper + 1e-12):
         raise AssertionError("boundary-edge sandwich violated; internal bug")
     return lower, h, upper

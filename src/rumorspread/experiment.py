@@ -90,6 +90,8 @@ class ExperimentConfig:
             raise InputError("quantiles must be in (0,1)")
         if self.max_rounds is not None and self.max_rounds_factor is not None:
             raise InputError("give max_rounds or max_rounds_factor, not both")
+        if self.enumeration_limit is not None and self.enumeration_limit < 1:
+            raise InputError(f"enumeration_limit must be >= 1, got {self.enumeration_limit}")
 
     @staticmethod
     def from_json_dict(data: dict) -> "ExperimentConfig":

@@ -301,6 +301,13 @@ def _mask(n: int, nodes: Collection[int]) -> np.ndarray:
     return mask
 
 
+def _closure(g: Graph, fs: NodeSet) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean masks of the boundary of ``fs`` and of its closure."""
+    in_s = _mask(g.n, fs)
+    in_closure = in_s | (_neighbour_sums(g, in_s) > 0)
+    return in_closure & ~in_s, in_closure
+
+
 def cut_size(g: Graph, s: Collection[int]) -> int:
     """Number of edges with exactly one endpoint in ``s``."""
     fs = g.check_set(s)
@@ -414,7 +421,11 @@ def _int_pairs(data: bytes) -> tuple[dict[str, int], np.ndarray] | None:
         labels = np.flatnonzero(present) + lo
         ids = (np.cumsum(present) - 1)[values - lo]
     else:
-        labels, ids = np.unique(values, return_inverse=True)
+        # the sorted distinct labels and each value's rank in them, as
+        # np.unique gives them; its plain form imports numpy.ma on first use
+        labels = np.sort(values)
+        labels = labels[np.concatenate(([True], labels[1:] != labels[:-1]))]
+        ids = np.searchsorted(labels, values)
     return dict(zip(map(str, labels.tolist()), range(labels.size))), ids
 
 

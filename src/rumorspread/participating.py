@@ -26,7 +26,8 @@ Everything before the first removal, and the potential recomputes, runs on
 the graph's CSR arrays with numpy: the closure, the sampling masses, each
 node's pooled-neighbour count and active mass, and the first violators. The
 worklist then walks neighbour slices of ``Graph.csr_lists``; the adjacency
-tuples ``Graph.adj`` are never built.
+tuples ``Graph.adj`` are never built. The audit reads the boundary and the
+exact boundary expansion from one ``expansion._BoundaryHits``.
 
 Every exact value is an integer numerator end to end: sampling masses and
 the potential over the lcm of the degrees, the exact boundary expansion over
@@ -50,7 +51,8 @@ from typing import Collection
 import numpy as np
 
 from .errors import InputError
-from .graph import Graph, NodeSet, _mask, _neighbour_lists, _neighbour_sums
+from .expansion import _BoundaryHits
+from .graph import Graph, NodeSet, _closure, _mask, _neighbour_sums
 
 _ORDERS = ("lowest", "batch", "random")
 
@@ -148,13 +150,6 @@ def _sampling_units(g: Graph) -> tuple[np.ndarray, int]:
     return scale // degree, scale
 
 
-def _closure(g: Graph, fs: NodeSet) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean masks of the boundary of ``fs`` and of its closure."""
-    in_s = _mask(g.n, fs)
-    in_closure = in_s | (_neighbour_sums(g, in_s) > 0)
-    return in_closure & ~in_s, in_closure
-
-
 def _potential_parts(
     g: Graph, in_closure: np.ndarray, in_pool: np.ndarray, unit: np.ndarray
 ) -> tuple[int, int]:
@@ -194,6 +189,13 @@ def potential(g: Graph, s: Collection[int], pool: Collection[int]) -> tuple[floa
     p1, p2 = _potential_parts(g, _closure(g, fs)[1], _mask(g.n, g.check_set(pool)), unit)
     # int true division rounds correctly, as float(Fraction) does
     return p1 / scale, p2 / scale, (p1 + p2) / scale
+
+
+def _proper_subset(g: Graph, s: Collection[int]) -> NodeSet:
+    fs = g.check_set(s)
+    if not fs or len(fs) == g.n:
+        raise InputError("set must be a nonempty proper subset")
+    return fs
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -282,16 +284,6 @@ def _fraction_pairs(pairs: list[tuple[int, int]], scale: int) -> list[tuple[Frac
     return [(made[a], made[b]) for a, b in pairs]
 
 
-def _numerators(trajectory: list[tuple[Fraction, Fraction]]) -> tuple[list[int], int]:
-    """The potential phi1 + phi2 at every step of an exact trajectory, as
-    integer numerators over one common denominator, which is returned too."""
-    scale = math.lcm(*(f.denominator for pair in trajectory for f in pair))
-    return [
-        a.numerator * (scale // a.denominator) + b.numerator * (scale // b.denominator)
-        for a, b in trajectory
-    ], scale
-
-
 def participating_fixed_point(
     g: Graph,
     s: Collection[int],
@@ -314,9 +306,7 @@ def participating_fixed_point(
         raise InputError(f"unknown removal order {order!r}; known: {_ORDERS}")
     if order == "random" and rng is None:
         raise InputError("random removal order needs an rng")
-    fs = g.check_set(s)
-    if not fs or len(fs) == g.n:
-        raise InputError("set must be a nonempty proper subset")
+    fs = _proper_subset(g, s)
     closure_mask = _closure(g, fs)[1]
     units, scale = _sampling_units(g)
     # The start state, in numpy: per node, its pooled-neighbour count and the
@@ -449,33 +439,8 @@ def compute_participating_modified(
 
 
 def boundary_expansion_fraction(g: Graph, s: Collection[int]) -> Fraction:
-    """Boundary expansion as an exact rational.
-
-    A second-shell node whose boundary neighbours have degrees d_1..d_k is
-    hit with probability 1 - prod (d_i - 1)/d_i, that is
-    (prod d_i - prod (d_i - 1)) / prod d_i in Python ints, which do not
-    overflow. The terms are summed per denominator and then over the lcm of
-    the denominators, so one ``Fraction`` is built.
-    """
-    fs = g.check_set(s)
-    if not fs or len(fs) == g.n:
-        raise InputError("set must be a nonempty proper subset")
-    in_bd, in_closure = _closure(g, fs)
-    bd = np.flatnonzero(in_bd)
-    nbrs, owner = _neighbour_lists(g, bd)
-    outer = ~in_closure[nbrs]
-    # each (second-shell node, degree of a boundary neighbour) pair
-    degree = (g.indptr[bd + 1] - g.indptr[bd])[owner[outer]]
-    den: dict[int, int] = {}
-    miss: dict[int, int] = {}
-    for v, d in zip(nbrs[outer].tolist(), degree.tolist()):
-        den[v] = den.get(v, 1) * d
-        miss[v] = miss.get(v, 1) * (d - 1)
-    hit: dict[int, int] = {}  # denominator -> sum of numerators over it
-    for v, d in den.items():
-        hit[d] = hit.get(d, 0) + d - miss[v]
-    scale = math.lcm(*hit)
-    return Fraction(sum(num * (scale // den) for den, num in hit.items()), scale * len(bd))
+    """Boundary expansion as an exact rational (see ``_BoundaryHits.exact``)."""
+    return _BoundaryHits(g, _proper_subset(g, s)).exact()
 
 
 @dataclass
@@ -527,31 +492,33 @@ def active_fraction_check(
     ``modified`` from ``compute_participating_modified``, tracked, in the
     default order. Either one not given is computed here.
     """
-    fs = g.check_set(s)
-    if not fs or len(fs) == g.n:
-        raise InputError("set must be a nonempty proper subset")
+    fs = _proper_subset(g, s)
     if not cfg.hypothesis_ok:
         return ActiveFractionReport(
             skipped=True,
             reason=f"config outside guarantee regime: eps_p={cfg.eps_p} "
             f">= (1-eps_h)/3={(1 - cfg.eps_h) / 3}",
         )
-    h = boundary_expansion_fraction(g, fs)
+    hits = _BoundaryHits(g, fs)
+    h = hits.exact()
     if h > cfg.eps_h:
         return ActiveFractionReport(
             skipped=True,
             reason=f"boundary expansion {float(h):.6g} exceeds eps_h={float(cfg.eps_h):.6g}",
             h_value=float(h),
         )
-    in_bd = _closure(g, fs)[0]
-    b = int(np.count_nonzero(in_bd))
+    b = hits.boundary.size
 
     if modified is None:
         modified = compute_participating_modified(g, fs, cfg)
     assert modified.trajectory is not None
-    # phi[i] / scale is the potential after step i; every comparison below
-    # is cross-multiplied
-    phi, scale = _numerators(modified.trajectory)
+    # phi[i] / scale is the potential after step i, every trajectory denominator
+    # dividing the sampling scale; every comparison below is cross-multiplied
+    scale = _sampling_units(g)[1]
+    phi = [
+        p1.numerator * (scale // p1.denominator) + p2.numerator * (scale // p2.denominator)
+        for p1, p2 in modified.trajectory
+    ]
     phi0_ceiling = cfg.eps_h / (1 - cfg.eps_p) * b
     phi0_ok = phi[0] * phi0_ceiling.denominator <= phi0_ceiling.numerator * scale
 
@@ -566,7 +533,7 @@ def active_fraction_check(
 
     if full is None:
         full = compute_participating(g, fs, cfg, track_potential=False)
-    surviving = int(np.count_nonzero(in_bd & _mask(g.n, full.participating)))
+    surviving = int(np.count_nonzero(_mask(g.n, full.participating)[hits.boundary]))
     floor = 1 - cfg.eps_h / ((1 - cfg.eps_p) * (1 - 2 * cfg.eps_p))
     fraction_ok = Fraction(surviving, b) >= floor
 

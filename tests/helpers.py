@@ -1,6 +1,6 @@
 """Deterministic random-instance builders shared by module and acceptance
-tests, and a peak-memory probe. Uses stdlib random only, so instances are
-independent of the package's own rng streams."""
+tests, and probes of a fresh Python process. Uses stdlib random only, so
+instances are independent of the package's own rng streams."""
 
 import os
 import random
@@ -111,23 +111,28 @@ def regular_small_graphs() -> list[tuple[str, Graph]]:
     return out
 
 
-def child_peak_mb(call: str) -> float:
-    """Peak resident memory, in MB, of a fresh Python that imports the
-    package as ``rs`` and runs ``call``. ru_maxrss would carry this process's
-    own peak across the exec, so the child reports its VmHWM, which covers
-    the child alone."""
+def child_stdout(code: str) -> str:
+    """Standard output of a fresh Python that imports the package as ``rs``
+    and runs ``code``."""
     src = str(Path(rumorspread.__file__).resolve().parents[1])
-    code = (
-        f"import rumorspread as rs; {call}; "
-        "print(next(line.split()[1] for line in open('/proc/self/status') "
-        "if line.startswith('VmHWM:')))"
-    )
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", f"import rumorspread as rs; {code}"],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
         check=True,
         timeout=300,
     )
-    return int(proc.stdout) / 1024  # VmHWM is in kB
+    return proc.stdout
+
+
+def child_peak_mb(call: str) -> float:
+    """Peak resident memory, in MB, of a fresh Python that imports the
+    package as ``rs`` and runs ``call``. ru_maxrss would carry this process's
+    own peak across the exec, so the child reports its VmHWM, which covers
+    the child alone."""
+    peak = child_stdout(
+        f"{call}; print(next(line.split()[1] for line in open('/proc/self/status') "
+        "if line.startswith('VmHWM:')))"
+    )
+    return int(peak) / 1024  # VmHWM is in kB

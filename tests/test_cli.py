@@ -298,6 +298,17 @@ class TestAnalyze:
         assert code == EXIT_CAPABILITY
         assert "capped at 3 nodes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_limit_below_one_exit_2(self, k4, capsys, limit):
+        code = run_cli("analyze", "--graph", k4, "--limit", limit)
+        assert code == EXIT_INPUT
+        assert f"enumeration cap must be at least 1 node, got {limit}" in capsys.readouterr().err
+
+    def test_limit_one_exit_3(self, k4, capsys):
+        code = run_cli("analyze", "--graph", k4, "--limit", "1")
+        assert code == EXIT_CAPABILITY
+        assert "capped at 1 nodes" in capsys.readouterr().err
+
     def test_set_only_measure_first_exit_2(self, k4, capsys):
         # the set-only measure comes before the graph-level one, so its
         # error fires before the enumeration refuses the graph
@@ -712,6 +723,8 @@ class TestExperimentAndReport:
         for key, values in (("max_rounds_factor", ("NaN", "Infinity", "-1", "1e308")),
                             ("predictor_values", ("[0]", "[-1.5]", "[NaN]"))):
             cases += [(point + f'"{key}": {value}}}', key) for value in values]
+        cases += [(point + f'"enumeration_limit": {limit}}}', "enumeration_limit must be >= 1")
+                  for limit in (0, -1)]
         # positive finite predictors whose ratio is not finite: a subnormal
         # value overflows it, and log2(max degree) is 0 on a single edge
         cases += [

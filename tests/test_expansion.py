@@ -167,6 +167,8 @@ class TestBoundaryExpansion:
         assert hits.shell.tolist() == sorted(bd2)
         assert hits.degrees.tolist() == [len(g.adj[u]) for u in sorted(bd)]
         assert not (covering and bd2)
+        assert hits.exact() == oracles.naive_h(g.adj, s)
+        assert "contact" not in vars(hits)  # built on the first count() only
         sampled = np.random.default_rng(seed).random((9, len(bd))) < rand.random()
         want = [
             oracles.naive_shell_hits(g.adj, s, set(hits.boundary[row].tolist()))

@@ -53,6 +53,10 @@ class TestConfig:
         for bad in (0, -2.0, math.nan, math.inf):
             with pytest.raises(InputError, match="predictor_values"):
                 tiny_config(predictor_values=(4.0, bad))
+        for limit in (0, -1):
+            with pytest.raises(InputError, match="enumeration_limit"):
+                tiny_config(enumeration_limit=limit)
+        assert tiny_config(enumeration_limit=1).enumeration_limit == 1
 
     def test_from_json_dict(self):
         cfg = ExperimentConfig.from_json_dict(

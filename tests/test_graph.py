@@ -1,11 +1,8 @@
 """Graph container, set helpers, and edge-list files."""
 
 import math
-import os
 import random
 import re
-import subprocess
-import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -17,7 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import connected_graphs, graph_and_proper_subset
-import rumorspread
+from helpers import child_stdout
 from rumorspread import (
     Graph,
     InputError,
@@ -492,17 +489,24 @@ class TestCSRGraph:
         assert g != path(g.n) and g != "graph"
 
     def test_import_loads_no_scipy(self):
-        src = str(Path(rumorspread.__file__).resolve().parents[1])
-        code = (
-            "import sys, rumorspread, rumorspread.cli; "
+        out = child_stdout(
+            "import sys, rumorspread.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            env=dict(os.environ, PYTHONPATH=src),
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=120,
+        assert out.strip() == "[]"
+
+    def test_shell_walks_and_loader_import_no_numpy_ma(self, tmp_path):
+        # a plain np.unique imports numpy.ma on its first call (13.8 ms and
+        # 1.7 MB in a fresh process); ring labels 10**15 apart are too sparse
+        # for the loader's presence table
+        n = _NUMPY_MIN_LINES + 4
+        text = "".join(f"{i * 10**15} {(i + 1) % n * 10**15}\n" for i in range(n))
+        (tmp_path / "sparse.txt").write_text(text)
+        out = child_stdout(
+            "import sys; g = rs.random_regular(64, 4, rng_seed=0); s = set(range(12)); "
+            "rs.boundary_expansion_mc(g, s, 100, 0); rs.pull_growth_check(g, s, 10, 0); "
+            "rep = rs.active_fraction_check(g, s, rs.ParticipatingConfig()); "
+            f"h, _ = rs.load_edge_list({str(tmp_path / 'sparse.txt')!r}); "
+            "print(rep.skipped, h.n, 'numpy.ma' in sys.modules)"
         )
-        assert proc.stdout.strip() == "[]"
+        assert out.split() == ["False", str(n), "False"]

@@ -455,6 +455,11 @@ class TestGuaranteeAudit:
         run_eps_p=EPS_P,
     )
     @example(gs=DROP_CASE, eps=(Fraction(1, 20), Fraction(4, 5)), run_eps_p=Fraction(3, 5))
+    # a scale past 2**63: 28 steps, 26 of them active, and h = 0.476
+    @example(
+        gs=(WIDE, frozenset({9, 12, 42})), eps=(Fraction(1, 20), Fraction(4, 5)),
+        run_eps_p=Fraction(3, 5),
+    )
     def test_flags_match_fraction_arithmetic(self, gs, eps, run_eps_p):
         """The integer comparisons give the flags that Fraction arithmetic on
         the public trajectory gives. The restricted run is handed in, thinned
@@ -465,6 +470,7 @@ class TestGuaranteeAudit:
         modified = compute_participating_modified(g, s, ParticipatingConfig(eps_p=run_eps_p))
         rep = active_fraction_check(g, s, cfg, modified=modified)
         if rep.skipped:
+            assert g is not WIDE
             return
         phi = [modified.phi(i) for i in range(modified.steps + 1)]
         assert rep.phi_start == float(phi[0])
