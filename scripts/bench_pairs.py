@@ -18,8 +18,10 @@ side's median and quartiles, the change of the median, and the pairs the
 change won (ties count for neither side). A metric is marked ``gain`` when
 the change won at least nine tenths of the pairs and the medians differ by
 more than the parent's interquartile range, and ``loss`` under the same rule
-the other way round. The exit status is 1 if any run was incorrect or
-failed a job, else 0.
+the other way round. A metric whose median is worse than the parent's by
+more than its ``BENCHMARK.json`` bound is marked ``BEYOND BOUND``, as
+``bench_record.py --compare`` marks a single run. The exit status is 1 if any
+run was incorrect or failed a job, or any metric is beyond its bound, else 0.
 """
 
 import argparse
@@ -28,7 +30,7 @@ import shutil
 import statistics
 import sys
 
-from bench_record import BENCHMARK, load_json, run_workload
+from bench_record import BENCHMARK, load_json, run_workload, worse_by
 
 
 def clear_bytecode(checkout: str) -> None:
@@ -58,6 +60,13 @@ def verdict(parent: list[float], change: list[float], better: str) -> tuple[int,
     if apart and losses >= 0.9 * len(parent):
         return wins, losses, "loss"
     return wins, losses, "-"
+
+
+def beyond_bound(parent: list[float], change: list[float], metric: dict) -> bool:
+    """True when the change's median is worse than the parent's by more than
+    the metric's bound."""
+    worse = worse_by(statistics.median(parent), statistics.median(change), metric["better"])
+    return worse > metric["bound"]
 
 
 def main(argv=None) -> int:
@@ -94,8 +103,11 @@ def main(argv=None) -> int:
         (pq1, pmed, pq3), (cq1, cmed, cq3) = quartiles(parent), quartiles(change)
         wins, losses, mark = verdict(parent, change, metric["better"])
         move = f"{(cmed - pmed) / pmed:+.1%}" if pmed else "n/a"
+        beyond = beyond_bound(parent, change, metric)
+        ok = ok and not beyond
         print(f"{name:12s} {pmed:.4g} [{pq1:.4g}, {pq3:.4g}] -> {cmed:.4g} [{cq1:.4g}, {cq3:.4g}] "
-              f"{metric['unit']}  {move:>7s}  won {wins}/{args.pairs} lost {losses}  {mark}")
+              f"{metric['unit']}  {move:>7s}  won {wins}/{args.pairs} lost {losses}  {mark}"
+              + ("  BEYOND BOUND" if beyond else ""))
     return 0 if ok else 1
 
 

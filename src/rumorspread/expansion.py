@@ -44,7 +44,8 @@ import numpy as np
 from . import rng
 from .errors import CapabilityError, InputError
 from .graph import (
-    Graph, NodeSet, _closure, _neighbour_lists, boundary, cut_size, edges_between, volume
+    Graph, NodeSet, _closure, _neighbour_lists, _proper_subset, boundary, cut_size, edges_between,
+    volume,
 )
 
 DEFAULT_ENUMERATION_LIMIT = 20
@@ -99,15 +100,6 @@ class ExpansionReport:
         }
 
 
-def _check_proper_subset(g: Graph, s: Collection[int]) -> NodeSet:
-    fs = g.check_set(s)
-    if not fs:
-        raise InputError("set must be nonempty")
-    if len(fs) == g.n:
-        raise InputError("set must be a proper subset")
-    return fs
-
-
 def _check_enumerable(g: Graph, max_nodes: int | None, what: str) -> None:
     if max_nodes is not None and max_nodes < 1:
         raise InputError(f"enumeration cap must be at least 1 node, got {max_nodes}")
@@ -125,7 +117,7 @@ def _check_enumerable(g: Graph, max_nodes: int | None, what: str) -> None:
 
 def vertex_expansion_set(g: Graph, s: Collection[int]) -> float:
     """Boundary size over set size, for a nonempty proper subset."""
-    fs = _check_proper_subset(g, s)
+    fs = _proper_subset(g, s)
     return len(boundary(g, fs)) / len(fs)
 
 
@@ -207,7 +199,7 @@ def boundary_expansion_exact(g: Graph, s: Collection[int]) -> float:
     sampled. The value is the expected hit count divided by the boundary
     size. Zero exactly when the closure already covers the graph.
     """
-    fs = _check_proper_subset(g, s)
+    fs = _proper_subset(g, s)
     bd = boundary(g, fs)
     return _boundary_expansion(g, fs, bd, bd)
 
@@ -218,7 +210,7 @@ def boundary_expansion_due_to(g: Graph, s: Collection[int], t: Collection[int]) 
     Same formula as the exact measure but only nodes of ``t`` are sampled;
     the denominator stays the full boundary size. Monotone in ``t``.
     """
-    fs = _check_proper_subset(g, s)
+    fs = _proper_subset(g, s)
     bd = boundary(g, fs)
     ts = g.check_set(t)
     if not ts <= bd:
@@ -230,7 +222,7 @@ def boundary_expansion_mc(
     g: Graph, s: Collection[int], samples: int, rng_seed: int
 ) -> ExpansionReport:
     """Monte-Carlo estimate of the boundary expansion with standard error."""
-    fs = _check_proper_subset(g, s)
+    fs = _proper_subset(g, s)
     if samples < 2:
         raise InputError("need at least 2 samples")
     hits = _BoundaryHits(g, fs)
@@ -258,20 +250,20 @@ def boundary_expansion_mc(
 
 def combined_expansion_set(g: Graph, s: Collection[int]) -> float:
     """Vertex expansion of the set times the conductance of its boundary."""
-    fs = _check_proper_subset(g, s)
+    fs = _proper_subset(g, s)
     bd = boundary(g, fs)
-    return vertex_expansion_set(g, fs) * conductance_set(g, bd)
+    return len(bd) / len(fs) * conductance_set(g, bd)
 
 
 def augmented_combined_expansion_set(g: Graph, s: Collection[int]) -> float:
     """Combined expansion with the boundary conductance offset by
     1/log2(max degree). Needs max degree >= 2."""
-    fs = _check_proper_subset(g, s)
+    fs = _proper_subset(g, s)
     if g.max_degree < 2:
         raise InputError("augmented combined expansion needs max degree >= 2")
     bd = boundary(g, fs)
     offset = 1.0 / math.log2(g.max_degree)
-    return vertex_expansion_set(g, fs) * (conductance_set(g, bd) + offset)
+    return len(bd) / len(fs) * (conductance_set(g, bd) + offset)
 
 
 # -- exhaustive graph-level measures ---------------------------------------
@@ -505,7 +497,7 @@ def regular_h_sandwich(g: Graph, s: Collection[int]) -> tuple[float, float, floa
     upper = E/(deg*|B|), E being that edge count and B the boundary.
     """
     deg = _require_regular(g, "the boundary-edge sandwich")
-    fs = _check_proper_subset(g, s)
+    fs = _proper_subset(g, s)
     hits = _BoundaryHits(g, fs)
     e, b = hits.outer.size, hits.boundary.size  # the edges between the two shells
     h = boundary_expansion_exact(g, fs)
@@ -525,11 +517,11 @@ def regular_s_factor(g: Graph, s: Collection[int]) -> float:
     some s in [1, 2]. Undefined (raises) when the boundary expansion is 0.
     """
     deg = _require_regular(g, "the s-factor")
-    fs = _check_proper_subset(g, s)
-    h = boundary_expansion_exact(g, fs)
+    fs = _proper_subset(g, s)
+    bd = boundary(g, fs)
+    h = _boundary_expansion(g, fs, bd, bd)
     if h == 0.0:
         raise InputError("s-factor undefined: boundary expansion is zero")
-    bd = boundary(g, fs)
     phi_b = conductance_set(g, bd)
     inner = edges_between(g, bd, fs) / (deg * len(bd))
     return (phi_b - inner) / h
@@ -577,7 +569,7 @@ def degree_class_decomposition(
     """
     if not (0 < split_threshold < 1):
         raise InputError(f"split threshold must be in (0,1), got {split_threshold}")
-    fs = _check_proper_subset(g, s)
+    fs = _proper_subset(g, s)
     bd = boundary(g, fs)
     c = (split_threshold / 3.0) ** 2 / 8.0
     low_cap = c * len(bd)
@@ -592,9 +584,7 @@ def degree_class_decomposition(
             mid.add(u)
         else:
             high.add(u)
-    contribs = tuple(
-        boundary_expansion_due_to(g, fs, cls) for cls in (low, mid, high)
-    )
+    contribs = tuple(_boundary_expansion(g, fs, bd, cls) for cls in (low, mid, high))
     third = split_threshold / 3.0
     names = ("low", "mid", "high")
     certifying = tuple(

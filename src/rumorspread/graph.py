@@ -6,18 +6,20 @@ node's neighbors in ascending order, 2m entries). The adjacency tuples
 ``adj``, the same arrays as Python lists ``csr_lists``, the ``degrees`` and
 ``edges()`` are derived from them on first use.
 Graphs are validated at construction time: no self-loops, no parallel edges,
-connected, at least two nodes. All set-valued operations take and return
+connected, at least two nodes. Every graph, generated or loaded, of any
+size, is built by the one numpy CSR build (``_sorted_arcs`` and
+``_connected_graph``). All set-valued operations take and return
 ``frozenset`` of node ids.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain
 from typing import Collection, Iterable
 
 import numpy as np
@@ -81,21 +83,24 @@ class Graph:
         _check_order(n)
         if not isinstance(edges, np.ndarray):
             edges = list(edges)
-            if len(edges) < _NUMPY_MIN_EDGES:
-                return _python_graph(n, edges)
         try:
             pairs = np.asarray(edges)
         except ValueError:  # ragged
-            return _python_graph(n, edges)
-        if pairs.dtype.kind not in "iu" or pairs.shape != (len(edges), 2):
-            # floats, bools, ids beyond int64 (object) or a wrong shape: the
-            # edge-by-edge build treats them as it does below the threshold
-            return _python_graph(n, edges)
-        if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
-            return _python_graph(n, pairs.tolist())  # raises, naming the first bad edge
+            pairs = None
+        if (
+            pairs is None
+            or pairs.dtype.kind not in "iu"
+            or pairs.shape != (len(edges), 2)
+            or (pairs.size and (pairs.min() < 0 or pairs.max() >= n))
+        ):
+            # floats, bools, ids beyond int64 (object), a wrong shape or an
+            # id out of range: raises unless the ids are integers after all
+            # (bools, small ints as objects) or there are none
+            _check_edges(n, edges)
+            pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
         keys = _sorted_arcs(n, *pairs.astype(np.int64, copy=False).T)
         if np.count_nonzero(keys[1:] == keys[:-1]):  # a self-loop or a repeat
-            return _python_graph(n, pairs.tolist())  # raises, naming the first bad edge
+            _check_edges(n, pairs.tolist())  # raises, naming the first bad edge
         return _connected_graph(n, keys)
 
     # -- basic accessors ---------------------------------------------------
@@ -176,23 +181,14 @@ class Graph:
         return frozenset(int(v) for v in fs)
 
 
-# Below this many edges a graph is built in Python, where numpy's fixed cost
-# per call would outweigh the work. Measured on builds that run between other
-# work, as one per CLI call does (caches cold), the two builds break even at
-# about 200 edges; in a tight loop of builds, at about 64. Both give the same
-# graph.
-_NUMPY_MIN_EDGES = 200
-
-
 def _check_order(n: int) -> None:
     if n < 2:
         raise InputError(f"graph needs at least 2 nodes, got n={n}")
 
 
-def _python_graph(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
-    """Build a graph edge by edge. Edges are checked in input order, so the
-    first one that is out of range, a self-loop or a repeat is the one named."""
-    nbrs: list[list[int]] = [[] for _ in range(n)]
+def _check_edges(n: int, pairs: Iterable[tuple[int, int]]) -> None:
+    """Check edges in input order, so that the first one that is out of
+    range, a self-loop, a repeat or not a pair of integers is the one named."""
     seen: set[tuple[int, int]] = set()
     for u, v in pairs:
         if not (0 <= u < n and 0 <= v < n):
@@ -203,23 +199,10 @@ def _python_graph(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
         if key in seen:
             raise InputError(f"duplicate edge ({key[0]},{key[1]})")
         seen.add(key)
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    adj = tuple(tuple(sorted(a)) for a in nbrs)
-    reached = [False] * n
-    reached[0] = True
-    queue = deque([0])
-    while queue:
-        for v in adj[queue.popleft()]:
-            if not reached[v]:
-                reached[v] = True
-                queue.append(v)
-    if not all(reached):
-        raise InputError("graph is not connected")
-    flat = _read_only([0, *accumulate(map(len, adj)), *chain.from_iterable(adj)])
-    g = Graph(n, flat[: n + 1], flat[n + 1 :])
-    g.__dict__["adj"] = adj  # already built: seed the cached property
-    return g
+        try:
+            operator.index(u), operator.index(v)
+        except TypeError:
+            raise TypeError(f"edge ({u},{v}): node ids must be integers") from None
 
 
 def _read_only(values) -> np.ndarray:
@@ -306,6 +289,15 @@ def _closure(g: Graph, fs: NodeSet) -> tuple[np.ndarray, np.ndarray]:
     in_s = _mask(g.n, fs)
     in_closure = in_s | (_neighbour_sums(g, in_s) > 0)
     return in_closure & ~in_s, in_closure
+
+
+def _proper_subset(g: Graph, s: Collection[int]) -> NodeSet:
+    """``s`` as a validated frozenset, which must be a nonempty proper subset
+    of the nodes: the sets whose boundary the expansion measures read."""
+    fs = g.check_set(s)
+    if not fs or len(fs) == g.n:
+        raise InputError("set must be a nonempty proper subset")
+    return fs
 
 
 def cut_size(g: Graph, s: Collection[int]) -> int:
@@ -465,8 +457,9 @@ def load_edge_list(path: str) -> tuple[Graph, dict[str, int]]:
     A file of at least ``_NUMPY_MIN_LINES`` (76) lines whose lines after a
     block of comment and blank lines all read ``<int> <int>`` (one space
     between two canonical integers of at most 18 digits, which is what
-    :func:`save_edge_list` writes) is parsed and built with numpy; any other
-    text is tokenized line by line, with the same result.
+    :func:`save_edge_list` writes) is parsed with numpy; any other text is
+    tokenized line by line, with the same result. Either way the graph is
+    built as :meth:`Graph.from_edges` builds it.
     """
     # bytes decoded at once skip the text layer, which costs more than the
     # parse of a small file; line ends are translated as text mode would
@@ -476,34 +469,24 @@ def load_edge_list(path: str) -> tuple[Graph, dict[str, int]]:
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
         data = text.encode("utf-8")
-    small = data.count(b"\n") < _NUMPY_MIN_LINES
-    parsed = None if small else _int_pairs(data)
+    parsed = None if data.count(b"\n") < _NUMPY_MIN_LINES else _int_pairs(data)
     mapping, ids = parsed or _tokenized_pairs(path, text.split("\n"))
     n = len(mapping)
-    if small:
-        pairs = list(zip(ids[0::2], ids[1::2]))
-        edges = {(u, v) if u < v else (v, u) for u, v in pairs if u != v}
-        dropped_loops = sum(1 for u, v in pairs if u == v)
-        dropped_dups = len(pairs) - dropped_loops - len(edges)
-    else:
-        u, v = np.asarray(ids, dtype=np.int64).reshape(-1, 2).T
-        keep = u != v
-        dropped_loops = u.size - int(np.count_nonzero(keep))
-        keys = _sorted_arcs(n, u[keep], v[keep])
-        repeat = keys[1:] == keys[:-1]
-        dropped_dups = int(np.count_nonzero(repeat)) // 2  # a repeated edge repeats both arcs
-        if dropped_dups:
-            keys = keys[np.concatenate(([True], ~repeat))]
+    u, v = np.asarray(ids, dtype=np.int64).reshape(-1, 2).T
+    keep = u != v
+    dropped_loops = u.size - int(np.count_nonzero(keep))
+    keys = _sorted_arcs(n, u[keep], v[keep])
+    repeat = keys[1:] == keys[:-1]
+    dropped_dups = int(np.count_nonzero(repeat)) // 2  # a repeated edge repeats both arcs
+    if dropped_dups:
+        keys = keys[np.concatenate(([True], ~repeat))]
     if dropped_loops:
         warnings.warn(f"{path}: dropped {dropped_loops} self-loop(s)", stacklevel=2)
     if dropped_dups:
         warnings.warn(f"{path}: dropped {dropped_dups} duplicate edge(s)", stacklevel=2)
     try:
-        if small:
-            g = Graph.from_edges(n, edges)
-        else:
-            _check_order(n)
-            g = _connected_graph(n, keys)
+        _check_order(n)
+        g = _connected_graph(n, keys)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
     return g, mapping

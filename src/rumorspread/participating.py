@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import InputError
 from .expansion import _BoundaryHits
-from .graph import Graph, NodeSet, _closure, _mask, _neighbour_sums
+from .graph import Graph, NodeSet, _closure, _mask, _neighbour_sums, _proper_subset
 
 _ORDERS = ("lowest", "batch", "random")
 
@@ -189,13 +189,6 @@ def potential(g: Graph, s: Collection[int], pool: Collection[int]) -> tuple[floa
     p1, p2 = _potential_parts(g, _closure(g, fs)[1], _mask(g.n, g.check_set(pool)), unit)
     # int true division rounds correctly, as float(Fraction) does
     return p1 / scale, p2 / scale, (p1 + p2) / scale
-
-
-def _proper_subset(g: Graph, s: Collection[int]) -> NodeSet:
-    fs = g.check_set(s)
-    if not fs or len(fs) == g.n:
-        raise InputError("set must be a nonempty proper subset")
-    return fs
 
 
 def _ceil_div(a: int, b: int) -> int:

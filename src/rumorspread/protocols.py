@@ -50,7 +50,7 @@ import numpy as np
 from . import rng
 from .errors import IncompleteSpreadError, InputError
 from .expansion import _block_rows, _BoundaryHits, boundary_expansion_exact
-from .graph import Graph, NodeSet, _mask, _neighbour_lists
+from .graph import Graph, NodeSet, _mask, _neighbour_lists, _proper_subset
 
 VARIANTS = ("push", "pull", "pushpull")
 # Trials per first_arrival_times batch; the batch size decides which sampler
@@ -497,8 +497,6 @@ def first_arrival_times(
     stepping finished trials. Raises IncompleteSpreadError if a trial of a
     batch exhausts the round cap first.
     """
-    if variant not in VARIANTS:
-        raise InputError(f"unknown variant {variant!r}")
     if trials < 1:
         raise InputError("trials must be >= 1")
     start_set = g.check_set(start)
@@ -506,20 +504,12 @@ def first_arrival_times(
     if not start_set or not watched_set:
         raise InputError("start and watched sets must be nonempty")
     cap = default_max_rounds(g.n) if max_rounds is None else max_rounds
-
-    def incomplete(missed: int) -> IncompleteSpreadError:
-        return IncompleteSpreadError(
-            f"{missed} trial(s) did not reach the watched set within {cap} rounds"
-        )
-
-    if not start_set.isdisjoint(watched_set):
-        return np.zeros(trials, dtype=np.int64)
-    if cap < 1:
-        raise incomplete(min(trials, _ARRIVAL_BATCH))
-    n = g.n
     cfg = ProtocolConfig(
         variant=variant, initial_informed=start_set, max_rounds=cap, rng_seed=rng_seed
     )
+    if not start_set.isdisjoint(watched_set):
+        return np.zeros(trials, dtype=np.int64)
+    n = g.n
     out = np.empty(trials, dtype=np.int64)
     position = 0  # first sampler double of the current batch
     for done in range(0, trials, _ARRIVAL_BATCH):
@@ -527,7 +517,9 @@ def first_arrival_times(
         source = _sampler_rows(rng_seed, n, position, b)
         _, _, times, _ = _spread(g, cfg, range(b), source, target=watched_set, stop_at_target=True)
         if None in times:
-            raise incomplete(times.count(None))
+            raise IncompleteSpreadError(
+                f"{times.count(None)} trial(s) did not reach the watched set within {cap} rounds"
+            )
         out[done : done + b] = times
         position += b * n * max(times)
     return out
@@ -561,9 +553,7 @@ def pull_growth_check(
     check passes when the mean is no more than ``slack_sigmas`` standard
     errors below the floor.
     """
-    s_set = g.check_set(s)
-    if not s_set or len(s_set) == g.n:
-        raise InputError("need a nonempty proper subset to measure growth")
+    s_set = _proper_subset(g, s)
     if trials < 2:
         raise InputError("need at least 2 trials for a standard error")
     hits = _BoundaryHits(g, s_set)

@@ -48,3 +48,32 @@ def test_quartiles():
 )
 def test_verdict(change, better, want):
     assert bench_pairs.verdict(PARENT, change, better) == want
+
+
+@pytest.mark.parametrize(
+    "change, better, want",
+    [
+        # the parent's median is 10.45: a bound of 25% allows up to 13.0625
+        (moved([2.5] * 10), "lower", False),
+        (moved([2.7] * 10), "lower", True),
+        # the median decides, not the single worst pair
+        (moved([0.0] * 6 + [50.0] * 4), "lower", False),
+        # far better is never beyond the bound
+        (moved([-9.0] * 10), "lower", False),
+        # where higher is better, a fall is what counts
+        (moved([-2.5] * 10), "higher", False),
+        (moved([-2.7] * 10), "higher", True),
+        (moved([50.0] * 10), "higher", False),
+    ],
+)
+def test_beyond_bound(change, better, want):
+    metric = {"name": "wall_s", "better": better, "bound": 0.25}
+    assert bench_pairs.beyond_bound(PARENT, change, metric) is want
+
+
+def test_beyond_bound_from_zero():
+    # a metric at 0 on the parent is beyond any bound once it grows at all,
+    # as in bench_record.py --compare
+    metric = {"name": "job_p50_ms", "better": "lower", "bound": 0.25}
+    assert not bench_pairs.beyond_bound([0.0] * 3, [0.0] * 3, metric)
+    assert bench_pairs.beyond_bound([0.0] * 3, [0.1] * 3, metric)

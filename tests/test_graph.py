@@ -18,8 +18,12 @@ from helpers import child_stdout
 from rumorspread import (
     Graph,
     InputError,
+    ParticipatingConfig,
     boundary,
+    boundary_expansion_exact,
+    boundary_expansion_fraction,
     closure,
+    compute_participating,
     complete,
     cut_size,
     cycle,
@@ -31,19 +35,14 @@ from rumorspread import (
     load_edge_list,
     load_node_set,
     path,
+    pull_growth_check,
     save_edge_list,
     save_node_set,
     star,
     volume,
 )
 from rumorspread import graph as graph_module
-from rumorspread.graph import (
-    _NUMPY_MIN_EDGES,
-    _NUMPY_MIN_LINES,
-    _python_graph,
-    bfs_distances,
-    diameter,
-)
+from rumorspread.graph import _NUMPY_MIN_LINES, bfs_distances, diameter
 
 
 class TestConstruction:
@@ -130,6 +129,20 @@ class TestSetHelpers:
         assert diameter(star(7)) == 2
         assert diameter(dumbbell(4)) == 3
         assert diameter(hypercube(3)) == 3
+
+    @pytest.mark.parametrize("s", [set(), set(range(6))], ids=["empty", "full"])
+    def test_one_proper_subset_message(self, s):
+        g = cycle(6)
+        calls = (
+            lambda: boundary_expansion_exact(g, s),
+            lambda: boundary_expansion_fraction(g, s),
+            lambda: pull_growth_check(g, s, 10, 0),
+            lambda: compute_participating(g, s, ParticipatingConfig()),
+        )
+        for call in calls:
+            with pytest.raises(InputError) as exc:
+                call()
+            assert str(exc.value) == "set must be a nonempty proper subset"
 
     @given(graph_and_proper_subset())
     def test_matches_oracle(self, gs):
@@ -386,7 +399,7 @@ def shuffled_bad_edges(draw):
     n = draw(st.integers(2, 40))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rnd.shuffle(pairs)
-    edges = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in pairs[: draw(st.integers(0, 2 * _NUMPY_MIN_EDGES))]]
+    edges = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in pairs[: draw(st.integers(0, 400))]]
     for _ in range(draw(st.integers(0, 3))):
         kind = rnd.choice(["range", "loop", "repeat", "float"])
         if kind == "range":
@@ -418,9 +431,12 @@ class TestFromEdgesAgainstOracle:
     @example((3, [(0, 1), (2**63 + 5, 0), (1, 2)], np.uint64))  # no wrap to a negative id
     @example((3, [(0, 1), (0.7, 2), (1, 2)], np.float64))  # no truncation to 0
     @example((3, [(0, 1), (0.7, 2), (1, 2)], None))
+    @example((3, [(0, 1), (2.0, 1)], np.float64))  # integral, but a float
+    @example((3, [(0, 1), (True, 2)], None))  # bools are ints: this builds
+    @example((3, [(False, True), (True, 2)], None))
     def test_names_the_same_first_bad_edge(self, case):
-        # a float id that passes the range checks fails as a list index, on
-        # both builds at every size, as it did in the oracle
+        # a float id that passes the range checks fails with a TypeError at
+        # every size, as it does as a list index in the oracle
         n, edges, dtype = case
         if dtype is not None:
             edges = np.array(edges, dtype=dtype).reshape(-1, 2)
@@ -439,18 +455,18 @@ class TestFromEdgesAgainstOracle:
         assert got == want
 
     def test_both_builds_agree_across_the_threshold(self):
+        # lists and arrays of every size take the one build
         from helpers import random_connected
 
         rand = random.Random(3)
-        sizes = []
         for n, extra in ((12, 0.9), (40, 0.1), (90, 0.02), (30, 0.3), (200, 0.01)):
             g = random_connected(rand, n, extra)
             edges = g.edges()
             rand.shuffle(edges)
-            assert _python_graph(n, edges) == Graph.from_edges(n, np.array(edges)) == g
-            assert Graph.from_edges(n, edges) == g
-            sizes.append(len(edges))
-        assert min(sizes) < _NUMPY_MIN_EDGES < max(sizes)
+            want = oracles.naive_from_edges(n, edges)
+            for given_edges in (edges, np.array(edges), iter(edges)):
+                h = Graph.from_edges(n, given_edges)
+                assert h == g and h.adj == want
 
 
 class TestCSRGraph:
@@ -471,7 +487,6 @@ class TestCSRGraph:
 
     @pytest.mark.parametrize("g", [hypercube(3), hypercube(7), star(200)], ids=["q3", "q7", "star200"])
     def test_equal_graphs_built_two_ways(self, tmp_path, g):
-        # q3 is under the numpy threshold, q7 and star200 above it
         edges = g.edges()
         reversed_edges = [(v, u) for u, v in reversed(edges)]
         p = tmp_path / "g.txt"
@@ -479,7 +494,6 @@ class TestCSRGraph:
         builds = [
             Graph.from_edges(g.n, reversed_edges),
             Graph.from_edges(g.n, np.array(reversed_edges)),
-            _python_graph(g.n, reversed_edges),
             load_edge_list(str(p))[0],
             Graph(g.n, g.indptr.tolist(), g.indices.tolist()),
         ]

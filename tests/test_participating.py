@@ -349,7 +349,7 @@ class TestScalePastInt64:
 
 
 class TestNoAdjacencyTuples:
-    """Thinning reads the CSR arrays: a graph loaded through numpy never
+    """Thinning reads the CSR arrays: a loaded graph, of any size, never
     builds its ``adj`` tuples for it."""
 
     def test_library_and_cli(self, tmp_path, monkeypatch):
@@ -379,6 +379,17 @@ class TestNoAdjacencyTuples:
                     "--log-csv", str(tmp_path / "log.csv"), "--out", str(tmp_path / "out.json")]
             assert cli.main(argv + extra) == 0
             assert "adj" not in loaded[-1].__dict__
+
+    def test_small_file(self, tmp_path):
+        # 12 lines, parsed line by line and built as every graph is
+        path = str(tmp_path / "c12.txt")
+        save_edge_list(cycle(12), path)
+        g, _ = load_edge_list(path)
+        assert "adj" not in g.__dict__
+        s, cfg = {0, 1}, ParticipatingConfig()
+        rep = active_fraction_check(g, s, cfg, full=compute_participating(g, s, cfg))
+        assert not rep.skipped and rep.all_ok
+        assert "adj" not in g.__dict__
 
 
 class TestExactBoundaryExpansion:

@@ -465,7 +465,7 @@ class TestFirstArrival:
 
     def test_validation(self):
         g = cycle(6)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="known"):
             first_arrival_times(g, {0}, {1}, "flood", 5, rng_seed=0)
         with pytest.raises(InputError):
             first_arrival_times(g, set(), {1}, "push", 5, rng_seed=0)
@@ -524,15 +524,15 @@ class TestFirstArrival:
         for cap in (7, 9, 12):
             self.assert_matches_naive_loop(g, {0}, {7}, "push", 500, rng_seed=1, max_rounds=cap)
 
-    @pytest.mark.parametrize("cap", [0, -1])
-    def test_non_positive_cap_raises_incomplete(self, cap):
-        # the cap is checked by the round loop, not by ProtocolConfig: no
-        # round runs, and every trial of the first batch is reported
-        with pytest.raises(IncompleteSpreadError, match=f"^4096 trial\\(s\\) .* within {cap} rounds$"):
-            first_arrival_times(cycle(6), {0}, {3}, "push", 5000, rng_seed=0, max_rounds=cap)
-        self.assert_matches_naive_loop(cycle(6), {0}, {3}, "push", 7, rng_seed=0, max_rounds=cap)
+    @pytest.mark.parametrize("cap", [0, -1, -2])
+    @pytest.mark.parametrize("start", [{0}, {0, 3}], ids=["disjoint", "overlapping"])
+    def test_non_positive_cap_is_an_input_error(self, cap, start):
+        # checked by ProtocolConfig, as for every other run, also where the
+        # start set already meets the watched set
+        with pytest.raises(InputError, match=f"^max_rounds must be >= 1, got {cap}$"):
+            first_arrival_times(cycle(6), start, {3, 4}, "push", 5000, rng_seed=0, max_rounds=cap)
 
-    @pytest.mark.parametrize("cap", [None, 1, 0, -1])
+    @pytest.mark.parametrize("cap", [None, 1])
     def test_zero_when_start_meets_watched_whatever_the_cap(self, cap):
         times = first_arrival_times(cycle(6), {0, 3}, {3, 4}, "pull", 5, rng_seed=0, max_rounds=cap)
         assert np.array_equal(times, np.zeros(5, dtype=np.int64))
