@@ -133,12 +133,13 @@ def _boundary_expansion(g: Graph, fs: NodeSet, bd: NodeSet, sampled: NodeSet) ->
     """Boundary-expansion formula with only ``sampled`` (part of the boundary
     ``bd`` of ``fs``) sampled, in floats."""
     assert bd, "proper nonempty subset of a connected graph has a boundary"
+    ptr, flat = g.csr_lists
     total = 0.0
     for v in boundary(g, fs | bd):
         miss = 1.0
-        for u in g.adj[v]:
+        for u in flat[ptr[v] : ptr[v + 1]]:
             if u in sampled:
-                miss *= 1.0 - 1.0 / len(g.adj[u])
+                miss *= 1.0 - 1.0 / g.degrees[u]
         total += 1.0 - miss
     return total / len(bd)
 
@@ -287,12 +288,14 @@ class _MaskTables:
     Each digit's tables are built with one vectorized step per node: the
     subsets that contain the node extend those that do not. Edges between
     two digits are counted per node of the higher one, by a size lookup of
-    its neighbours in the lower one.
+    its neighbours in the lower one. Both read each node's neighbourhood
+    mask, ORed from the CSR at once (ids stay below 62, so it fits int64).
     """
 
     def __init__(self, g: Graph):
         self.digits: list[_Digit] = []
         self.cross: list[tuple[int, list[tuple[int, int]]]] = []
+        nbr_masks = np.bitwise_or.reduceat(np.left_shift(1, g.indices), g.indptr[:-1]).tolist()
         index = np.arange(1 << min(g.n, _DIGIT_BITS), dtype=np.int64)
         for shift in range(0, g.n, _DIGIT_BITS):
             width = min(_DIGIT_BITS, g.n - shift)
@@ -303,17 +306,16 @@ class _MaskTables:
             for i in range(width):
                 v = shift + i
                 half, full = 1 << i, 2 << i
-                inner = sum(1 << (u - shift) for u in g.adj[v] if shift <= u < v)
+                inner = nbr_masks[v] >> shift & (half - 1)  # neighbours shift..v-1
                 size[half:full] = size[:half] + 1
-                vol[half:full] = vol[:half] + len(g.adj[v])
+                vol[half:full] = vol[:half] + g.degrees[v]
                 edges[half:full] = edges[:half] + size[index[:half] & inner]
-                nbr[half:full] = nbr[:half] | sum(1 << u for u in g.adj[v])
-                links = []
-                for j in range(shift // _DIGIT_BITS):
-                    lo = j * _DIGIT_BITS
-                    rel = sum(1 << (u - lo) for u in g.adj[v] if lo <= u < lo + _DIGIT_BITS)
-                    if rel:
-                        links.append((j, rel))
+                nbr[half:full] = nbr[:half] | nbr_masks[v]
+                links = [
+                    (j, rel)
+                    for j, d in enumerate(self.digits)
+                    if (rel := nbr_masks[v] >> d.shift & d.low)
+                ]
                 if links:
                     self.cross.append((v, links))
             self.digits.append(_Digit(shift, (1 << width) - 1, size, vol, edges, nbr))
@@ -577,7 +579,7 @@ def degree_class_decomposition(
     high_floor = max(float(size_cap), low_cap)
     low, mid, high = set(), set(), set()
     for u in bd:
-        d = len(g.adj[u])
+        d = g.degrees[u]
         if d <= low_cap:
             low.add(u)
         elif d <= size_cap:
@@ -591,7 +593,7 @@ def degree_class_decomposition(
         name for name, contrib in zip(names, contribs) if contrib >= third
     )
     if mid:
-        mid_degs = sorted(len(g.adj[u]) for u in mid)
+        mid_degs = sorted(g.degrees[u] for u in mid)
         best_k, best_count = None, -1
         for k in mid_degs:
             count = sum(1 for d in mid_degs if k <= d <= 2 * k)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .errors import ConstructionError, InputError
-from .graph import Graph, NodeSet, closure
+from .graph import Graph, NodeSet
 
 RETRY_BUDGET = 1000
 
@@ -236,8 +236,8 @@ def greedy_dominating_set(g: Graph) -> NodeSet:
     heap of (-gain, node) entries is refreshed lazily: a stale top entry goes
     back with its node's current gain, and a current one is the pick.
     """
-    adj = g.adj
-    gain = [len(nbrs) + 1 for nbrs in adj]
+    ptr, flat = g.csr_lists
+    gain = [d + 1 for d in g.degrees]
     heap = [(-c, v) for v, c in enumerate(gain)]
     heapq.heapify(heap)
     uncovered = [True] * g.n
@@ -250,45 +250,33 @@ def greedy_dominating_set(g: Graph) -> NodeSet:
             continue
         heapq.heappop(heap)
         chosen.append(best)
-        for w in (best, *adj[best]):
+        for w in (best, *flat[ptr[best] : ptr[best + 1]]):
             if uncovered[w]:
                 uncovered[w] = False
                 left -= 1
                 gain[w] -= 1
-                for x in adj[w]:
+                for x in flat[ptr[w] : ptr[w + 1]]:
                     gain[x] -= 1
     return frozenset(chosen)
 
 
 # -- declarative construction ----------------------------------------------
 
+# name -> (builder, its parameters); the order is that of the CLI choices
 _FAMILIES = {
-    "complete": ("n",),
-    "path": ("n",),
-    "cycle": ("n",),
-    "star": ("leaves",),
-    "hypercube": ("d",),
-    "two_cliques": ("m",),
-    "dumbbell": ("m",),
-    "random_regular": ("n", "degree", "rng_seed"),
-    "erdos_renyi": ("n", "p", "rng_seed"),
-    "clustered_regular": ("num_components", "degree", "c", "rng_seed"),
+    "complete": (complete, ("n",)),
+    "path": (path, ("n",)),
+    "cycle": (cycle, ("n",)),
+    "star": (star, ("leaves",)),
+    "hypercube": (hypercube, ("d",)),
+    "two_cliques": (two_cliques_shared_vertex, ("m",)),
+    "dumbbell": (dumbbell, ("m",)),
+    "random_regular": (random_regular, ("n", "degree", "rng_seed")),
+    "erdos_renyi": (erdos_renyi, ("n", "p", "rng_seed")),
+    "clustered_regular": (clustered_regular, ("num_components", "degree", "c", "rng_seed")),
 }
 
 FAMILY_NAMES = tuple(_FAMILIES)
-
-_BUILDERS = {
-    "complete": complete,
-    "path": path,
-    "cycle": cycle,
-    "star": star,
-    "hypercube": hypercube,
-    "two_cliques": two_cliques_shared_vertex,
-    "dumbbell": dumbbell,
-    "random_regular": random_regular,
-    "erdos_renyi": erdos_renyi,
-    "clustered_regular": clustered_regular,
-}
 
 
 @dataclass(frozen=True)
@@ -308,7 +296,7 @@ class FamilySpec:
             raise InputError(
                 f"unknown family {self.family!r}; known: {sorted(_FAMILIES)}"
             )
-        required = set(_FAMILIES[self.family])
+        required = set(_FAMILIES[self.family][1])
         got = set(self.params)
         if got != required:
             raise InputError(
@@ -317,7 +305,7 @@ class FamilySpec:
             )
 
     def build(self) -> Graph:
-        return _BUILDERS[self.family](**self.params)
+        return _FAMILIES[self.family][0](**self.params)
 
     def describe(self) -> str:
         """Stable one-line description used in file provenance headers."""

@@ -2,9 +2,10 @@
 
 A graph on node ids 0..n-1 is stored in compressed sparse row (CSR) form: two
 read-only int64 arrays, ``indptr`` (n + 1 offsets) and ``indices`` (every
-node's neighbors in ascending order, 2m entries). The adjacency tuples
-``adj``, the same arrays as Python lists ``csr_lists``, the ``degrees`` and
-``edges()`` are derived from them on first use.
+node's neighbors in ascending order, 2m entries). The same arrays as Python
+lists ``csr_lists``, the ``degrees`` and ``edges()`` are derived from them on
+first use. Every walk in the package reads the CSR; the adjacency tuples
+``adj`` and ``neighbors(v)`` are views for callers, built only when asked for.
 Graphs are validated at construction time: no self-loops, no parallel edges,
 connected, at least two nodes. Every graph, generated or loaded, of any
 size, is built by the one numpy CSR build (``_sorted_arcs`` and
@@ -108,20 +109,20 @@ class Graph:
     @cached_property
     def adj(self) -> tuple[tuple[int, ...], ...]:
         """Sorted neighbor tuples, one per node."""
-        flat = self.indices.tolist()
-        ptr = self.indptr.tolist()
+        ptr, flat = self.csr_lists
         return tuple(tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:]))
 
     @cached_property
     def csr_lists(self) -> tuple[list[int], list[int]]:
         """``(indptr, indices)`` as Python lists, for code that walks the
-        graph node by node: far cheaper to build than ``adj``, and a slice
-        ``indices[indptr[v]:indptr[v + 1]]`` is a list of Python ints."""
+        graph node by node: a slice ``indices[indptr[v]:indptr[v + 1]]`` is
+        a list of Python ints."""
         return self.indptr.tolist(), self.indices.tolist()
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         self.check_node(v)
-        return self.adj[v]
+        ptr, flat = self.csr_lists
+        return tuple(flat[ptr[v] : ptr[v + 1]])
 
     def degree(self, v: int) -> int:
         self.check_node(v)
@@ -239,7 +240,10 @@ def _connected_graph(n: int, keys: np.ndarray) -> Graph:
             break
     if np.count_nonzero(label):
         raise InputError("graph is not connected")
-    return Graph(n, np.searchsorted(rows, np.arange(n + 1)), cols)
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    indptr.setflags(write=False)
+    cols.setflags(write=False)
+    return Graph(n, indptr, cols)
 
 
 # -- set operations --------------------------------------------------------
@@ -248,9 +252,10 @@ def _connected_graph(n: int, keys: np.ndarray) -> Graph:
 def boundary(g: Graph, s: Collection[int]) -> NodeSet:
     """Nodes outside ``s`` with at least one neighbor inside it."""
     fs = g.check_set(s)
+    ptr, flat = g.csr_lists
     out: set[int] = set()
     for u in fs:
-        for v in g.adj[u]:
+        for v in flat[ptr[u] : ptr[u + 1]]:
             if v not in fs:
                 out.add(v)
     return frozenset(out)
@@ -303,13 +308,14 @@ def _proper_subset(g: Graph, s: Collection[int]) -> NodeSet:
 def cut_size(g: Graph, s: Collection[int]) -> int:
     """Number of edges with exactly one endpoint in ``s``."""
     fs = g.check_set(s)
-    return sum(1 for u in fs for v in g.adj[u] if v not in fs)
+    ptr, flat = g.csr_lists
+    return sum(1 for u in fs for v in flat[ptr[u] : ptr[u + 1]] if v not in fs)
 
 
 def volume(g: Graph, s: Collection[int]) -> int:
     """Sum of degrees over the set."""
     fs = g.check_set(s)
-    return sum(len(g.adj[u]) for u in fs)
+    return sum(g.degrees[u] for u in fs)
 
 
 def edges_between(g: Graph, a: Collection[int], b: Collection[int]) -> int:
@@ -322,7 +328,8 @@ def edges_between(g: Graph, a: Collection[int], b: Collection[int]) -> int:
         raise InputError("edges_between expects disjoint sets")
     if len(fa) > len(fb):
         fa, fb = fb, fa
-    return sum(1 for u in fa for v in g.adj[u] if v in fb)
+    ptr, flat = g.csr_lists
+    return sum(1 for u in fa for v in flat[ptr[u] : ptr[u + 1]] if v in fb)
 
 
 def is_dominating(g: Graph, s: Collection[int]) -> bool:
@@ -334,17 +341,18 @@ def is_dominating(g: Graph, s: Collection[int]) -> bool:
 def harmonic_mass(g: Graph, s: Collection[int]) -> float:
     """Sum of inverse degrees over the set (empty set gives 0)."""
     fs = g.check_set(s)
-    return sum(1.0 / len(g.adj[u]) for u in fs)
+    return sum(1.0 / g.degrees[u] for u in fs)
 
 
 def bfs_distances(g: Graph, source: int) -> list[int]:
     g.check_node(source)
+    ptr, flat = g.csr_lists
     dist = [-1] * g.n
     dist[source] = 0
     queue = deque([source])
     while queue:
         u = queue.popleft()
-        for v in g.adj[u]:
+        for v in flat[ptr[u] : ptr[u + 1]]:
             if dist[v] < 0:
                 dist[v] = dist[u] + 1
                 queue.append(v)

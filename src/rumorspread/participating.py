@@ -25,9 +25,9 @@ state and must reproduce the end state.
 Everything before the first removal, and the potential recomputes, runs on
 the graph's CSR arrays with numpy: the closure, the sampling masses, each
 node's pooled-neighbour count and active mass, and the first violators. The
-worklist then walks neighbour slices of ``Graph.csr_lists``; the adjacency
-tuples ``Graph.adj`` are never built. The audit reads the boundary and the
-exact boundary expansion from one ``expansion._BoundaryHits``.
+worklist then walks neighbour slices of ``Graph.csr_lists``. The audit reads
+the boundary and the exact boundary expansion from one
+``expansion._BoundaryHits``.
 
 Every exact value is an integer numerator end to end: sampling masses and
 the potential over the lcm of the degrees, the exact boundary expansion over

@@ -395,7 +395,7 @@ def shuffled_bad_edges(draw):
     """Distinct edges of a graph on n nodes, some reversed, with a few
     out-of-range ids, self-loops, repeats and float ids mixed in, all
     shuffled; and the numpy dtype to pass them as, or None for a list."""
-    rnd = draw(st.randoms(use_true_random=False))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(2, 40))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rnd.shuffle(pairs)
@@ -484,6 +484,22 @@ class TestCSRGraph:
         g = Graph(2, indptr, indices)
         indices[0] = 0
         assert g.adj == ((1,), (0,))
+
+    def test_build_hands_over_read_only_arrays(self, monkeypatch):
+        # the build marks the arrays it computed read-only, so the
+        # constructor keeps them instead of copying
+        edges = cycle(12).edges()
+        kept = []
+
+        def spy(values):
+            arr = real(values)
+            kept.append(arr is values)
+            return arr
+
+        real = graph_module._read_only
+        monkeypatch.setattr(graph_module, "_read_only", spy)
+        Graph.from_edges(12, edges)
+        assert kept == [True, True]
 
     @pytest.mark.parametrize("g", [hypercube(3), hypercube(7), star(200)], ids=["q3", "q7", "star200"])
     def test_equal_graphs_built_two_ways(self, tmp_path, g):

@@ -26,13 +26,10 @@ from rumorspread import (
     compute_participating_modified,
     cycle,
     erdos_renyi,
-    load_edge_list,
     participating_fixed_point,
     path,
     potential,
-    random_regular,
     restricted_start,
-    save_edge_list,
     star,
     write_removal_log_csv,
 )
@@ -346,50 +343,6 @@ class TestScalePastInt64:
             pool = {v for v in range(WIDE.n) if rand.random() < 0.6}
             phi1, phi2 = oracles.naive_potential(WIDE.adj, s, pool)
             assert potential(WIDE, s, pool) == (float(phi1), float(phi2), float(phi1 + phi2))
-
-
-class TestNoAdjacencyTuples:
-    """Thinning reads the CSR arrays: a loaded graph, of any size, never
-    builds its ``adj`` tuples for it."""
-
-    def test_library_and_cli(self, tmp_path, monkeypatch):
-        import rumorspread.cli as cli
-
-        path = str(tmp_path / "g.txt")
-        save_edge_list(random_regular(64, 8, rng_seed=3), path)
-        s = {0, 9, 17, 40}
-        cfg = ParticipatingConfig()
-        g, _ = load_edge_list(path)
-        assert "adj" not in g.__dict__  # built by numpy, not edge by edge
-        full = compute_participating(g, s, cfg)
-        rep = active_fraction_check(g, s, cfg, full=full)
-        assert not rep.skipped and rep.all_ok
-        assert "adj" not in g.__dict__
-
-        loaded = []
-
-        def load(p):
-            g, mapping = load_edge_list(p)
-            loaded.append(g)
-            return g, mapping
-
-        monkeypatch.setattr(cli, "load_edge_list", load)
-        for extra in ([], ["--restricted-start"]):
-            argv = ["participating", "--graph", path, "--set", "0,9,17,40", "--check",
-                    "--log-csv", str(tmp_path / "log.csv"), "--out", str(tmp_path / "out.json")]
-            assert cli.main(argv + extra) == 0
-            assert "adj" not in loaded[-1].__dict__
-
-    def test_small_file(self, tmp_path):
-        # 12 lines, parsed line by line and built as every graph is
-        path = str(tmp_path / "c12.txt")
-        save_edge_list(cycle(12), path)
-        g, _ = load_edge_list(path)
-        assert "adj" not in g.__dict__
-        s, cfg = {0, 1}, ParticipatingConfig()
-        rep = active_fraction_check(g, s, cfg, full=compute_participating(g, s, cfg))
-        assert not rep.skipped and rep.all_ok
-        assert "adj" not in g.__dict__
 
 
 class TestExactBoundaryExpansion:
