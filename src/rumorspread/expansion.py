@@ -145,13 +145,12 @@ def _boundary_expansion(g: Graph, fs: NodeSet, bd: NodeSet, sampled: NodeSet) ->
 
 
 class _BoundaryHits:
-    """From one closure and one walk over the boundary's CSR lists: the sorted
-    boundary of a set and its degrees, the sorted second shell (the boundary
-    of the closure), and each edge between them as ``outer`` (its shell node)
-    and ``owner`` (the index in ``boundary`` of its boundary node)."""
+    """From a set's boundary and closure masks (``graph._closure``) and one walk
+    over the boundary's CSR lists: the sorted boundary and its degrees, the sorted
+    second shell (the closure's boundary), and each edge between them as ``outer``
+    (its shell node) and ``owner`` (the index in ``boundary`` of its boundary node)."""
 
-    def __init__(self, g: Graph, fs: NodeSet):
-        in_bd, in_closure = _closure(g, fs)
+    def __init__(self, g: Graph, in_bd: np.ndarray, in_closure: np.ndarray):
         self.boundary = np.flatnonzero(in_bd)
         self.degrees = g.indptr[self.boundary + 1] - g.indptr[self.boundary]
         nbrs, owner = _neighbour_lists(g, self.boundary)
@@ -226,7 +225,7 @@ def boundary_expansion_mc(
     fs = _proper_subset(g, s)
     if samples < 2:
         raise InputError("need at least 2 samples")
-    hits = _BoundaryHits(g, fs)
+    hits = _BoundaryHits(g, *_closure(g, fs))
     mean = stderr = 0.0  # without a second shell there is nothing to hit
     if hits.shell.size:
         m = hits.boundary.size
@@ -500,7 +499,7 @@ def regular_h_sandwich(g: Graph, s: Collection[int]) -> tuple[float, float, floa
     """
     deg = _require_regular(g, "the boundary-edge sandwich")
     fs = _proper_subset(g, s)
-    hits = _BoundaryHits(g, fs)
+    hits = _BoundaryHits(g, *_closure(g, fs))
     e, b = hits.outer.size, hits.boundary.size  # the edges between the two shells
     h = boundary_expansion_exact(g, fs)
     lower = e / (2 * deg * b)

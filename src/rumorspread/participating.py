@@ -22,12 +22,12 @@ receiver side, each updated by O(deg) deltas of the removed node, and the two
 forms must agree exactly after each step. A full recompute checks the start
 state and must reproduce the end state.
 
-Everything before the first removal, and the potential recomputes, runs on
-the graph's CSR arrays with numpy: the closure, the sampling masses, each
-node's pooled-neighbour count and active mass, and the first violators. The
-worklist then walks neighbour slices of ``Graph.csr_lists``. The audit reads
-the boundary and the exact boundary expansion from one
-``expansion._BoundaryHits``.
+Each call validates its set and derives one state from it, once: the closure
+masks and the sampling masses (``_thinning_state``), which the potential, the
+restricted start, the fixed points and the guarantee audit (with its
+``expansion._BoundaryHits``) all read. The start state and the potential
+recomputes run on the CSR arrays with numpy; the worklist then walks
+neighbour slices of ``Graph.csr_lists``.
 
 Every exact value is an integer numerator end to end: sampling masses and
 the potential over the lcm of the degrees, the exact boundary expansion over
@@ -150,6 +150,12 @@ def _sampling_units(g: Graph) -> tuple[np.ndarray, int]:
     return scale // degree, scale
 
 
+def _thinning_state(g: Graph, s: Collection[int]) -> tuple:
+    """What a call derives from (g, s): ``s``'s boundary and closure masks
+    (``graph._closure``), then the sampling units and their scale."""
+    return (*_closure(g, _proper_subset(g, s)), *_sampling_units(g))
+
+
 def _potential_parts(
     g: Graph, in_closure: np.ndarray, in_pool: np.ndarray, unit: np.ndarray
 ) -> tuple[int, int]:
@@ -182,32 +188,26 @@ def potential(g: Graph, s: Collection[int], pool: Collection[int]) -> tuple[floa
     Returns (phi1, phi2, phi1 + phi2) as floats; the exact dual-form
     cross-check runs internally.
     """
-    fs = g.check_set(s)
-    if not fs:
-        raise InputError("set must be nonempty")
-    unit, scale = _sampling_units(g)
-    p1, p2 = _potential_parts(g, _closure(g, fs)[1], _mask(g.n, g.check_set(pool)), unit)
+    _, in_closure, unit, scale = _thinning_state(g, s)
+    p1, p2 = _potential_parts(g, in_closure, _mask(g.n, g.check_set(pool)), unit)
     # int true division rounds correctly, as float(Fraction) does
     return p1 / scale, p2 / scale, (p1 + p2) / scale
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
+def _restricted_mask(g: Graph, state: tuple, eps_p: Fraction) -> np.ndarray:
+    """The restricted start pool of a thinning state, as a boolean mask."""
+    in_bd, in_closure, unit, scale = state
+    mass = _neighbour_sums(g, np.where(in_bd, unit, 0))
+    # mass / scale >= 2 eps_p, for an integer mass, is mass >= ceil(2 eps_p scale)
+    return in_closure | (mass >= -(-2 * eps_p.numerator * scale // eps_p.denominator))
 
 
 def restricted_start(g: Graph, s: Collection[int], cfg: ParticipatingConfig) -> NodeSet:
     """Start pool for the modified construction: the closure plus those
     second-shell nodes whose boundary-neighbor sampling mass reaches
     2*eps_p."""
-    fs = g.check_set(s)
-    if not fs:
-        raise InputError("set must be nonempty")
-    in_bd, in_closure = _closure(g, fs)
-    unit, scale = _sampling_units(g)
-    mass = _neighbour_sums(g, np.where(in_bd, unit, 0))
-    # mass / scale >= 2 eps_p, for an integer mass
-    least = _ceil_div(2 * cfg.eps_p.numerator * scale, cfg.eps_p.denominator)
-    return frozenset(np.flatnonzero(in_closure | (mass >= least)).tolist())
+    in_start = _restricted_mask(g, _thinning_state(g, s), cfg.eps_p)
+    return frozenset(np.flatnonzero(in_start).tolist())
 
 
 class _RunningPotential:
@@ -295,28 +295,30 @@ def participating_fixed_point(
     once, "random" draws one using ``rng``. The fixed point itself does not
     depend on this choice.
     """
+    state = _thinning_state(g, s)
+    pool = np.ones(g.n, dtype=bool) if start is None else _mask(g.n, g.check_set(start))
+    return _fixed_point(g, state, cfg, pool, start_rule, order, rng, track_potential)
+
+
+def _fixed_point(
+    g: Graph, state: tuple, cfg: ParticipatingConfig, pool_mask: np.ndarray, start_rule: str,
+    order: str = "lowest", rng: random.Random | None = None, track_potential: bool = True,
+) -> ParticipatingResult:
+    """``participating_fixed_point`` on a thinning state from (and consuming) ``pool_mask``."""
     if order not in _ORDERS:
         raise InputError(f"unknown removal order {order!r}; known: {_ORDERS}")
     if order == "random" and rng is None:
         raise InputError("random removal order needs an rng")
-    fs = _proper_subset(g, s)
-    closure_mask = _closure(g, fs)[1]
-    units, scale = _sampling_units(g)
+    _, closure_mask, units, scale = state
+    pool_start = frozenset(np.flatnonzero(pool_mask).tolist())
     # The start state, in numpy: per node, its pooled-neighbour count and the
     # sampling mass of its active (pooled closure) neighbours, as a numerator
     # over scale.
-    if start is None:
-        pool_start = g.node_set
-        pool_mask = np.ones(g.n, dtype=bool)
-        pool_nbrs = np.diff(g.indptr)
-    else:
-        pool_start = g.check_set(start)
-        pool_mask = _mask(g.n, pool_start)
-        pool_nbrs = _neighbour_sums(g, pool_mask)
+    pool_nbrs = _neighbour_sums(g, pool_mask)
     active_mass = _neighbour_sums(g, np.where(closure_mask & pool_mask, units, 0))
     # a node violates when lhs_num / scale < eps_p, that is, for an integer
     # lhs_num, when lhs_num < ceil(eps_p * scale)
-    least = _ceil_div(cfg.eps_p.numerator * scale, cfg.eps_p.denominator)
+    least = -(-cfg.eps_p.numerator * scale // cfg.eps_p.denominator)
     violators = pool_mask & (active_mass + np.where(closure_mask, pool_nbrs * units, 0) < least)
 
     # the potential after each step, as numerators over scale
@@ -425,15 +427,14 @@ def compute_participating_modified(
     Always a subset of the canonical fixed point, and the variant whose
     potential trajectory the guarantee checks are stated for.
     """
-    start = restricted_start(g, s, cfg)
-    return participating_fixed_point(
-        g, s, cfg, start=start, start_rule="restricted", **kwargs
-    )
+    state = _thinning_state(g, s)
+    start = _restricted_mask(g, state, cfg.eps_p)
+    return _fixed_point(g, state, cfg, start, "restricted", **kwargs)
 
 
 def boundary_expansion_fraction(g: Graph, s: Collection[int]) -> Fraction:
     """Boundary expansion as an exact rational (see ``_BoundaryHits.exact``)."""
-    return _BoundaryHits(g, _proper_subset(g, s)).exact()
+    return _BoundaryHits(g, *_closure(g, _proper_subset(g, s))).exact()
 
 
 @dataclass
@@ -481,18 +482,23 @@ def active_fraction_check(
     violations, not defects.
 
     A caller that already has a fixed point of the instance can pass it:
-    ``full`` from ``compute_participating`` (only its set is read) and
+    ``full`` from ``compute_participating`` (only its sets are read) and
     ``modified`` from ``compute_participating_modified``, tracked, in the
-    default order. Either one not given is computed here.
+    default order. Either one not given is computed here. A given run that
+    the audit reads and that is not of this set (``full`` not started from
+    every node, or with an active set other than its pool within the closure
+    of ``s``; ``modified`` untracked, or not started from the restricted
+    start of ``s`` at its own eps_p) raises ``InputError``.
     """
-    fs = _proper_subset(g, s)
+    state = _thinning_state(g, s)
+    in_bd, in_closure, _, scale = state
     if not cfg.hypothesis_ok:
         return ActiveFractionReport(
             skipped=True,
             reason=f"config outside guarantee regime: eps_p={cfg.eps_p} "
             f">= (1-eps_h)/3={(1 - cfg.eps_h) / 3}",
         )
-    hits = _BoundaryHits(g, fs)
+    hits = _BoundaryHits(g, in_bd, in_closure)
     h = hits.exact()
     if h > cfg.eps_h:
         return ActiveFractionReport(
@@ -503,11 +509,13 @@ def active_fraction_check(
     b = hits.boundary.size
 
     if modified is None:
-        modified = compute_participating_modified(g, fs, cfg)
-    assert modified.trajectory is not None
+        modified = _fixed_point(g, state, cfg, _restricted_mask(g, state, cfg.eps_p), "restricted")
+    elif modified.trajectory is None or modified.start != set(
+        np.flatnonzero(_restricted_mask(g, state, modified.eps_p)).tolist()
+    ):
+        raise InputError("modified is not a tracked run of this set from its restricted start")
     # phi[i] / scale is the potential after step i, every trajectory denominator
     # dividing the sampling scale; every comparison below is cross-multiplied
-    scale = _sampling_units(g)[1]
     phi = [
         p1.numerator * (scale // p1.denominator) + p2.numerator * (scale // p2.denominator)
         for p1, p2 in modified.trajectory
@@ -525,8 +533,12 @@ def active_fraction_check(
     )
 
     if full is None:
-        full = compute_participating(g, fs, cfg, track_potential=False)
-    surviving = int(np.count_nonzero(_mask(g.n, full.participating)[hits.boundary]))
+        full = _fixed_point(g, state, cfg, np.ones(g.n, bool), "full", track_potential=False)
+    elif full.start != g.node_set or full.active != set(
+        np.flatnonzero(_mask(g.n, full.participating) & in_closure).tolist()
+    ):
+        raise InputError("full is not a fixed point of this set from every node")
+    surviving = int(np.count_nonzero(_mask(g.n, full.participating) & in_bd))
     floor = 1 - cfg.eps_h / ((1 - cfg.eps_p) * (1 - 2 * cfg.eps_p))
     fraction_ok = Fraction(surviving, b) >= floor
 

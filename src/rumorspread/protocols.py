@@ -50,7 +50,7 @@ import numpy as np
 from . import rng
 from .errors import IncompleteSpreadError, InputError
 from .expansion import _block_rows, _BoundaryHits, boundary_expansion_exact
-from .graph import Graph, NodeSet, _mask, _neighbour_lists, _proper_subset
+from .graph import Graph, NodeSet, _closure, _mask, _neighbour_lists, _proper_subset
 
 VARIANTS = ("push", "pull", "pushpull")
 # Trials per first_arrival_times batch; the batch size decides which sampler
@@ -556,7 +556,7 @@ def pull_growth_check(
     s_set = _proper_subset(g, s)
     if trials < 2:
         raise InputError("need at least 2 trials for a standard error")
-    hits = _BoundaryHits(g, s_set)
+    hits = _BoundaryHits(g, *_closure(g, s_set))
     h = boundary_expansion_exact(g, s_set)
     floor = h * hits.boundary.size
 

@@ -411,6 +411,70 @@ class TestAnalyze:
         assert "Traceback" not in err.getvalue()
 
 
+# Every subcommand in one process, run under two hash seeds by
+# TestHashSeedMatrix; its artifacts are the files it leaves in its directory.
+HASH_SEED_DRIVER = r"""
+import contextlib, io, json
+from rumorspread.cli import main
+
+def run(name, *argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0, name
+    with open(name + ".stdout", "w") as fh:
+        fh.write(out.getvalue())
+
+run("gen", "gen", "erdos_renyi", "--n", "14", "--p", "0.4", "--seed", "2", "--out", "g.txt")
+# the same graph with word labels, whose sets iterate in hash-seed order
+with open("g.txt") as src, open("words.txt", "w") as dst:
+    for line in src:
+        if not line.startswith("#"):
+            dst.write(" ".join("w" + tok for tok in line.split()) + "\n")
+run("analyze", "analyze", "--graph", "words.txt", "--measures", "alpha,phi,xi",
+    "--out", "analyze.json")
+run("analyze-set", "analyze", "--graph", "words.txt", "--set", "w0,w3,w7",
+    "--measures", "alpha,phi,h,xi,rho", "--decompose", "--out", "analyze_set.json")
+run("simulate", "simulate", "--graph", "words.txt", "--trials", "20", "--seed", "1",
+    "--trace-out", "trace.csv", "--summary-out", "summary.csv")
+for tag, extra in (("full", []), ("restricted", ["--restricted-start"])):
+    run("participating-" + tag, "participating", "--graph", "words.txt", "--set", "w0,w3",
+        "--eps-h", "4/5", "--eps-p", "1/20", "--check", "--log-csv", "log_" + tag + ".csv",
+        "--out", "participating_" + tag + ".json", *extra)
+with open("sweep.json", "w") as fh:
+    json.dump({"family": "hypercube", "sweep": [{"d": 2}, {"d": 3}], "trials": 20,
+               "rng_seed": 3}, fh)
+run("experiment", "experiment", "--config", "sweep.json", "--points-out", "points.csv",
+    "--report-out", "report.json")
+run("report", "report", "points.csv", "--out", "digest.json")
+"""
+
+
+class TestHashSeedMatrix:
+    def test_every_artifact_independent_of_hash_seed(self, tmp_path):
+        src = str(Path(rumorspread.__file__).resolve().parents[1])
+        artifacts = {}
+        for seed in ("0", "1"):
+            cwd = tmp_path / seed
+            cwd.mkdir()
+            subprocess.run(
+                [sys.executable, "-c", HASH_SEED_DRIVER],
+                cwd=cwd,
+                env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+                check=True,
+                timeout=300,
+            )
+            artifacts[seed] = {p.name: p.read_bytes() for p in sorted(cwd.iterdir())}
+        names = set(artifacts["0"])
+        assert {
+            "g.txt", "analyze.json", "analyze_set.json", "trace.csv", "summary.csv",
+            "log_full.csv", "log_restricted.csv", "participating_full.json",
+            "participating_restricted.json", "points.csv", "report.json", "digest.json",
+        } <= names
+        assert names == set(artifacts["1"])
+        for name in sorted(names):
+            assert artifacts["0"][name] == artifacts["1"][name], name
+
+
 class TestSimulate:
     def test_pair_always_one_round(self, tmp_path, capsys):
         graph = tmp_path / "k2.txt"

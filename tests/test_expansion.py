@@ -136,7 +136,7 @@ class TestBoundaryExpansion:
         # one block
         g = random_regular(1024, 8, rng_seed=4)
         s = frozenset(random.Random(4).sample(range(g.n), 16))
-        shells = expansion._BoundaryHits(g, s)
+        shells = expansion._BoundaryHits(g, *expansion._closure(g, s))
         assert shells.boundary.size < shells.shell.size
         assert expansion._block_rows(shells.shell.size) < 3000
         whole = boundary_expansion_mc(g, s, samples=3000, rng_seed=7)
@@ -160,7 +160,7 @@ class TestBoundaryExpansion:
             s = frozenset(range(g.n)) - {rand.randrange(g.n)}
         else:
             s = frozenset(rand.sample(range(g.n), rand.randint(1, g.n - 1)))
-        hits = expansion._BoundaryHits(g, s)
+        hits = expansion._BoundaryHits(g, *expansion._closure(g, s))
         bd = oracles.naive_boundary(g.adj, s)
         bd2 = oracles.naive_boundary(g.adj, oracles.naive_closure(g.adj, s))
         assert hits.boundary.tolist() == sorted(bd)

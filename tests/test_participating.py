@@ -10,8 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+import rumorspread.expansion as expansion
+import rumorspread.graph as graph_module
 import rumorspread.participating as part_mod
 from conftest import graph_and_proper_subset
+from rumorspread.cli import main
 from rumorspread import (
     Graph,
     InputError,
@@ -29,7 +32,9 @@ from rumorspread import (
     participating_fixed_point,
     path,
     potential,
+    random_regular,
     restricted_start,
+    save_edge_list,
     star,
     write_removal_log_csv,
 )
@@ -465,6 +470,96 @@ class TestGuaranteeAudit:
         modified = compute_participating_modified(g, s, cfg)
         assert active_fraction_check(g, s, cfg, full=full) == want
         assert active_fraction_check(g, s, cfg, modified=modified) == want
+
+
+class TestAuditReusedRuns:
+    """A fixed point handed to the audit must be one of the audited set: a
+    run of another set or start would give a report of another instance."""
+
+    G = random_regular(64, 8, rng_seed=3)
+    S = frozenset({0, 9, 17, 40})
+    CFG = ParticipatingConfig()
+
+    def test_reference_report(self):
+        rep = active_fraction_check(self.G, self.S, self.CFG)
+        assert (rep.phi_start, rep.all_ok, rep.surviving_boundary) == (1.875, True, 27)
+        full = compute_participating(self.G, self.S, self.CFG, track_potential=False)
+        modified = compute_participating_modified(self.G, self.S, self.CFG)
+        assert active_fraction_check(self.G, self.S, self.CFG, full=full, modified=modified) == rep
+
+    def test_full_start_run_as_modified(self):
+        full = compute_participating(self.G, self.S, self.CFG)
+        with pytest.raises(InputError, match="restricted start"):
+            active_fraction_check(self.G, self.S, self.CFG, modified=full)
+
+    def test_untracked_modified(self):
+        untracked = compute_participating_modified(self.G, self.S, self.CFG, track_potential=False)
+        with pytest.raises(InputError, match="tracked"):
+            active_fraction_check(self.G, self.S, self.CFG, modified=untracked)
+
+    def test_modified_of_another_set(self):
+        other = compute_participating_modified(self.G, {1, 2, 3}, self.CFG)
+        with pytest.raises(InputError, match="restricted start"):
+            active_fraction_check(self.G, self.S, self.CFG, modified=other)
+
+    def test_full_of_another_set(self):
+        other = compute_participating(self.G, {1, 2, 3}, self.CFG)
+        with pytest.raises(InputError, match="from every node"):
+            active_fraction_check(self.G, self.S, self.CFG, full=other)
+
+    def test_restricted_run_as_full(self):
+        modified = compute_participating_modified(self.G, self.S, self.CFG)
+        with pytest.raises(InputError, match="from every node"):
+            active_fraction_check(self.G, self.S, self.CFG, full=modified)
+
+
+class TestOneThinningState:
+    """Each call validates its set and computes the closure and the sampling
+    units once, whatever it runs on them."""
+
+    G = TestAuditReusedRuns.G
+    S = TestAuditReusedRuns.S
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"closure": 0, "units": 0}
+
+        def counting(key, fn):
+            def wrapped(*args):
+                counts[key] += 1
+                return fn(*args)
+
+            return wrapped
+
+        closure_calls = counting("closure", graph_module._closure)
+        monkeypatch.setattr(part_mod, "_closure", closure_calls)
+        monkeypatch.setattr(expansion, "_closure", closure_calls)
+        monkeypatch.setattr(part_mod, "_sampling_units", counting("units", part_mod._sampling_units))
+        return counts
+
+    @pytest.mark.parametrize("extra", [[], ["--restricted-start"]])
+    def test_cli_check(self, counts, tmp_path, extra):
+        path, out = str(tmp_path / "g.txt"), tmp_path / "out.json"
+        save_edge_list(self.G, path)
+        argv = ["participating", "--graph", path, "--set", "0,9,17,40", "--check", "--out", str(out)]
+        assert main(argv + extra) == 0
+        assert '"all_ok": true' in out.read_text()  # the audit ran both fixed points
+        assert counts == {"closure": 2, "units": 2}
+
+    def test_audit(self, counts):
+        assert active_fraction_check(self.G, self.S, ParticipatingConfig()).all_ok
+        assert counts == {"closure": 1, "units": 1}
+
+    def test_modified(self, counts):
+        compute_participating_modified(self.G, self.S, ParticipatingConfig())
+        assert counts == {"closure": 1, "units": 1}
+
+    def test_whole_node_set_is_no_proper_subset(self):
+        every = range(self.G.n)
+        with pytest.raises(InputError, match="set must be a nonempty proper subset"):
+            potential(self.G, every, {0})
+        with pytest.raises(InputError, match="set must be a nonempty proper subset"):
+            restricted_start(self.G, every, ParticipatingConfig())
 
 
 class TestResultShape:
