@@ -2,15 +2,21 @@
 
 Set-level measures evaluate a formula on one set. Graph-level measures
 minimize over all subsets by exhaustive enumeration and are therefore limited
-to small graphs; they raise CapabilityError beyond the limit and direct the
-caller to per-set evaluation. The enumeration is vectorized over int64 subset
-bitmasks: per-digit lookup tables (16 nodes a digit) give the size, volume,
-internal edge count and neighbourhood of any mask, and the subsets are visited
-in chunks of 2^16 masks that share their higher bits, so memory stays a few
-megabytes whatever n is. One walk serves every measure requested together:
-each chunk's tables are read once, and each measure folds the chunk into its
-own running minimum. Masks cap the enumeration at 62 nodes, whatever limit
-the caller sets.
+to small graphs (20 nodes by default); they raise CapabilityError beyond the
+limit and direct the caller to per-set evaluation. The enumeration is
+vectorized over int64 subset bitmasks: per-digit lookup tables (16 nodes a
+digit) give the size, volume and cut of any mask. The subsets are visited in
+chunks of up to 2^16 masks that share the bits above the low digit and whose
+low bits are the low tables' own index, so a chunk's counts are the low
+tables read in place plus the higher part's, and memory stays a few
+megabytes whatever n is. Each measure walks only its domain: vertex and
+combined expansion the sets of 1..n/2 nodes, skipping every chunk whose
+higher part already holds more; conductance, as cut(S) = cut(V - S), only
+the masks without node n-1, each standing for the side of its cut with at
+most half the volume (both sides when they tie at exactly half). That is
+about half the masks for each. One walk serves every measure requested
+together, each measure folding a chunk into its own running minimum. Masks
+cap the enumeration at 62 nodes, whatever limit the caller sets.
 
 Measures:
 
@@ -36,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Collection, NamedTuple, Sequence
 
 import numpy as np
@@ -269,76 +275,124 @@ def augmented_combined_expansion_set(g: Graph, s: Collection[int]) -> float:
 # -- exhaustive graph-level measures ---------------------------------------
 
 
+@cache
+def _low_masks(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The masks 0..2^width - 1 and their member counts, the latter built by
+    doubling. One read-only pair per width serves every graph."""
+    index = np.arange(1 << width, dtype=np.int64)
+    size = np.empty_like(index)
+    size[0] = 0
+    for i in range(width):
+        np.add(size[: 1 << i], 1, out=size[1 << i : 2 << i])
+    index.flags.writeable = size.flags.writeable = False
+    return index, size
+
+
 class _Digit(NamedTuple):
     """Tables over the subsets of the nodes shift..shift+width-1, indexed by
-    the mask bits of those nodes (``(mask >> shift) & low``)."""
+    the mask bits of those nodes (``(mask >> shift) & bits``, one of
+    ``index``): their size, volume, cut, and boundary (the neighbourhood
+    less the set)."""
 
     shift: int
-    low: int
+    bits: int
+    index: np.ndarray
     size: np.ndarray
     vol: np.ndarray
-    edges: np.ndarray
-    nbr: np.ndarray
+    cut: np.ndarray
+    boundary: np.ndarray
 
 
 class _MaskTables:
-    """Size, volume, internal edge count and neighbourhood of node masks.
+    """Size, volume and cut of node masks, the digits' tables, and the edges
+    between a set of higher nodes and each low-digit mask.
 
     Each digit's tables are built with one vectorized step per node: the
-    subsets that contain the node extend those that do not. Edges between
-    two digits are counted per node of the higher one, by a size lookup of
-    its neighbours in the lower one. Both read each node's neighbourhood
-    mask, ORed from the CSR at once (ids stay below 62, so it fits int64).
+    subsets that contain the node extend those that do not. The size table
+    is the shared popcount, and a digit's cut is its volume less twice its
+    internal edges. An edge between two digits leaves both digits' cuts when
+    both ends are in the set; such edges are counted per node of the higher
+    digit, by a size lookup of its neighbours in the lower one. All of this
+    reads each node's neighbourhood mask, ORed from the CSR at once (ids stay
+    below 62, so it fits int64).
     """
 
     def __init__(self, g: Graph):
+        self.degrees = g.degrees
+        self.nbr_masks = np.bitwise_or.reduceat(np.left_shift(1, g.indices), g.indptr[:-1]).tolist()
         self.digits: list[_Digit] = []
         self.cross: list[tuple[int, list[tuple[int, int]]]] = []
-        nbr_masks = np.bitwise_or.reduceat(np.left_shift(1, g.indices), g.indptr[:-1]).tolist()
-        index = np.arange(1 << min(g.n, _DIGIT_BITS), dtype=np.int64)
+        self._into_low: dict[int, np.ndarray] = {}
         for shift in range(0, g.n, _DIGIT_BITS):
             width = min(_DIGIT_BITS, g.n - shift)
-            size = np.zeros(1 << width, dtype=np.int64)
-            vol = np.zeros_like(size)
-            edges = np.zeros_like(size)
-            nbr = np.zeros_like(size)
+            index, size = _low_masks(width)
+            vol, edges, nbr = np.empty_like(index), np.empty_like(index), np.empty_like(index)
+            vol[0] = edges[0] = nbr[0] = 0
             for i in range(width):
                 v = shift + i
                 half, full = 1 << i, 2 << i
-                inner = nbr_masks[v] >> shift & (half - 1)  # neighbours shift..v-1
-                size[half:full] = size[:half] + 1
-                vol[half:full] = vol[:half] + g.degrees[v]
-                edges[half:full] = edges[:half] + size[index[:half] & inner]
-                nbr[half:full] = nbr[:half] | nbr_masks[v]
-                links = [
-                    (j, rel)
-                    for j, d in enumerate(self.digits)
-                    if (rel := nbr_masks[v] >> d.shift & d.low)
-                ]
-                if links:
-                    self.cross.append((v, links))
-            self.digits.append(_Digit(shift, (1 << width) - 1, size, vol, edges, nbr))
+                inner = self.nbr_masks[v] >> shift & (half - 1)  # neighbours shift..v-1
+                np.add(vol[:half], self.degrees[v], out=vol[half:full])
+                np.add(edges[:half], size[index[:half] & inner], out=edges[half:full])
+                np.bitwise_or(nbr[:half], self.nbr_masks[v], out=nbr[half:full])
+            edges *= -2
+            cut = np.add(edges, vol, out=edges)
+            nbr &= ~(index << shift)
+            self.digits.append(_Digit(shift, (1 << width) - 1, index, size, vol, cut, nbr))
+        for v in range(_DIGIT_BITS, g.n):
+            links = [
+                (j, rel)
+                for j, d in enumerate(self.digits[: v // _DIGIT_BITS])
+                if (rel := self.nbr_masks[v] >> d.shift & d.bits)
+            ]
+            if links:
+                self.cross.append((v, links))
 
     def stats(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Size, volume and internal edge count of every mask."""
-        parts = [(masks >> d.shift) & d.low for d in self.digits]
-        size = vol = edges = 0
-        for part, d in zip(parts, self.digits):
-            size = size + d.size[part]
-            vol = vol + d.vol[part]
-            edges = edges + d.edges[part]
+        """Size, volume and cut of every mask."""
+        *lower, last = self.digits
+        parts = [masks >> d.shift & d.bits for d in lower]
+        parts.append(masks >> last.shift if lower else masks)  # no bit at or above n
+        first = self.digits[0]
+        size, vol, cut = first.size[parts[0]], first.vol[parts[0]], first.cut[parts[0]]
+        for part, d in zip(parts[1:], self.digits[1:]):
+            size += d.size[part]
+            vol += d.vol[part]
+            cut += d.cut[part]
         for v, links in self.cross:
-            member = (masks >> v) & 1
+            twice = (masks >> v & 1) << 1
             for j, rel in links:
-                edges = edges + member * self.digits[j].size[parts[j] & rel]
-        return size, vol, edges
+                cut -= twice * self.digits[j].size[parts[j] & rel]
+        return size, vol, cut
 
-    def neighbourhood(self, masks: np.ndarray) -> np.ndarray:
-        """Union of the members' neighbourhoods, as masks."""
-        nbr = 0
-        for d in self.digits:
-            nbr = nbr | d.nbr[(masks >> d.shift) & d.low]
-        return nbr
+    def part(self, top: int) -> tuple[int, int, int, int]:
+        """Size, volume, cut and neighbourhood of the mask ``top``, as Python
+        ints, from its members' neighbourhood masks."""
+        size = vol = inside = nbr = 0
+        for v in range(top.bit_length()):
+            if top >> v & 1:
+                size += 1
+                vol += self.degrees[v]
+                inside += (self.nbr_masks[v] & top).bit_count()
+                nbr |= self.nbr_masks[v]
+        return size, vol, vol - inside, nbr  # inside counts each edge from both ends
+
+    def chunk(self, top: int, first: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The masks ``top | i`` for the low-digit indices first <= i < stop,
+        with their volumes and cuts, where ``top`` has no member in the low
+        digit: the low tables read in place and, if ``top`` is not empty,
+        its own volume and cut less twice its edges into each low mask."""
+        low = self.digits[0]
+        masks, vol, cut = low.index[first:stop], low.vol[first:stop], low.cut[first:stop]
+        if top:
+            _, top_vol, top_cut, _ = self.part(top)
+            masks, vol, cut = masks | top, vol + top_vol, cut + top_cut
+            for v in range(top.bit_length()):
+                if top >> v & 1:
+                    if v not in self._into_low:
+                        self._into_low[v] = 2 * low.size[low.index & self.nbr_masks[v]]
+                    cut -= self._into_low[v][first:stop]
+        return masks, vol, cut
 
 
 def _lex_smallest(masks: np.ndarray) -> int:
@@ -374,9 +428,10 @@ class _RunningMinimum:
         # The float argmin proposes p/q. Two distinct values differ by at
         # least 1/(q q'), with q, q' < 2^17, which float64 resolves; integer
         # cross-multiplication confirms it.
-        i = int(np.argmin(num / den))
+        i = int((num / den).argmin())
         p, q = int(num[i]), int(den[i])
-        if (num * q < p * den).any():
+        lhs, rhs = num * q, p * den
+        if (lhs < rhs).any():
             raise AssertionError("float argmin is not the exact minimum; internal bug")
         if self.best is not None:
             if p * self.best[1] > self.best[0] * q:
@@ -384,7 +439,7 @@ class _RunningMinimum:
             if p * self.best[1] < self.best[0] * q:
                 self.tied = []
         self.best = (p, q)
-        self.tied.append(masks[num * q == p * den])
+        self.tied.append(masks[lhs == rhs])
 
     def result(self, n: int) -> tuple[Fraction, tuple[int, ...]]:
         """The minimum and the lexicographically smallest minimizing member
@@ -401,37 +456,56 @@ def _exact_minima(
     and the lexicographically smallest minimizing member tuple, from one walk
     over the subsets.
 
-    Each chunk's size, volume and edge counts are computed once, and so are
-    the boundaries that vertex and combined expansion share. Each measure is
-    folded into its running minimum as soon as its arrays exist, before the
-    next measure's are built, so peak memory stays that of a one-measure walk.
+    The walk visits chunks of masks that share the bits above the low digit
+    (``top``), with low bits equal to the low tables' own index, so a chunk's
+    counts are the low tables read in place plus ``top``'s. Vertex and
+    combined expansion visit only the sets of 1..n/2 nodes and share their
+    boundaries; a chunk whose ``top`` already holds more nodes is skipped.
+    Conductance visits only the masks without node n-1, as cut(S) = cut(V-S):
+    the value is cut over the smaller volume, and a mask stands for the side
+    with at most half the total volume, for both sides when they tie. Each
+    measure is folded into its running minimum as soon as its arrays exist,
+    before the next measure's are built, so peak memory stays that of a
+    one-measure walk.
     """
     minima = {measure: _RunningMinimum() for measure in measures}
     conductance = minima.get("conductance")
     alpha = minima.get("vertex-expansion")
     xi = minima.get("combined-expansion")
     tables = _MaskTables(g)
-    width = min(g.n, _DIGIT_BITS)
-    low = np.arange(1 << width, dtype=np.int64)
-    for high in range(1 << (g.n - width)):
-        masks = low | (high << width)
-        size, vol, edges = tables.stats(masks)
-        if conductance is not None:
-            keep = (vol > 0) & (vol <= g.num_edges)  # at most half the total volume
-            conductance.fold(masks[keep], (vol - 2 * edges)[keep], vol[keep])
-        if alpha is None and xi is None:
+    low = tables.digits[0]
+    m, without_last = g.num_edges, 1 << (g.n - 1)
+    for top in range(0, 1 << g.n, low.index.size):
+        first = 0 if top else 1  # the empty set is in no domain
+        if conductance is not None and top < without_last:
+            masks, vol, cut = tables.chunk(top, first, min(low.index.size, without_last - top))
+            den = 2 * m - vol
+            conductance.fold(masks, cut, np.minimum(vol, den, out=den))
+        room = g.n // 2 - top.bit_count()
+        if (alpha is None and xi is None) or room < 0:
             continue
-        keep = (size > 0) & (2 * size <= g.n)
-        masks, size = masks[keep], size[keep]
-        del vol, edges, keep
-        bd = tables.neighbourhood(masks) & ~masks
-        bd_size, bd_vol, bd_edges = tables.stats(bd)
+        masks = np.flatnonzero(low.size <= room)[first:]
+        size, bd = low.size[masks], low.boundary[masks]
+        if top:
+            _, _, _, top_nbr = tables.part(top)
+            masks = masks | top
+            size += top.bit_count()
+            bd &= ~top
+            bd |= top_nbr & ~masks
+        bd_size, bd_vol, bd_cut = tables.stats(bd)
         del bd
         if alpha is not None:
             alpha.fold(masks, bd_size, size)
         if xi is not None:
             # (|B|/|S|) * (cut(B)/vol(B)) as one fraction
-            xi.fold(masks, bd_size * (bd_vol - 2 * bd_edges), size * bd_vol)
+            xi.fold(masks, bd_size * bd_cut, size * bd_vol)
+    if conductance is not None:
+        # each tied mask stands for its side of the cut with at most half
+        # the volume, and for both sides at exactly half
+        walked = np.concatenate(conductance.tied)
+        vol = tables.stats(walked)[1]
+        complements = walked ^ ((1 << g.n) - 1)
+        conductance.tied = [walked[vol <= m], complements[vol >= m]]
     return {measure: minimum.result(g.n) for measure, minimum in minima.items()}
 
 

@@ -252,14 +252,42 @@ class TestGraphLevel:
                     assert rep.measure == measure
                     assert (rep.exact, rep.witness) == want[measure]
 
-    @pytest.mark.parametrize("n", [17, 18])
+    @pytest.mark.parametrize("n", [17, 18, 20])
     def test_one_pass_equals_one_measure_passes(self, n):
-        # 2 and 4 chunks of 2^16 masks, over two table digits
+        # 2, 4 and 16 chunks of 2^16 masks, over two table digits
         g = random_connected(random.Random(n), n, extra=0.2)
         measures = ("vertex-expansion", "conductance", "combined-expansion")
         together = expansion._enumerated(g, measures, None)
         for measure in measures:
             assert together[measure] == expansion._enumerated(g, [measure], None)[measure]
+
+    @pytest.mark.parametrize("n", [5, 12, 16, 17])
+    def test_each_measure_walks_only_its_domain(self, monkeypatch, n):
+        # alpha and xi see exactly the sets of 1..n/2 nodes; phi, as
+        # cut(S) = cut(V - S), sees no set holding node n - 1
+        g = random_connected(random.Random(n), n, extra=0.3)
+        folded: list[np.ndarray] = []
+        fold = expansion._RunningMinimum.fold
+
+        def spy(self, masks, num, den):
+            folded.append(masks.copy())
+            fold(self, masks, num, den)
+
+        monkeypatch.setattr(expansion._RunningMinimum, "fold", spy)
+        walked = {}
+        for measure in ("vertex-expansion", "conductance", "combined-expansion"):
+            folded.clear()
+            expansion._exact_minima(g, [measure])
+            walked[measure] = np.concatenate(folded)
+        sets = sum(math.comb(n, k) for k in range(1, n // 2 + 1))
+        for measure in ("vertex-expansion", "combined-expansion"):
+            masks = walked[measure]
+            assert masks.size == sets == np.unique(masks).size
+            sizes = [bin(mask).count("1") for mask in masks.tolist()]
+            assert min(sizes) >= 1 and max(sizes) <= n // 2
+        phi = walked["conductance"]
+        assert 0 < phi.size <= 2 ** (n - 1) - 1
+        assert not (phi >> (n - 1) & 1).any()
 
     def test_capability_cap(self):
         g = cycle(10)
@@ -297,16 +325,26 @@ class TestGraphLevel:
         rand = random.Random(8)
         g = random_connected(rand, 62, extra=0.08)
         tables = expansion._MaskTables(g)
+        low = (1 << 16) - 1
         sets = [frozenset(rand.sample(range(62), rand.randint(0, 62))) for _ in range(300)]
         masks = np.array([sum(1 << v for v in s) for s in sets], dtype=np.int64)
-        size, vol, edges = tables.stats(masks)
-        nbr = tables.neighbourhood(masks)
+        size, vol, cut = tables.stats(masks)
         for i, s in enumerate(sets):
-            assert size[i] == len(s)
-            assert vol[i] == oracles.naive_volume(g.adj, s)
-            assert vol[i] - 2 * edges[i] == oracles.naive_cut(g.adj, s)
-            reached = {v for u in s for v in g.adj[u]}
-            assert nbr[i] == sum(1 << v for v in reached)
+            mask = int(masks[i])
+            want = (len(s), oracles.naive_volume(g.adj, s), oracles.naive_cut(g.adj, s))
+            assert (size[i], vol[i], cut[i]) == want
+            part_size, part_vol, part_cut, part_nbr = tables.part(mask)
+            assert (part_size, part_vol, part_cut) == want
+            assert part_nbr == sum(1 << v for v in {v for u in s for v in g.adj[u]})
+            # a chunk of the walk: the low digit's tables read in place plus
+            # the nodes above it
+            i = mask & low
+            chunk_masks, chunk_vol, chunk_cut = tables.chunk(mask & ~low, i, i + 1)
+            assert (chunk_masks[0], chunk_vol[0], chunk_cut[0]) == (mask, *want[1:])
+            for d in tables.digits:
+                members = {u for u in s if d.shift <= u <= d.shift + 15}
+                bd = oracles.naive_boundary(g.adj, members)
+                assert d.boundary[mask >> d.shift & d.bits] == sum(1 << v for v in bd)
 
     def test_report_serialization(self):
         rep = vertex_expansion_graph(cycle(6))

@@ -12,6 +12,7 @@ contract and belongs in CHANGES.md.
 """
 
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ import pytest
 
 from helpers import petersen, random_connected
 from rumorspread import (
+    Graph,
     ParticipatingConfig,
     ProtocolConfig,
     active_fraction_check,
@@ -36,6 +38,7 @@ from rumorspread import (
     dumbbell,
     first_arrival_times,
     hypercube,
+    path,
     pull_growth_check,
     random_regular,
     run_restricted,
@@ -211,6 +214,20 @@ def test_boundary_expansion_formula(name):
     assert formula_repr(*FORMULA_CASES[name]) == FORMULA_REPRS[name]
 
 
+def _relabelled(g: Graph, perm: list[int]) -> Graph:
+    """``g`` with node v renamed ``perm[v]``."""
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _two_cliques(n: int, side: tuple[int, ...], bridge: tuple[int, int]) -> Graph:
+    """A clique on ``side``, a clique on the other nodes and one bridge."""
+    rest = [v for v in range(n) if v not in side]
+    edges = itertools.chain(
+        itertools.combinations(side, 2), itertools.combinations(rest, 2), [bridge]
+    )
+    return Graph.from_edges(n, list(edges))
+
+
 MINIMA_GRAPHS = {
     "hypercube-4": lambda: hypercube(4),
     "cycle-16": lambda: cycle(16),
@@ -219,6 +236,16 @@ MINIMA_GRAPHS = {
     # past 16 nodes the subsets are enumerated in several chunks
     "random-4-regular-18": lambda: random_regular(18, 4, rng_seed=9),
     "cycle-20": lambda: cycle(20),
+    # The halves {0, 2, 3, 7} and {1, 4, 5, 6} both have half the volume, so
+    # they tie; the smaller member tuple holds the last node.
+    "dumbbell-4-relabelled": lambda: _relabelled(dumbbell(4), [0, 7, 2, 3, 4, 5, 6, 1]),
+    # odd n; the conductance minimizer {0, 3, 5, 8} has less than half the
+    # volume and holds the last node
+    "lopsided-cliques-9": lambda: _two_cliques(9, (0, 3, 5, 8), (5, 1)),
+    "random-11": lambda: random_connected(random.Random(11), 11, extra=0.3),
+    "path-2": lambda: path(2),
+    # two digits of mask tables; every minimizer holds node 16
+    "two-cliques-17": lambda: _two_cliques(17, (0, 1, 2, 3, 4, 5, 6, 16), (6, 7)),
 }
 
 MINIMA_MEASURES = {
@@ -246,6 +273,21 @@ MINIMA_REPRS = {
     ("cycle-20", "alpha"): "(0.2, Fraction(1, 5), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9))",
     ("cycle-20", "phi"): "(0.1, Fraction(1, 10), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9))",
     ("cycle-20", "xi"): "(0.2, Fraction(1, 5), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9))",
+    ("dumbbell-4-relabelled", "alpha"): "(0.25, Fraction(1, 4), (0, 2, 3, 7))",
+    ("dumbbell-4-relabelled", "phi"): "(0.07692307692307693, Fraction(1, 13), (0, 2, 3, 7))",
+    ("dumbbell-4-relabelled", "xi"): "(0.25, Fraction(1, 4), (0, 2, 3, 7))",
+    ("lopsided-cliques-9", "alpha"): "(0.25, Fraction(1, 4), (0, 3, 5, 8))",
+    ("lopsided-cliques-9", "phi"): "(0.07692307692307693, Fraction(1, 13), (0, 3, 5, 8))",
+    ("lopsided-cliques-9", "xi"): "(0.25, Fraction(1, 4), (0, 3, 5, 8))",
+    ("random-11", "alpha"): "(0.8, Fraction(4, 5), (0, 3, 4, 9, 10))",
+    ("random-11", "phi"): "(0.391304347826087, Fraction(9, 23), (2, 3, 5, 7, 8, 9))",
+    ("random-11", "xi"): "(0.4, Fraction(2, 5), (2, 3, 4, 8, 9))",
+    ("path-2", "alpha"): "(1.0, Fraction(1, 1), (0,))",
+    ("path-2", "phi"): "(1.0, Fraction(1, 1), (0,))",
+    ("path-2", "xi"): "(1.0, Fraction(1, 1), (0,))",
+    ("two-cliques-17", "alpha"): "(0.125, Fraction(1, 8), (0, 1, 2, 3, 4, 5, 6, 16))",
+    ("two-cliques-17", "phi"): "(0.017543859649122806, Fraction(1, 57), (0, 1, 2, 3, 4, 5, 6, 16))",
+    ("two-cliques-17", "xi"): "(0.125, Fraction(1, 8), (0, 1, 2, 3, 4, 5, 6, 16))",
 }
 
 
