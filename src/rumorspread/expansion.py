@@ -337,7 +337,7 @@ class _MaskTables:
                 np.bitwise_or(nbr[:half], self.nbr_masks[v], out=nbr[half:full])
             edges *= -2
             cut = np.add(edges, vol, out=edges)
-            nbr &= ~(index << shift)
+            nbr &= ~(index << shift)  # the boundary: the neighbourhood less the set
             self.digits.append(_Digit(shift, (1 << width) - 1, index, size, vol, cut, nbr))
         for v in range(_DIGIT_BITS, g.n):
             links = [
@@ -365,17 +365,16 @@ class _MaskTables:
                 cut -= twice * self.digits[j].size[parts[j] & rel]
         return size, vol, cut
 
-    def part(self, top: int) -> tuple[int, int, int, int]:
-        """Size, volume, cut and neighbourhood of the mask ``top``, as Python
-        ints, from its members' neighbourhood masks."""
-        size = vol = inside = nbr = 0
+    def part(self, top: int) -> tuple[int, int, int]:
+        """Volume, cut and neighbourhood of the mask ``top``, as Python ints,
+        from its members' neighbourhood masks."""
+        vol = inside = nbr = 0
         for v in range(top.bit_length()):
             if top >> v & 1:
-                size += 1
                 vol += self.degrees[v]
                 inside += (self.nbr_masks[v] & top).bit_count()
                 nbr |= self.nbr_masks[v]
-        return size, vol, vol - inside, nbr  # inside counts each edge from both ends
+        return vol, vol - inside, nbr  # inside counts each edge from both ends
 
     def chunk(self, top: int, first: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The masks ``top | i`` for the low-digit indices first <= i < stop,
@@ -385,7 +384,7 @@ class _MaskTables:
         low = self.digits[0]
         masks, vol, cut = low.index[first:stop], low.vol[first:stop], low.cut[first:stop]
         if top:
-            _, top_vol, top_cut, _ = self.part(top)
+            top_vol, top_cut, _ = self.part(top)
             masks, vol, cut = masks | top, vol + top_vol, cut + top_cut
             for v in range(top.bit_length()):
                 if top >> v & 1:
@@ -487,7 +486,7 @@ def _exact_minima(
         masks = np.flatnonzero(low.size <= room)[first:]
         size, bd = low.size[masks], low.boundary[masks]
         if top:
-            _, _, _, top_nbr = tables.part(top)
+            top_nbr = tables.part(top)[2]
             masks = masks | top
             size += top.bit_count()
             bd &= ~top

@@ -333,13 +333,13 @@ class TestGraphLevel:
             mask = int(masks[i])
             want = (len(s), oracles.naive_volume(g.adj, s), oracles.naive_cut(g.adj, s))
             assert (size[i], vol[i], cut[i]) == want
-            part_size, part_vol, part_cut, part_nbr = tables.part(mask)
-            assert (part_size, part_vol, part_cut) == want
+            part_vol, part_cut, part_nbr = tables.part(mask)
+            assert (part_vol, part_cut) == want[1:]
             assert part_nbr == sum(1 << v for v in {v for u in s for v in g.adj[u]})
             # a chunk of the walk: the low digit's tables read in place plus
             # the nodes above it
-            i = mask & low
-            chunk_masks, chunk_vol, chunk_cut = tables.chunk(mask & ~low, i, i + 1)
+            lo = mask & low
+            chunk_masks, chunk_vol, chunk_cut = tables.chunk(mask & ~low, lo, lo + 1)
             assert (chunk_masks[0], chunk_vol[0], chunk_cut[0]) == (mask, *want[1:])
             for d in tables.digits:
                 members = {u for u in s if d.shift <= u <= d.shift + 15}
