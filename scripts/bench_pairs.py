@@ -22,6 +22,8 @@ the other way round. A metric whose median is worse than the parent's by
 more than its ``BENCHMARK.json`` bound is marked ``BEYOND BOUND``, as
 ``bench_record.py --compare`` marks a single run. The exit status is 1 if any
 run was incorrect or failed a job, or any metric is beyond its bound, else 0.
+A workload that ``BENCHMARK.json`` does not name, or fewer than one pair, is
+a usage error (exit 2) before anything runs.
 """
 
 import argparse
@@ -69,15 +71,22 @@ def beyond_bound(parent: list[float], change: list[float], metric: dict) -> bool
     return worse > metric["bound"]
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
+    benchmark = load_json(BENCHMARK)
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("parent", help="checkout of the parent commit")
     p.add_argument("change", help="checkout of the change")
-    p.add_argument("--workload", required=True)
-    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--workload", required=True, choices=[w["name"] for w in benchmark["workloads"]])
+    p.add_argument("--pairs", type=positive_int, default=10)
     p.add_argument("--seed", type=int, default=0)
     args = p.parse_args(argv)
-    benchmark = load_json(BENCHMARK)
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     ok = True

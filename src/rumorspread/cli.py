@@ -1,10 +1,13 @@
 """Command line front end.
 
 Subcommands: gen, analyze, simulate, participating, experiment, report.
-Exit codes: 0 success, 2 bad input or unreadable or unwritable file, 3
-problem size beyond the enumeration capability, 4 spread did not complete
-within the round cap, 5 randomized construction failed. Relative output paths
-are resolved against $RUMORSPREAD_OUT_DIR when that variable is set.
+Exit codes: 0 success, 2 bad input or an unreadable, undecodable or
+unwritable file, 3 problem size beyond the enumeration capability, 4 spread
+did not complete within the round cap, 5 randomized construction failed; each
+error class maps to its code in ``_EXIT_CODES``. Every file a command reads
+goes through ``_read_input`` and every file it writes through ``_write_file``.
+Relative output paths are resolved against $RUMORSPREAD_OUT_DIR when that
+variable is set.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .experiment import (
     write_points_csv,
     write_report_json,
 )
-from .generators import FAMILY_NAMES, FamilySpec, greedy_dominating_set
+from .generators import _PARAM_TYPES, FAMILY_NAMES, FamilySpec, greedy_dominating_set
 from .graph import Graph, load_edge_list, save_edge_list
 from .protocols import (
     VARIANTS,
@@ -47,6 +50,13 @@ EXIT_INPUT = 2
 EXIT_CAPABILITY = 3
 EXIT_INCOMPLETE = 4
 EXIT_CONSTRUCTION = 5
+# the exit code of each error class a command may raise
+_EXIT_CODES = {
+    InputError: EXIT_INPUT,
+    CapabilityError: EXIT_CAPABILITY,
+    IncompleteSpreadError: EXIT_INCOMPLETE,
+    ConstructionError: EXIT_CONSTRUCTION,
+}
 
 # Short measure names accepted on the command line.
 MEASURE_ALIASES = {
@@ -57,6 +67,20 @@ MEASURE_ALIASES = {
     "rho": "augmented-combined-expansion",
 }
 MEASURES = tuple(MEASURE_ALIASES.values())
+# each measure's function of one node set, named as an ``expansion``
+# attribute and looked up at call time, so a wrapper installed on the module
+# (perfbench's tracer) sees the call; the graph-level minima of the
+# enumerable measures come from one enumeration, and the others need a set
+_SET_MEASURES = {
+    "vertex-expansion": "vertex_expansion_set",
+    "conductance": "conductance_set",
+    "boundary-expansion": "boundary_expansion_exact",
+    "combined-expansion": "combined_expansion_set",
+    "augmented-combined-expansion": "augmented_combined_expansion_set",
+}
+_ENUMERABLE = ("vertex-expansion", "conductance", "combined-expansion")
+# gen's flag (dest) for each family parameter: rng_seed is spelled --seed
+_GEN_DESTS = {name: "seed" if name == "rng_seed" else name for name in _PARAM_TYPES}
 
 
 def _out_path(path: str) -> str:
@@ -66,6 +90,20 @@ def _out_path(path: str) -> str:
         os.makedirs(base, exist_ok=True)
         return os.path.join(base, path)
     return path
+
+
+def _read_input(what: str, read, path: str):
+    """Return ``read(path)``; a file that cannot be opened or decoded is bad
+    input (exit 2), not a traceback."""
+    try:
+        return read(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _read_text(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _write_file(path: str, write) -> None:
@@ -96,36 +134,21 @@ def _parse_fraction(text: str, flag: str) -> Fraction:
     )
 
 
-def _load_graph(path: str) -> tuple[Graph, dict[str, int]]:
-    try:
-        return load_edge_list(path)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read graph file {path}: {exc}") from exc
-
-
-def _read_set_labels(path: str) -> list[str]:
-    """Labels of a node-set file, one per line, kept as strings so they match
-    edge-list labels exactly; blank lines and ``#`` lines are skipped."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [line.strip() for line in fh]
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read set file {path}: {exc}") from exc
-    return [line for line in lines if line and not line.startswith("#")]
-
-
 def _resolve_set(
     text: str | None, path: str | None, g: Graph, mapping: dict[str, int]
 ) -> frozenset[int]:
     """Read a node set given as ``--set`` text or a ``--set-file`` path, in
     original labels, and map it to internal ids through the label -> id
-    mapping of ``load_edge_list``."""
+    mapping of ``load_edge_list``. The file holds one label per line, kept as
+    a string so it matches edge-list labels exactly; blank lines and ``#``
+    lines are skipped."""
     if text is not None and path:
         raise InputError("give --set or --set-file, not both")
     if text is not None:
         labels = text.replace(",", " ").split()
     elif path:
-        labels = _read_set_labels(path)
+        lines = [line.strip() for line in _read_input("set file", _read_text, path).split("\n")]
+        labels = [line for line in lines if line and not line.startswith("#")]
     else:
         raise InputError("a node set is required (--set or --set-file)")
     members = []
@@ -152,21 +175,9 @@ def _write_json(payload: dict, out: str | None) -> None:
 # -- gen --------------------------------------------------------------------
 
 
-def _family_params(args) -> dict:
-    params = {}
-    for key in ("n", "d", "m", "leaves", "degree", "num_components", "c"):
-        value = getattr(args, key, None)
-        if value is not None:
-            params[key] = value
-    if args.p is not None:
-        params["p"] = args.p
-    if args.seed is not None:
-        params["rng_seed"] = args.seed
-    return params
-
-
 def cmd_gen(args) -> int:
-    spec = FamilySpec(args.family, _family_params(args))
+    given = {name: getattr(args, dest) for name, dest in _GEN_DESTS.items()}
+    spec = FamilySpec(args.family, {k: v for k, v in given.items() if v is not None})
     g = spec.build()
     _write_file(args.out, lambda target: save_edge_list(g, target, header=[spec.describe()]))
     return EXIT_OK
@@ -176,7 +187,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    g, mapping = _load_graph(args.graph)
+    g, mapping = _read_input("graph file", load_edge_list, args.graph)
     requested = []
     for token in args.measures.split(","):
         token = token.strip()
@@ -189,46 +200,26 @@ def cmd_analyze(args) -> int:
         requested.append(name)
 
     s = _resolve_set(args.set, args.set_file, g, mapping) if (args.set or args.set_file) else None
-    limit = args.limit
 
-    def as_report(name: str, value: float) -> expansion.ExpansionReport:
-        return expansion.ExpansionReport(
-            measure=name,
-            value=value,
-            witness=tuple(sorted(s)),
-            method="set",
-        )
-
-    set_only = {
-        "boundary-expansion": expansion.boundary_expansion_exact,
-        "augmented-combined-expansion": expansion.augmented_combined_expansion_set,
-    }
-    set_or_graph = {
-        "vertex-expansion": expansion.vertex_expansion_set,
-        "conductance": expansion.conductance_set,
-        "combined-expansion": expansion.combined_expansion_set,
-    }
     # every graph-level measure comes from one enumeration, run where the
     # first of them is requested so errors keep their order
-    graph_level = [name for name in requested if name in set_or_graph]
     enumerated: dict[str, expansion.ExpansionReport] = {}
     reports = []
     for name in requested:
-        if name in set_only:
-            if s is None:
+        if s is None:
+            if name not in _ENUMERABLE:
                 raise InputError(f"{name} needs a node set (--set)")
-            if name == "boundary-expansion" and args.samples:
-                rep = expansion.boundary_expansion_mc(
-                    g, s, samples=args.samples, rng_seed=args.seed
-                )
-            else:
-                rep = as_report(name, set_only[name](g, s))
-        elif s is not None:
-            rep = as_report(name, set_or_graph[name](g, s))
-        else:
             if not enumerated:
-                enumerated = expansion._enumerated(g, graph_level, limit)
+                graph_level = [m for m in requested if m in _ENUMERABLE]
+                enumerated = expansion._enumerated(g, graph_level, args.limit)
             rep = enumerated[name]
+        elif name == "boundary-expansion" and args.samples:
+            rep = expansion.boundary_expansion_mc(g, s, samples=args.samples, rng_seed=args.seed)
+        else:
+            value = getattr(expansion, _SET_MEASURES[name])(g, s)
+            rep = expansion.ExpansionReport(
+                measure=name, value=value, witness=tuple(sorted(s)), method="set"
+            )
         reports.append(rep.to_json_dict())
 
     payload: dict = {"graph": args.graph, "n": g.n, "measures": reports}
@@ -258,7 +249,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    g, mapping = _load_graph(args.graph)
+    g, mapping = _read_input("graph file", load_edge_list, args.graph)
     if args.informed == "random":
         initial = None
     elif args.informed == "dominating":
@@ -294,7 +285,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_participating(args) -> int:
-    g, mapping = _load_graph(args.graph)
+    g, mapping = _read_input("graph file", load_edge_list, args.graph)
     s = _resolve_set(args.set, args.set_file, g, mapping)
     cfg = part_mod.ParticipatingConfig(
         eps_p=_parse_fraction(args.eps_p, "--eps-p"),
@@ -342,11 +333,9 @@ def cmd_participating(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    text = _read_input("config", _read_text, args.config)
     try:
-        with open(args.config, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read config {args.config}: {exc}") from exc
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"bad JSON in {args.config}: {exc}") from exc
     cfg = ExperimentConfig.from_json_dict(data)
@@ -367,10 +356,7 @@ def cmd_experiment(args) -> int:
 def cmd_report(args) -> int:
     rows: list[dict] = []
     for path in args.inputs:
-        try:
-            rows.extend(read_points_csv(path))
-        except OSError as exc:
-            raise InputError(f"cannot read {path}: {exc}") from exc
+        rows.extend(_read_input("points table", read_points_csv, path))
     digest = combine_point_rows(rows)
     _write_json(digest, args.out)
     return EXIT_OK
@@ -391,15 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a graph and write an edge list")
     p.add_argument("family", choices=FAMILY_NAMES)
-    p.add_argument("--n", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--leaves", type=int)
-    p.add_argument("--degree", type=int)
-    p.add_argument("--num-components", dest="num_components", type=int)
-    p.add_argument("--c", type=int)
-    p.add_argument("--p", type=float)
-    p.add_argument("--seed", type=int)
+    for name, dest in _GEN_DESTS.items():
+        p.add_argument("--" + dest.replace("_", "-"), dest=dest, type=_PARAM_TYPES[name])
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
@@ -474,22 +453,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except CapabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPABILITY
-    except IncompleteSpreadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCOMPLETE
-    except ConstructionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONSTRUCTION
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -17,12 +17,12 @@ from typing import Any, Sequence
 
 from . import expansion
 from .errors import InputError
-from .generators import FamilySpec, greedy_dominating_set
+from .generators import _PARAM_TYPES, FamilySpec, _family_types, greedy_dominating_set
 from .graph import Graph
 from .protocols import (
     MonteCarloSummary,
     ProtocolConfig,
-    default_max_rounds,
+    _check_variant,
     monte_carlo,
 )
 from .rng import derive_seed
@@ -39,8 +39,6 @@ DRIFT_CONVENTION = (
     "acceptance convention: quantile/predictor ratio drift across the sweep "
     "must stay within a factor 2; absolute constants are not asserted"
 )
-
-_RANDOM_FAMILIES = {"random_regular", "erdos_renyi", "clustered_regular"}
 
 
 @dataclass(frozen=True)
@@ -92,6 +90,11 @@ class ExperimentConfig:
             raise InputError("give max_rounds or max_rounds_factor, not both")
         if self.enumeration_limit is not None and self.enumeration_limit < 1:
             raise InputError(f"enumeration_limit must be >= 1, got {self.enumeration_limit}")
+        # names are checked here, before the first point's graph is built
+        _family_types(self.family)
+        if not isinstance(self.informed, tuple) and self.informed not in ("random", "dominating"):
+            raise InputError(f"bad informed value {self.informed!r}")
+        _check_variant(self.variant)
 
     @staticmethod
     def from_json_dict(data: dict) -> "ExperimentConfig":
@@ -127,10 +130,12 @@ def _json_value_ok(key: str, value: Any) -> bool:
     if key in ("quantiles", "predictor_values"):
         return _list_of(value, _NUMBER)
     if key == "sweep":
-        # the edge probability p is the only non-integer family parameter
         return type(value) is list and all(
             type(point) is dict
-            and all(type(v) in (_NUMBER if k == "p" else _INT) for k, v in point.items())
+            and all(
+                type(v) in (_NUMBER if _PARAM_TYPES.get(k) is float else _INT)
+                for k, v in point.items()
+            )
             for point in value
         )
     # trials, rng_seed, max_rounds, enumeration_limit, max_rounds_factor
@@ -243,7 +248,7 @@ def run_experiment(
     summaries: list[MonteCarloSummary] = []
     for index, point in enumerate(cfg.sweep):
         params = dict(point)
-        if cfg.family in _RANDOM_FAMILIES and "rng_seed" not in params:
+        if "rng_seed" in _family_types(cfg.family) and "rng_seed" not in params:
             params["rng_seed"] = derive_seed(cfg.rng_seed, index, 1)
         g = FamilySpec(cfg.family, params).build()
 
@@ -251,10 +256,8 @@ def run_experiment(
             initial = None
         elif cfg.informed == "dominating":
             initial = greedy_dominating_set(g)
-        elif isinstance(cfg.informed, tuple):
-            initial = g.check_set(cfg.informed)
         else:
-            raise InputError(f"bad informed value {cfg.informed!r}")
+            initial = g.check_set(cfg.informed)
 
         if cfg.max_rounds_factor is not None:
             scaled = cfg.max_rounds_factor * g.n
@@ -305,10 +308,6 @@ def run_experiment(
 # -- tabular output and aggregation ----------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".15g")
-
-
 def _params_field(params: dict) -> str:
     return ";".join(f"{k}={params[k]}" for k in sorted(params))
 
@@ -332,10 +331,10 @@ def write_points_csv(report: BoundFitReport, path: str) -> None:
                     _params_field(p.params),
                     p.n,
                     p.max_degree,
-                    _fmt(p.predictor),
+                    f"{p.predictor:.15g}",
                 ]
-                + [_fmt(v) for v in p.quantile_values.values()]
-                + [_fmt(p.mean_t_all), p.completed, p.trials, _fmt(p.ratio)]
+                + [f"{v:.15g}" for v in p.quantile_values.values()]
+                + [f"{p.mean_t_all:.15g}", p.completed, p.trials, f"{p.ratio:.15g}"]
             )
 
 

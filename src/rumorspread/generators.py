@@ -262,21 +262,34 @@ def greedy_dominating_set(g: Graph) -> NodeSet:
 
 # -- declarative construction ----------------------------------------------
 
-# name -> (builder, its parameters); the order is that of the CLI choices
+# name -> (builder, its parameters and their types); the order is that of
+# the CLI choices, and the flags of ``gen`` follow the parameters' first use
 _FAMILIES = {
-    "complete": (complete, ("n",)),
-    "path": (path, ("n",)),
-    "cycle": (cycle, ("n",)),
-    "star": (star, ("leaves",)),
-    "hypercube": (hypercube, ("d",)),
-    "two_cliques": (two_cliques_shared_vertex, ("m",)),
-    "dumbbell": (dumbbell, ("m",)),
-    "random_regular": (random_regular, ("n", "degree", "rng_seed")),
-    "erdos_renyi": (erdos_renyi, ("n", "p", "rng_seed")),
-    "clustered_regular": (clustered_regular, ("num_components", "degree", "c", "rng_seed")),
+    "complete": (complete, {"n": int}),
+    "path": (path, {"n": int}),
+    "cycle": (cycle, {"n": int}),
+    "star": (star, {"leaves": int}),
+    "hypercube": (hypercube, {"d": int}),
+    "two_cliques": (two_cliques_shared_vertex, {"m": int}),
+    "dumbbell": (dumbbell, {"m": int}),
+    "random_regular": (random_regular, {"n": int, "degree": int, "rng_seed": int}),
+    "erdos_renyi": (erdos_renyi, {"n": int, "p": float, "rng_seed": int}),
+    "clustered_regular": (
+        clustered_regular,
+        {"num_components": int, "degree": int, "c": int, "rng_seed": int},
+    ),
 }
 
 FAMILY_NAMES = tuple(_FAMILIES)
+# every family parameter with its type
+_PARAM_TYPES = {k: t for _, types in _FAMILIES.values() for k, t in types.items()}
+
+
+def _family_types(family: str) -> dict[str, type]:
+    """The parameter types of a family name, which must be known."""
+    if family not in _FAMILIES:
+        raise InputError(f"unknown family {family!r}; known: {sorted(_FAMILIES)}")
+    return _FAMILIES[family][1]
 
 
 @dataclass(frozen=True)
@@ -292,11 +305,7 @@ class FamilySpec:
     params: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
-            raise InputError(
-                f"unknown family {self.family!r}; known: {sorted(_FAMILIES)}"
-            )
-        required = set(_FAMILIES[self.family][1])
+        required = set(_family_types(self.family))
         got = set(self.params)
         if got != required:
             raise InputError(

@@ -490,8 +490,7 @@ def active_fraction_check(
     of ``s``; ``modified`` untracked, or not started from the restricted
     start of ``s`` at its own eps_p) raises ``InputError``.
     """
-    state = _thinning_state(g, s)
-    in_bd, in_closure, _, scale = state
+    in_bd, in_closure = _closure(g, _proper_subset(g, s))
     if not cfg.hypothesis_ok:
         return ActiveFractionReport(
             skipped=True,
@@ -507,6 +506,8 @@ def active_fraction_check(
             h_value=float(h),
         )
     b = hits.boundary.size
+    unit, scale = _sampling_units(g)
+    state = (in_bd, in_closure, unit, scale)
 
     if modified is None:
         modified = _fixed_point(g, state, cfg, _restricted_mask(g, state, cfg.eps_p), "restricted")
@@ -563,6 +564,5 @@ def write_removal_log_csv(result: ParticipatingResult, path: str) -> None:
         fh.write("step,node,reason,phi1,phi2,phi\n")
         for e in result.removal_log:
             fh.write(
-                f"{e.step},{e.node},{e.reason},{format(e.phi1, '.15g')},"
-                f"{format(e.phi2, '.15g')},{format(e.phi, '.15g')}\n"
+                f"{e.step},{e.node},{e.reason},{e.phi1:.15g},{e.phi2:.15g},{e.phi:.15g}\n"
             )

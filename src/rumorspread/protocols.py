@@ -73,6 +73,11 @@ def default_max_rounds(n: int) -> int:
     return 64 * max(1, math.ceil(math.log2(n)))
 
 
+def _check_variant(variant: str) -> None:
+    if variant not in VARIANTS:
+        raise InputError(f"unknown variant {variant!r}; known: {VARIANTS}")
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Run parameters for a spreading simulation.
@@ -88,8 +93,7 @@ class ProtocolConfig:
     record_sets: bool = False
 
     def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
-            raise InputError(f"unknown variant {self.variant!r}; known: {VARIANTS}")
+        _check_variant(self.variant)
         if self.initial_informed is not None and len(self.initial_informed) == 0:
             raise InputError("initial_informed must be nonempty when given")
         if self.max_rounds is not None and self.max_rounds < 1:
@@ -382,8 +386,7 @@ def single_round(
     g: Graph, informed: Collection[int], variant: str, generator: np.random.Generator
 ) -> NodeSet:
     """One round from an explicit informed set using a caller-supplied RNG."""
-    if variant not in VARIANTS:
-        raise InputError(f"unknown variant {variant!r}; known: {VARIANTS}")
+    _check_variant(variant)
     fs = g.check_set(informed)
     if not fs:
         raise InputError("informed set must be nonempty")
@@ -628,10 +631,6 @@ def doubling_times(trace: SpreadTrace) -> list[tuple[int, int]]:
 # -- CSV output ------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".15g")
-
-
 def write_trace_csv(traces: Sequence[SpreadTrace], path: str) -> None:
     """Write per-round trace rows for one or more trials."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -640,8 +639,8 @@ def write_trace_csv(traces: Sequence[SpreadTrace], path: str) -> None:
             for t in range(len(trace.informed)):
                 fh.write(
                     f"{trial},{t},{trace.informed[t]},{trace.boundary[t]},"
-                    f"{trace.closure[t]},{_fmt(trace.psi[t])},"
-                    f"{_fmt(trace.harmonic_mass[t])}\n"
+                    f"{trace.closure[t]},{trace.psi[t]:.15g},"
+                    f"{trace.harmonic_mass[t]:.15g}\n"
                 )
 
 

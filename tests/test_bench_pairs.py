@@ -77,3 +77,21 @@ def test_beyond_bound_from_zero():
     metric = {"name": "job_p50_ms", "better": "lower", "bound": 0.25}
     assert not bench_pairs.beyond_bound([0.0] * 3, [0.0] * 3, metric)
     assert bench_pairs.beyond_bound([0.0] * 3, [0.1] * 3, metric)
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--workload", "spread", "--pairs", "0"], "must be at least 1, got 0"),
+        (["--workload", "spread", "--pairs", "-3"], "must be at least 1, got -3"),
+        (["--workload", "bogus"], "invalid choice: 'bogus'"),
+    ],
+    ids=["no-pairs", "negative-pairs", "unknown-workload"],
+)
+def test_bad_arguments_exit_before_any_run(monkeypatch, capsys, extra, message):
+    # checkouts that do not exist: a run at either would fail
+    monkeypatch.setattr(bench_pairs, "run_workload", lambda *a, **k: pytest.fail("ran a workload"))
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["/nonexistent/parent", "/nonexistent/change", *extra])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err

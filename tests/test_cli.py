@@ -35,6 +35,8 @@ def run_cli(*argv):
 
 
 FUZZ_EXIT_CODES = (EXIT_OK, EXIT_INPUT, EXIT_CAPABILITY, EXIT_INCOMPLETE, EXIT_CONSTRUCTION)
+# bytes that are not UTF-8, as the content of an input file
+UNDECODABLE = b"\xff\xfe"
 
 
 def run_fuzzed(argv):
@@ -691,6 +693,41 @@ class TestUnwritableOutput:
         assert not bad.parent.exists()
 
 
+class TestUnreadableInput:
+    """Every input flag turns a file that cannot be decoded, or opened, into
+    exit 2 naming the file."""
+
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (["analyze", "--graph", "{bad}"], "graph file"),
+            (["simulate", "--graph", "{bad}", "--trials", "2"], "graph file"),
+            (["participating", "--graph", "{bad}", "--set", "0"], "graph file"),
+            (["analyze", "--graph", "{graph}", "--set-file", "{bad}", "--measures", "h"], "set file"),
+            (["participating", "--graph", "{graph}", "--set-file", "{bad}"], "set file"),
+            (["experiment", "--config", "{bad}"], "config"),
+            (["report", "{points}", "{bad}"], "points table"),
+        ],
+        ids=["analyze --graph", "simulate --graph", "participating --graph",
+             "analyze --set-file", "participating --set-file", "experiment --config", "report"],
+    )
+    @pytest.mark.parametrize("content", [UNDECODABLE, None], ids=["undecodable", "missing"])
+    def test_exit_2(self, tmp_path, capsys, argv, what, content):
+        graph = tmp_path / "c6.txt"
+        run_cli("gen", "cycle", "--n", "6", "--out", str(graph))
+        points = tmp_path / "points.csv"
+        points.write_text("index,params,n,ratio\n0,d=2,4,1.5\n")
+        bad = tmp_path / "bad.txt"
+        if content is not None:
+            bad.write_bytes(content)
+        paths = {"graph": graph, "points": points, "bad": bad}
+        code = run_cli(*(a.format(**paths) for a in argv))
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {what} {bad}: ")
+        assert ("codec can't decode" in err) == (content is not None)
+
+
 class TestExperimentAndReport:
     def write_config(self, tmp_path, name="cfg.json", **overrides):
         data = {
@@ -805,10 +842,11 @@ class TestExperimentAndReport:
     @given(config=fuzz_configs(), trials=st.one_of(st.none(), st.integers(-2, 6)))
     @pytest.mark.filterwarnings("ignore:.*dropped")
     @settings(max_examples=150)
+    @example(config=UNDECODABLE, trials=None)
     def test_fuzz_experiment_exit_codes(self, config, trials):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "cfg.json"
-            path.write_text(config)
+            path.write_bytes(config if isinstance(config, bytes) else config.encode())
             argv = ["experiment", "--config", str(path), "--points-out", str(Path(tmp) / "p.csv"),
                     "--report-out", str(Path(tmp) / "r.json")]
             if trials is not None:
@@ -820,12 +858,13 @@ class TestExperimentAndReport:
     @given(tables=st.lists(fuzz_points_tables(), min_size=1, max_size=2), missing=st.booleans())
     @settings(max_examples=200)
     @example(tables=["index,params,n,ratio\n0,d=2,4,0\n1,d=3,8,1.5\n"], missing=False)
+    @example(tables=["index,params,n,ratio\n0,d=2,4,1\n", UNDECODABLE], missing=False)
     def test_fuzz_report_exit_codes(self, tables, missing):
         with tempfile.TemporaryDirectory() as tmp:
             paths = []
             for i, text in enumerate(tables):
                 paths.append(Path(tmp) / f"points{i}.csv")
-                paths[-1].write_text(text)
+                paths[-1].write_bytes(text if isinstance(text, bytes) else text.encode())
             if missing:
                 paths.append(Path(tmp) / "absent.csv")
             code, err = run_fuzzed(["report", *map(str, paths)])

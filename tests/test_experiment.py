@@ -2,6 +2,7 @@
 the points-table round trip."""
 
 import math
+import re
 
 import pytest
 
@@ -57,6 +58,21 @@ class TestConfig:
             with pytest.raises(InputError, match="enumeration_limit"):
                 tiny_config(enumeration_limit=limit)
         assert tiny_config(enumeration_limit=1).enumeration_limit == 1
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"family": "bogus"}, "unknown family 'bogus'; known: "),
+            ({"variant": "shout"}, "unknown variant 'shout'; known: "),
+            ({"informed": "everyone"}, "bad informed value 'everyone'"),
+            ({"informed": 3}, "bad informed value 3"),
+        ],
+        ids=["family", "variant", "informed-word", "informed-int"],
+    )
+    def test_names_checked_at_construction(self, overrides, message):
+        # refused by the config itself, not by the first sweep point's run
+        with pytest.raises(InputError, match=re.escape(message)):
+            tiny_config(**overrides)
 
     def test_from_json_dict(self):
         cfg = ExperimentConfig.from_json_dict(

@@ -402,6 +402,18 @@ class TestGuaranteeAudit:
         assert rep.skipped
         assert "expansion" in rep.reason
 
+    def test_skipped_audit_builds_no_sampling_units(self, monkeypatch):
+        # a skipped audit reads only the closure masks and the exact h
+        calls = []
+        units = part_mod._sampling_units
+        monkeypatch.setattr(part_mod, "_sampling_units", lambda g: calls.append(g) or units(g))
+        for eps_p, eps_h in ((Fraction(1, 4), Fraction(1, 2)), (Fraction(1, 10), Fraction(1, 10))):
+            cfg = ParticipatingConfig(eps_p=eps_p, eps_h=eps_h)
+            assert active_fraction_check(cycle(6), {0}, cfg).skipped
+        assert calls == []
+        assert not active_fraction_check(cycle(6), {0}, ParticipatingConfig()).skipped
+        assert len(calls) == 1
+
     def test_fraction_floor_formula(self):
         cfg = ParticipatingConfig()
         rep = active_fraction_check(cycle(6), {0}, cfg)
