@@ -12,7 +12,7 @@ import argparse
 import csv
 import sys
 
-from rumorspread import combined_vs_conductance_table
+from rumorspread import InputError, combined_vs_conductance_table
 
 COLUMNS = ("degree", "n", "instances", "mean_conductance", "mean_combined", "mean_ratio")
 
@@ -32,13 +32,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     degrees = tuple(int(tok) for tok in args.degrees.split(","))
-    rows = combined_vs_conductance_table(
-        degrees,
-        c=args.c,
-        num_components=args.components,
-        instances=args.instances,
-        rng_seed=args.seed,
-    )
+    try:
+        rows = combined_vs_conductance_table(
+            degrees,
+            c=args.c,
+            num_components=args.components,
+            instances=args.instances,
+            rng_seed=args.seed,
+        )
+    except InputError as exc:
+        parser.error(str(exc))
 
     print(" ".join(f"{c:>16}" for c in COLUMNS))
     for row in rows:

@@ -1,10 +1,11 @@
 """Sweep experiments: simulate a graph family across sizes and compare
 completion times against a predictor.
 
-A sweep point builds one graph, runs a batch of trials, and reports time
-quantiles. The fit against the predictor is judged by ratio drift across the
-sweep (max ratio over min ratio), not by absolute constants; every report
-records that convention.
+A sweep point builds one graph through its :class:`FamilySpec` (whose
+parameter names the config checks when built), runs a batch of trials, and
+reports time quantiles. ``_PREDICTORS`` maps each bound model to its
+predictor. The fit is judged by ratio drift across the sweep (max ratio over
+min ratio), not by absolute constants; every report records that convention.
 """
 
 from __future__ import annotations
@@ -27,13 +28,21 @@ from .protocols import (
 )
 from .rng import derive_seed
 
-BOUND_MODELS = (
-    "logn",
-    "linear_n",
-    "logn_logdelta_over_alpha",
-    "logn_over_phi",
-    "logn_over_xi",
-)
+# bound model -> its predictor of a graph, given the enumeration limit; the
+# enumerated measures are looked up on ``expansion`` when a predictor runs
+_PREDICTORS = {
+    "logn": lambda g, limit: math.log2(g.n),
+    "linear_n": lambda g, limit: float(g.n),
+    "logn_logdelta_over_alpha": lambda g, limit: (
+        math.log2(g.n) * math.log2(g.max_degree)
+        / expansion.vertex_expansion_graph(g, limit).value
+    ),
+    "logn_over_phi": lambda g, limit: math.log2(g.n) / expansion.conductance_graph(g, limit).value,
+    "logn_over_xi": lambda g, limit: (
+        math.log2(g.n) / expansion.combined_expansion_graph(g, limit).value
+    ),
+}
+BOUND_MODELS = tuple(_PREDICTORS)
 
 DRIFT_CONVENTION = (
     "acceptance convention: quantile/predictor ratio drift across the sweep "
@@ -90,8 +99,14 @@ class ExperimentConfig:
             raise InputError("give max_rounds or max_rounds_factor, not both")
         if self.enumeration_limit is not None and self.enumeration_limit < 1:
             raise InputError(f"enumeration_limit must be >= 1, got {self.enumeration_limit}")
-        # names are checked here, before the first point's graph is built
-        _family_types(self.family)
+        # names are checked here, before the first point's graph is built; a
+        # placeholder stands in for the seed run_experiment derives
+        seeded = "rng_seed" in _family_types(self.family)
+        for point in self.sweep:
+            params = dict(point)
+            if seeded:
+                params.setdefault("rng_seed", 0)
+            FamilySpec(self.family, params)
         if not isinstance(self.informed, tuple) and self.informed not in ("random", "dominating"):
             raise InputError(f"bad informed value {self.informed!r}")
         _check_variant(self.variant)
@@ -213,29 +228,12 @@ class BoundFitReport:
 def _predictor(cfg: ExperimentConfig, index: int, g: Graph) -> float:
     if cfg.predictor_values is not None:
         return float(cfg.predictor_values[index])
-    model = cfg.bound_model
-    n = g.n
-    if model == "logn":
-        return math.log2(n)
-    if model == "linear_n":
-        return float(n)
-    limit = cfg.enumeration_limit
-    if model == "logn_logdelta_over_alpha":
-        alpha = expansion.vertex_expansion_graph(g, limit).value
-        return math.log2(n) * math.log2(g.max_degree) / alpha
-    if model == "logn_over_phi":
-        phi = expansion.conductance_graph(g, limit).value
-        return math.log2(n) / phi
-    if model == "logn_over_xi":
-        xi = expansion.combined_expansion_graph(g, limit).value
-        return math.log2(n) / xi
-    raise AssertionError(f"unhandled model {model}")
+    return _PREDICTORS[cfg.bound_model](g, cfg.enumeration_limit)
 
 
-def run_experiment(
-    cfg: ExperimentConfig, *, keep_summaries: bool = False
-) -> tuple[BoundFitReport, list[MonteCarloSummary]]:
-    """Execute every sweep point and assemble the fit report.
+def run_experiment(cfg: ExperimentConfig) -> tuple[BoundFitReport, list[MonteCarloSummary]]:
+    """Execute every sweep point; returns the fit report and each point's
+    Monte-Carlo summary, in sweep order.
 
     Deterministic given the config: each point derives its own generation and
     simulation seeds from (rng_seed, index).
@@ -274,8 +272,7 @@ def run_experiment(
             rng_seed=derive_seed(cfg.rng_seed, index, 0),
         )
         summary, _ = monte_carlo(g, pcfg, cfg.trials)
-        if keep_summaries:
-            summaries.append(summary)
+        summaries.append(summary)
 
         predictor = _predictor(cfg, index, g)
         quantile_values = {q: summary.quantile_t_all(q) for q in cfg.quantiles}
@@ -418,6 +415,8 @@ def combined_vs_conductance_table(
     both graph-level measures exactly. The interesting trend: the ratio grows
     with the degree while conductance shrinks.
     """
+    if instances < 1:
+        raise InputError(f"instances must be >= 1, got {instances}")
     rows: list[dict] = []
     for di, degree in enumerate(degrees):
         phis: list[float] = []

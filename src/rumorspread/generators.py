@@ -1,9 +1,11 @@
 """Graph family constructors.
 
 Every function returns a validated :class:`~rumorspread.graph.Graph`.
-Randomized families are deterministic given their seed and reject degenerate
-parameters with :class:`InputError`; when a rejection-sampling budget runs out
-they raise :class:`ConstructionError`.
+Randomized families are deterministic given their seed, reject degenerate
+parameters with :class:`InputError`, and redraw through ``_redraw`` until the
+sample is connected, raising :class:`ConstructionError` when ``RETRY_BUDGET``
+runs out. ``_FAMILIES`` names each family's builder, which :class:`FamilySpec`
+looks up in this module when it builds.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from .errors import ConstructionError, InputError
 from .graph import Graph, NodeSet
@@ -89,6 +91,21 @@ def dumbbell(m: int) -> Graph:
     return Graph.from_edges(2 * m, edges)
 
 
+def _redraw(n: int, draw: Callable[[], list[tuple[int, int]] | None], failure: str) -> Graph:
+    """The first sample of ``draw`` that ``Graph.from_edges(n, ...)`` accepts (a
+    draw of None is a stalled attempt); after ``RETRY_BUDGET`` attempts, raises
+    :class:`ConstructionError` with ``failure``."""
+    for _ in range(RETRY_BUDGET):
+        edges = draw()
+        if edges is None:
+            continue
+        try:
+            return Graph.from_edges(n, edges)
+        except InputError:
+            continue
+    raise ConstructionError(f"{failure} after {RETRY_BUDGET} attempts")
+
+
 def _pair_stubs(n: int, degree: int, rng: random.Random) -> list[tuple[int, int]] | None:
     """One pairing-model attempt; returns edges or None if it got stuck."""
     edges: set[tuple[int, int]] = set()
@@ -124,16 +141,8 @@ def random_regular(n: int, degree: int, rng_seed: int) -> Graph:
     if n * degree % 2 != 0:
         raise InputError(f"n*degree must be even, got n={n} degree={degree}")
     rng = random.Random(rng_seed)
-    for _ in range(RETRY_BUDGET):
-        edges = _pair_stubs(n, degree, rng)
-        if edges is None:
-            continue
-        try:
-            return Graph.from_edges(n, edges)
-        except InputError:
-            continue  # disconnected sample; redraw
-    raise ConstructionError(
-        f"random_regular(n={n}, degree={degree}) failed after {RETRY_BUDGET} attempts"
+    return _redraw(
+        n, lambda: _pair_stubs(n, degree, rng), f"random_regular(n={n}, degree={degree}) failed"
     )
 
 
@@ -144,20 +153,10 @@ def erdos_renyi(n: int, p: float, rng_seed: int) -> Graph:
     if not (0 < p <= 1):
         raise InputError(f"edge probability must be in (0, 1], got {p}")
     rng = random.Random(rng_seed)
-    for _ in range(RETRY_BUDGET):
-        edges = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if rng.random() < p
-        ]
-        try:
-            return Graph.from_edges(n, edges)
-        except InputError:
-            continue
-    raise ConstructionError(
-        f"erdos_renyi(n={n}, p={p}) failed to draw a connected sample "
-        f"after {RETRY_BUDGET} attempts"
+    return _redraw(
+        n,
+        lambda: [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p],
+        f"erdos_renyi(n={n}, p={p}) failed to draw a connected sample",
     )
 
 
@@ -211,21 +210,14 @@ def clustered_regular(num_components: int, degree: int, c: int, rng_seed: int) -
         raise InputError(
             f"component size {block} with degree {degree} has odd degree sum"
         )
-    n = num_components * block
     rng = random.Random(rng_seed)
-    for _ in range(RETRY_BUDGET):
-        intra, extra = _clustered_edge_sets(
-            num_components, degree, c, rng.randrange(2**63)
-        )
-        edges = [e for comp in intra for e in comp] + extra
-        try:
-            return Graph.from_edges(n, edges)
-        except InputError:
-            continue
-    raise ConstructionError(
-        f"clustered_regular({num_components}, {degree}, c={c}) stayed "
-        f"disconnected after {RETRY_BUDGET} attempts"
-    )
+
+    def draw() -> list[tuple[int, int]]:
+        intra, extra = _clustered_edge_sets(num_components, degree, c, rng.randrange(2**63))
+        return [e for comp in intra for e in comp] + extra
+
+    failure = f"clustered_regular({num_components}, {degree}, c={c}) stayed disconnected"
+    return _redraw(num_components * block, draw, failure)
 
 
 def greedy_dominating_set(g: Graph) -> NodeSet:
@@ -262,20 +254,21 @@ def greedy_dominating_set(g: Graph) -> NodeSet:
 
 # -- declarative construction ----------------------------------------------
 
-# name -> (builder, its parameters and their types); the order is that of
-# the CLI choices, and the flags of ``gen`` follow the parameters' first use
+# name -> (its builder's name in this module, looked up when a spec builds so
+# that a wrapper set on the module sees it; the parameters and their types).
+# The order is that of the CLI choices; ``gen``'s flags follow first use.
 _FAMILIES = {
-    "complete": (complete, {"n": int}),
-    "path": (path, {"n": int}),
-    "cycle": (cycle, {"n": int}),
-    "star": (star, {"leaves": int}),
-    "hypercube": (hypercube, {"d": int}),
-    "two_cliques": (two_cliques_shared_vertex, {"m": int}),
-    "dumbbell": (dumbbell, {"m": int}),
-    "random_regular": (random_regular, {"n": int, "degree": int, "rng_seed": int}),
-    "erdos_renyi": (erdos_renyi, {"n": int, "p": float, "rng_seed": int}),
+    "complete": ("complete", {"n": int}),
+    "path": ("path", {"n": int}),
+    "cycle": ("cycle", {"n": int}),
+    "star": ("star", {"leaves": int}),
+    "hypercube": ("hypercube", {"d": int}),
+    "two_cliques": ("two_cliques_shared_vertex", {"m": int}),
+    "dumbbell": ("dumbbell", {"m": int}),
+    "random_regular": ("random_regular", {"n": int, "degree": int, "rng_seed": int}),
+    "erdos_renyi": ("erdos_renyi", {"n": int, "p": float, "rng_seed": int}),
     "clustered_regular": (
-        clustered_regular,
+        "clustered_regular",
         {"num_components": int, "degree": int, "c": int, "rng_seed": int},
     ),
 }
@@ -314,7 +307,7 @@ class FamilySpec:
             )
 
     def build(self) -> Graph:
-        return _FAMILIES[self.family][0](**self.params)
+        return globals()[_FAMILIES[self.family][0]](**self.params)
 
     def describe(self) -> str:
         """Stable one-line description used in file provenance headers."""

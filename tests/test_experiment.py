@@ -6,13 +6,18 @@ import re
 
 import pytest
 
+import rumorspread.experiment as emod
 from rumorspread import (
     BOUND_MODELS,
     DRIFT_CONVENTION,
     ExperimentConfig,
+    FamilySpec,
     InputError,
+    ProtocolConfig,
     combine_point_rows,
     combined_vs_conductance_table,
+    derive_seed,
+    monte_carlo,
     read_points_csv,
     run_experiment,
     write_points_csv,
@@ -73,6 +78,34 @@ class TestConfig:
         # refused by the config itself, not by the first sweep point's run
         with pytest.raises(InputError, match=re.escape(message)):
             tiny_config(**overrides)
+
+    @pytest.mark.parametrize(
+        "family, sweep, message",
+        [
+            ("hypercube", ({"d": 2}, {"n": 5}), "family 'hypercube' needs params ['d'], got ['n']"),
+            (
+                "random_regular",
+                ({"n": 8, "degree": 3}, {"n": 8}),
+                "family 'random_regular' needs params ['degree', 'n', 'rng_seed'], "
+                "got ['n', 'rng_seed']",
+            ),
+        ],
+        ids=["plain", "seeded"],
+    )
+    def test_sweep_params_checked_at_construction(self, monkeypatch, family, sweep, message):
+        # every point is checked before the first one is simulated
+        calls = []
+        monkeypatch.setattr(emod, "monte_carlo", lambda *args: calls.append(args))
+        with pytest.raises(InputError, match=re.escape(message)):
+            run_experiment(ExperimentConfig(family=family, sweep=sweep, trials=2))
+        assert calls == []
+
+    def test_sweep_values_checked_by_the_builder(self):
+        # the config checks parameter names only; an odd n*degree is the
+        # builder's to refuse
+        cfg = ExperimentConfig(family="random_regular", sweep=({"n": 5, "degree": 3},))
+        with pytest.raises(InputError, match="n\\*degree must be even"):
+            run_experiment(cfg)
 
     def test_from_json_dict(self):
         cfg = ExperimentConfig.from_json_dict(
@@ -157,6 +190,15 @@ class TestRunExperiment:
         p = report.points[0]
         assert p.completed < p.trials
         assert not report.passes()
+
+    def test_summaries_match_direct_monte_carlo(self):
+        cfg = tiny_config(variant="push")
+        report, summaries = run_experiment(cfg)
+        assert len(summaries) == len(cfg.sweep)
+        for index, (point, summary) in enumerate(zip(report.points, summaries)):
+            g = FamilySpec(cfg.family, point.params).build()
+            pcfg = ProtocolConfig(variant="push", rng_seed=derive_seed(cfg.rng_seed, index, 0))
+            assert summary == monte_carlo(g, pcfg, cfg.trials)[0]
 
     def test_random_family_points_get_derived_seeds(self):
         cfg = ExperimentConfig(
@@ -280,3 +322,8 @@ class TestSeparationTable:
         assert row["mean_conductance"] > 0
         # combined expansion dominates conductance on regular graphs
         assert row["mean_ratio"] >= 1.0
+
+    @pytest.mark.parametrize("instances", [0, -1])
+    def test_instances_below_one(self, instances):
+        with pytest.raises(InputError, match=f"instances must be >= 1, got {instances}"):
+            combined_vs_conductance_table((3,), instances=instances)

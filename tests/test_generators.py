@@ -9,6 +9,7 @@ import oracles
 from conftest import connected_graphs
 from rumorspread import (
     ConstructionError,
+    ExperimentConfig,
     FAMILY_NAMES,
     FamilySpec,
     InputError,
@@ -22,9 +23,11 @@ from rumorspread import (
     is_dominating,
     path,
     random_regular,
+    run_experiment,
     star,
     two_cliques_shared_vertex,
 )
+import rumorspread.generators as gmod
 from rumorspread.generators import _clustered_edge_sets
 from rumorspread.graph import diameter
 
@@ -88,12 +91,30 @@ class TestRandomFamilies:
         with pytest.raises(InputError):
             random_regular(4, 4, rng_seed=0)
 
-    def test_random_regular_budget_exhaustion(self, monkeypatch):
-        import rumorspread.generators as gmod
-
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (
+                lambda: random_regular(8, 3, rng_seed=0),
+                "random_regular(n=8, degree=3) failed after 0 attempts",
+            ),
+            (
+                lambda: erdos_renyi(6, 0.5, rng_seed=0),
+                "erdos_renyi(n=6, p=0.5) failed to draw a connected sample after 0 attempts",
+            ),
+            (
+                lambda: clustered_regular(2, 3, c=2, rng_seed=0),
+                "clustered_regular(2, 3, c=2) stayed disconnected after 0 attempts",
+            ),
+        ],
+        ids=["random_regular", "erdos_renyi", "clustered_regular"],
+    )
+    def test_budget_exhaustion(self, monkeypatch, build, message):
+        # the budget is read when the builder runs, not when it is defined
         monkeypatch.setattr(gmod, "RETRY_BUDGET", 0)
-        with pytest.raises(ConstructionError):
-            random_regular(8, 3, rng_seed=0)
+        with pytest.raises(ConstructionError) as exc:
+            build()
+        assert str(exc.value) == message
 
     def test_erdos_renyi(self):
         g = erdos_renyi(20, 0.3, rng_seed=4)
@@ -175,6 +196,30 @@ class TestFamilySpec:
     def test_build_dispatch(self):
         g = FamilySpec("hypercube", {"d": 3}).build()
         assert g.n == 8 and g.num_edges == 12
+
+    @pytest.mark.parametrize(
+        "family, builder, params",
+        [
+            ("hypercube", "hypercube", {"d": 2}),
+            ("two_cliques", "two_cliques_shared_vertex", {"m": 3}),
+            ("random_regular", "random_regular", {"n": 8, "degree": 3, "rng_seed": 5}),
+        ],
+        ids=["hypercube", "two_cliques", "random_regular"],
+    )
+    def test_build_calls_the_module_builder(self, monkeypatch, family, builder, params):
+        # a spec and an experiment's sweep point call whatever the module
+        # attribute is when they build, so a wrapper set on it sees the build
+        real = getattr(gmod, builder)
+        calls = []
+
+        def spy(**kwargs):
+            calls.append(kwargs)
+            return real(**kwargs)
+
+        monkeypatch.setattr(gmod, builder, spy)
+        FamilySpec(family, params).build()
+        run_experiment(ExperimentConfig(family=family, sweep=(params,), trials=2))
+        assert calls == [params, params]
 
     def test_unknown_family(self):
         with pytest.raises(InputError):

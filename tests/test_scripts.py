@@ -1,0 +1,37 @@
+"""Smoke runs of the experiment scripts, called through their ``main``."""
+
+import csv
+import os
+import sys
+
+import pytest
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts"))
+
+import measure_separation  # noqa: E402
+import run_scaling  # noqa: E402
+
+
+def test_run_scaling_quick(tmp_path, capsys):
+    assert run_scaling.main(["--quick", "--trials", "2", "--out-dir", str(tmp_path)]) == 0
+    names = ("hypercube", "regular_pull", "two_cliques", "dumbbell")
+    expected = {f"{name}_{kind}" for name in names for kind in ("points.csv", "report.json")}
+    assert set(os.listdir(tmp_path)) == expected
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == list(names)
+
+
+def test_measure_separation_csv(tmp_path, capsys):
+    out = tmp_path / "table.csv"
+    assert measure_separation.main(["--degrees", "3", "--instances", "1", "--out", str(out)]) == 0
+    with open(out, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["degree", "n", "instances", "mean_conductance", "mean_combined", "mean_ratio"]
+    assert len(rows) == 2 and rows[1][:3] == ["3", "12", "1"]
+
+
+def test_measure_separation_refuses_no_instances(capsys):
+    with pytest.raises(SystemExit) as exc:
+        measure_separation.main(["--degrees", "3", "--instances", "0"])
+    assert exc.value.code == 2
+    assert "instances must be >= 1, got 0" in capsys.readouterr().err
