@@ -99,17 +99,16 @@ class ExperimentConfig:
             raise InputError("give max_rounds or max_rounds_factor, not both")
         if self.enumeration_limit is not None and self.enumeration_limit < 1:
             raise InputError(f"enumeration_limit must be >= 1, got {self.enumeration_limit}")
-        # names are checked here, before the first point's graph is built; a
-        # placeholder stands in for the seed run_experiment derives
+        # names are checked here, before the first point's graph is built
         seeded = "rng_seed" in _family_types(self.family)
-        for point in self.sweep:
-            params = dict(point)
-            if seeded:
-                params.setdefault("rng_seed", 0)
-            FamilySpec(self.family, params)
         if not isinstance(self.informed, tuple) and self.informed not in ("random", "dominating"):
             raise InputError(f"bad informed value {self.informed!r}")
         _check_variant(self.variant)
+        for point in self.sweep:
+            params = dict(point)
+            if seeded:  # a placeholder for the seed that run_experiment derives
+                params.setdefault("rng_seed", 0)
+            FamilySpec(self.family, params)
 
     @staticmethod
     def from_json_dict(data: dict) -> "ExperimentConfig":
