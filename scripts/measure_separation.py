@@ -17,10 +17,18 @@ from rumorspread import InputError, combined_vs_conductance_table
 COLUMNS = ("degree", "n", "instances", "mean_conductance", "mean_combined", "mean_ratio")
 
 
+def degree_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}") from None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--degrees",
+        type=degree_list,
         default="3,4,5",
         help="comma list of component degrees to test",
     )
@@ -31,10 +39,9 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="also write the table as CSV")
     args = parser.parse_args(argv)
 
-    degrees = tuple(int(tok) for tok in args.degrees.split(","))
     try:
         rows = combined_vs_conductance_table(
-            degrees,
+            args.degrees,
             c=args.c,
             num_components=args.components,
             instances=args.instances,

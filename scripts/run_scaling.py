@@ -12,7 +12,9 @@ import argparse
 import os
 import sys
 
-from rumorspread import ExperimentConfig, run_experiment, write_points_csv, write_report_json
+from rumorspread import (
+    ExperimentConfig, InputError, run_experiment, write_points_csv, write_report_json,
+)
 
 
 def sweep_configs(quick: bool, trials: int, seed: int):
@@ -58,9 +60,13 @@ def main(argv=None) -> int:
         "--quick", action="store_true", help="smaller sweeps for a fast look"
     )
     args = parser.parse_args(argv)
+    try:
+        configs = list(sweep_configs(args.quick, args.trials, args.seed))
+    except InputError as exc:
+        parser.error(str(exc))
 
     os.makedirs(args.out_dir, exist_ok=True)
-    for name, cfg in sweep_configs(args.quick, args.trials, args.seed):
+    for name, cfg in configs:
         report, _ = run_experiment(cfg)
         write_points_csv(report, os.path.join(args.out_dir, f"{name}_points.csv"))
         write_report_json(report, os.path.join(args.out_dir, f"{name}_report.json"))

@@ -5,7 +5,8 @@ minimize over all subsets by exhaustive enumeration and are therefore limited
 to small graphs (20 nodes by default); they raise CapabilityError beyond the
 limit and direct the caller to per-set evaluation. The enumeration is
 vectorized over int64 subset bitmasks: per-digit lookup tables (16 nodes a
-digit) give the size, volume and cut of any mask. The subsets are visited in
+digit) give the volume and cut of any mask, and one popcount
+(``np.bitwise_count``) gives every member count. The subsets are visited in
 chunks of up to 2^16 masks that share the bits above the low digit and whose
 low bits are the low tables' own index, so a chunk's counts are the low
 tables read in place plus the higher part's, and memory stays a few
@@ -276,56 +277,50 @@ def augmented_combined_expansion_set(g: Graph, s: Collection[int]) -> float:
 
 
 @cache
-def _low_masks(width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The masks 0..2^width - 1 and their member counts, the latter built by
-    doubling. One read-only pair per width serves every graph."""
+def _low_index(width: int) -> np.ndarray:
+    """The masks 0..2^width - 1, read-only; one array per width serves every
+    graph."""
     index = np.arange(1 << width, dtype=np.int64)
-    size = np.empty_like(index)
-    size[0] = 0
-    for i in range(width):
-        np.add(size[: 1 << i], 1, out=size[1 << i : 2 << i])
-    index.flags.writeable = size.flags.writeable = False
-    return index, size
+    index.flags.writeable = False
+    return index
 
 
 class _Digit(NamedTuple):
     """Tables over the subsets of the nodes shift..shift+width-1, indexed by
     the mask bits of those nodes (``(mask >> shift) & bits``, one of
-    ``index``): their size, volume, cut, and boundary (the neighbourhood
-    less the set)."""
+    ``index``): their volume, cut, and boundary (the neighbourhood less the
+    set)."""
 
     shift: int
     bits: int
     index: np.ndarray
-    size: np.ndarray
     vol: np.ndarray
     cut: np.ndarray
     boundary: np.ndarray
 
 
 class _MaskTables:
-    """Size, volume and cut of node masks, the digits' tables, and the edges
+    """Volume and cut of node masks, the digits' tables, and the edges
     between a set of higher nodes and each low-digit mask.
 
     Each digit's tables are built with one vectorized step per node: the
-    subsets that contain the node extend those that do not. The size table
-    is the shared popcount, and a digit's cut is its volume less twice its
-    internal edges. An edge between two digits leaves both digits' cuts when
-    both ends are in the set; such edges are counted per node of the higher
-    digit, by a size lookup of its neighbours in the lower one. All of this
-    reads each node's neighbourhood mask, ORed from the CSR at once (ids stay
-    below 62, so it fits int64).
+    subsets that contain the node extend those that do not, and a digit's cut
+    is its volume less twice its internal edges, counted by a popcount of the
+    node's neighbours in each smaller subset. An edge between two digits
+    leaves both digits' cuts when both ends are in the set; such edges are
+    counted per node above the low digit, by a popcount of its neighbours in
+    all lower digits. All of this reads each node's neighbourhood mask, ORed
+    from the CSR at once (ids stay below 62, so it fits int64).
     """
 
     def __init__(self, g: Graph):
         self.degrees = g.degrees
         self.nbr_masks = np.bitwise_or.reduceat(np.left_shift(1, g.indices), g.indptr[:-1]).tolist()
         self.digits: list[_Digit] = []
-        self.cross: list[tuple[int, list[tuple[int, int]]]] = []
         self._into_low: dict[int, np.ndarray] = {}
         for shift in range(0, g.n, _DIGIT_BITS):
             width = min(_DIGIT_BITS, g.n - shift)
-            index, size = _low_masks(width)
+            index = _low_index(width)
             vol, edges, nbr = np.empty_like(index), np.empty_like(index), np.empty_like(index)
             vol[0] = edges[0] = nbr[0] = 0
             for i in range(width):
@@ -333,37 +328,32 @@ class _MaskTables:
                 half, full = 1 << i, 2 << i
                 inner = self.nbr_masks[v] >> shift & (half - 1)  # neighbours shift..v-1
                 np.add(vol[:half], self.degrees[v], out=vol[half:full])
-                np.add(edges[:half], size[index[:half] & inner], out=edges[half:full])
+                np.add(edges[:half], np.bitwise_count(index[:half] & inner), out=edges[half:full])
                 np.bitwise_or(nbr[:half], self.nbr_masks[v], out=nbr[half:full])
             edges *= -2
             cut = np.add(edges, vol, out=edges)
             nbr &= ~(index << shift)  # the boundary: the neighbourhood less the set
-            self.digits.append(_Digit(shift, (1 << width) - 1, index, size, vol, cut, nbr))
-        for v in range(_DIGIT_BITS, g.n):
-            links = [
-                (j, rel)
-                for j, d in enumerate(self.digits[: v // _DIGIT_BITS])
-                if (rel := self.nbr_masks[v] >> d.shift & d.bits)
-            ]
-            if links:
-                self.cross.append((v, links))
+            self.digits.append(_Digit(shift, (1 << width) - 1, index, vol, cut, nbr))
+        # each node above the low digit with its neighbours in all lower digits
+        self.cross = [
+            (v, below)
+            for v in range(_DIGIT_BITS, g.n)
+            if (below := self.nbr_masks[v] & ((1 << (v - v % _DIGIT_BITS)) - 1))
+        ]
 
-    def stats(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Size, volume and cut of every mask."""
+    def stats(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Volume and cut of every mask."""
         *lower, last = self.digits
         parts = [masks >> d.shift & d.bits for d in lower]
         parts.append(masks >> last.shift if lower else masks)  # no bit at or above n
         first = self.digits[0]
-        size, vol, cut = first.size[parts[0]], first.vol[parts[0]], first.cut[parts[0]]
+        vol, cut = first.vol[parts[0]], first.cut[parts[0]]
         for part, d in zip(parts[1:], self.digits[1:]):
-            size += d.size[part]
             vol += d.vol[part]
             cut += d.cut[part]
-        for v, links in self.cross:
-            twice = (masks >> v & 1) << 1
-            for j, rel in links:
-                cut -= twice * self.digits[j].size[parts[j] & rel]
-        return size, vol, cut
+        for v, below in self.cross:
+            cut -= (masks >> v & 1) * 2 * np.bitwise_count(masks & below)
+        return vol, cut
 
     def part(self, top: int) -> tuple[int, int, int]:
         """Volume, cut and neighbourhood of the mask ``top``, as Python ints,
@@ -389,7 +379,8 @@ class _MaskTables:
             for v in range(top.bit_length()):
                 if top >> v & 1:
                     if v not in self._into_low:
-                        self._into_low[v] = 2 * low.size[low.index & self.nbr_masks[v]]
+                        edges = np.bitwise_count(low.index & self.nbr_masks[v]).astype(np.int64)
+                        self._into_low[v] = 2 * edges
                     cut -= self._into_low[v][first:stop]
         return masks, vol, cut
 
@@ -460,6 +451,8 @@ def _exact_minima(
     counts are the low tables read in place plus ``top``'s. Vertex and
     combined expansion visit only the sets of 1..n/2 nodes and share their
     boundaries; a chunk whose ``top`` already holds more nodes is skipped.
+    |S| and |B| are popcounts cast to int64 before any product, and only
+    combined expansion reads the boundaries' volumes and cuts.
     Conductance visits only the masks without node n-1, as cut(S) = cut(V-S):
     the value is cut over the smaller volume, and a mask stands for the side
     with at most half the total volume, for both sides when they tie. Each
@@ -474,6 +467,8 @@ def _exact_minima(
     tables = _MaskTables(g)
     low = tables.digits[0]
     m, without_last = g.num_edges, 1 << (g.n - 1)
+    # the low masks' member counts pick the sets that alpha and xi walk
+    low_size = None if alpha is None and xi is None else np.bitwise_count(low.index)
     for top in range(0, 1 << g.n, low.index.size):
         first = 0 if top else 1  # the empty set is in no domain
         if conductance is not None and top < without_last:
@@ -481,17 +476,19 @@ def _exact_minima(
             den = 2 * m - vol
             conductance.fold(masks, cut, np.minimum(vol, den, out=den))
         room = g.n // 2 - top.bit_count()
-        if (alpha is None and xi is None) or room < 0:
+        if low_size is None or room < 0:
             continue
-        masks = np.flatnonzero(low.size <= room)[first:]
-        size, bd = low.size[masks], low.boundary[masks]
+        masks = np.flatnonzero(low_size <= room)[first:]
+        bd = low.boundary[masks]
         if top:
             top_nbr = tables.part(top)[2]
-            masks = masks | top
-            size += top.bit_count()
+            masks |= top
             bd &= ~top
             bd |= top_nbr & ~masks
-        bd_size, bd_vol, bd_cut = tables.stats(bd)
+        size = np.bitwise_count(masks).astype(np.int64)
+        bd_size = np.bitwise_count(bd).astype(np.int64)
+        if xi is not None:
+            bd_vol, bd_cut = tables.stats(bd)
         del bd
         if alpha is not None:
             alpha.fold(masks, bd_size, size)
@@ -502,7 +499,7 @@ def _exact_minima(
         # each tied mask stands for its side of the cut with at most half
         # the volume, and for both sides at exactly half
         walked = np.concatenate(conductance.tied)
-        vol = tables.stats(walked)[1]
+        vol = tables.stats(walked)[0]
         complements = walked ^ ((1 << g.n) - 1)
         conductance.tied = [walked[vol <= m], complements[vol >= m]]
     return {measure: minimum.result(g.n) for measure, minimum in minima.items()}

@@ -30,8 +30,28 @@ def test_measure_separation_csv(tmp_path, capsys):
     assert len(rows) == 2 and rows[1][:3] == ["3", "12", "1"]
 
 
-def test_measure_separation_refuses_no_instances(capsys):
+@pytest.mark.parametrize(
+    "main, argv, message",
+    [
+        (run_scaling.main, ["--trials", "0"], "trials must be >= 1"),
+        (measure_separation.main, ["--instances", "0"], "instances must be >= 1, got 0"),
+        (measure_separation.main, ["--degrees", "3,x"], "not a comma list of integers: '3,x'"),
+        (measure_separation.main, ["--degrees", ""], "not a comma list of integers: ''"),
+    ],
+    ids=[
+        "run_scaling-trials-0",
+        "measure_separation-instances-0",
+        "measure_separation-degrees-3,x",
+        "measure_separation-degrees-empty",
+    ],
+)
+def test_bad_arguments_are_usage_errors(tmp_path, monkeypatch, capsys, main, argv, message):
+    # exit 2 with the message, before anything is written to the working
+    # directory (run_scaling's default output directory is relative)
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
-        measure_separation.main(["--degrees", "3", "--instances", "0"])
+        main(argv)
     assert exc.value.code == 2
-    assert "instances must be >= 1, got 0" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not os.listdir(tmp_path)
