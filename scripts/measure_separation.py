@@ -13,6 +13,7 @@ import csv
 import sys
 
 from rumorspread import InputError, combined_vs_conductance_table
+from rumorspread.cli import _write_file
 
 COLUMNS = ("degree", "n", "instances", "mean_conductance", "mean_combined", "mean_ratio")
 
@@ -58,11 +59,17 @@ def main(argv=None) -> int:
             f"{row['mean_ratio']:>16.6g}"
         )
 
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    def write(target: str) -> None:
+        with open(target, "w", encoding="utf-8", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=COLUMNS)
             writer.writeheader()
             writer.writerows(rows)
+
+    if args.out:
+        try:
+            _write_file(args.out, write)
+        except InputError as exc:
+            parser.error(str(exc))
     return 0
 
 

@@ -15,6 +15,7 @@ import sys
 from rumorspread import (
     ExperimentConfig, InputError, run_experiment, write_points_csv, write_report_json,
 )
+from rumorspread.cli import _write_file
 
 
 def sweep_configs(quick: bool, trials: int, seed: int):
@@ -62,19 +63,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         configs = list(sweep_configs(args.quick, args.trials, args.seed))
+        _write_file(args.out_dir, lambda target: os.makedirs(target, exist_ok=True))
+        for name, cfg in configs:
+            report, _ = run_experiment(cfg)
+            out = os.path.join(args.out_dir, name)
+            _write_file(f"{out}_points.csv", lambda target: write_points_csv(report, target))
+            _write_file(f"{out}_report.json", lambda target: write_report_json(report, target))
+            print(
+                f"{name}: model={report.bound_model} points={len(report.points)} "
+                f"c_hat={report.c_hat:.3g} drift={report.drift:.3g} "
+                f"within_factor_2={report.passes()}"
+            )
     except InputError as exc:
         parser.error(str(exc))
-
-    os.makedirs(args.out_dir, exist_ok=True)
-    for name, cfg in configs:
-        report, _ = run_experiment(cfg)
-        write_points_csv(report, os.path.join(args.out_dir, f"{name}_points.csv"))
-        write_report_json(report, os.path.join(args.out_dir, f"{name}_report.json"))
-        print(
-            f"{name}: model={report.bound_model} points={len(report.points)} "
-            f"c_hat={report.c_hat:.3g} drift={report.drift:.3g} "
-            f"within_factor_2={report.passes()}"
-        )
     return 0
 
 

@@ -64,11 +64,11 @@ _DIGIT_BITS = 16
 _MAX_ENUMERATION_NODES = 62
 # Elements of the largest array of one block, read at call time by every
 # blocked computation: the round kernel's (rows x n) arrays,
-# boundary_expansion_mc's (samples x max(|boundary|, |second shell|)) and
-# pull_growth_check's (trials x n), the second shell having fewer than n
-# nodes. Every draw there is addressed by (trial, round) or by its position
-# in a sequential stream, so this bounds memory only and never changes a
-# result.
+# boundary_expansion_mc's (samples x max(|boundary|, |second shell| + 1)) and
+# pull_growth_check's (trials x n), a hit count's product having at most
+# |second shell| + 1 columns and the second shell fewer than n - 1 nodes.
+# Every draw there is addressed by (trial, round) or by its position in a
+# sequential stream, so this bounds memory only and never changes a result.
 _BLOCK_ELEMENTS = 1 << 20
 
 
@@ -167,17 +167,32 @@ class _BoundaryHits:
 
     @cached_property
     def contact(self) -> np.ndarray:
-        """The float32 0/1 matrix whose entry (i, j) marks an edge between
-        the i-th second-shell node and the j-th boundary node."""
-        contact = np.zeros((self.shell.size, self.boundary.size), dtype=np.float32)
-        contact[np.searchsorted(self.shell, self.outer), self.owner] = 1.0
+        """The float32 (|boundary|, k + 1) matrix of the hits. Each of the k
+        second-shell nodes with two or more boundary neighbours has a 0/1
+        column, marking those neighbours; the last column holds, for each
+        boundary node, the number of second-shell nodes whose only boundary
+        neighbour it is."""
+        col = np.searchsorted(self.shell, self.outer)  # each edge's shell index
+        contacts = np.bincount(col, minlength=self.shell.size)
+        single = contacts[col] == 1
+        multi = contacts > 1
+        k = int(np.count_nonzero(multi))
+        contact = np.zeros((self.boundary.size, k + 1), dtype=np.float32)
+        contact[:, k] = np.bincount(self.owner[single], minlength=self.boundary.size)
+        rank = np.cumsum(multi) - 1  # column of each multi-contact shell node
+        contact[self.owner[~single], rank[col[~single]]] = 1.0
         return contact
 
     def count(self, sampled: np.ndarray) -> np.ndarray:
         """Second-shell nodes with a sampled neighbour, per row of the 0/1
-        (rows, |boundary|) array ``sampled``. The float32 matmul counts each
-        node's sampled neighbours exactly, as they are small integers."""
-        return np.count_nonzero(sampled.astype(np.float32) @ self.contact.T, axis=1)
+        (rows, |boundary|) array ``sampled``: the multi-contact columns of
+        the float32 matmul with ``contact`` that are nonzero, plus its last
+        column, the single-contact nodes hit. The matmul counts exactly, as
+        its sums are small integers."""
+        product = sampled.astype(np.float32) @ self.contact
+        hits = product[:, -1].astype(np.int64)
+        hits += np.count_nonzero(product[:, :-1], axis=1)
+        return hits
 
     def exact(self) -> Fraction:
         """The boundary expansion as an exact rational. A shell node whose
@@ -239,7 +254,7 @@ def boundary_expansion_mc(
         p = 1.0 / hits.degrees
         gen = rng.stream(rng_seed, rng.LANE_SAMPLER)
         values = np.empty(samples, dtype=np.float64)
-        rows = _block_rows(max(m, hits.shell.size))
+        rows = _block_rows(max(m, hits.shell.size + 1))
         for done in range(0, samples, rows):
             b = min(rows, samples - done)
             values[done : done + b] = hits.count(gen.random((b, m)) < p) / m

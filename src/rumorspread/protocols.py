@@ -23,9 +23,10 @@ One budget, ``expansion._BLOCK_ELEMENTS`` (2^20 elements), bounds the
 largest array of every block on the spread path: the kernel steps its trials
 in blocks of (rows x n), ``pull_growth_check`` draws its trials in blocks of
 (trials x n), and ``expansion.boundary_expansion_mc`` its samples in blocks
-of (samples x max(|boundary|, |second shell|)). Every draw is addressed by
-its trial and round, or by its position in a sequential stream, so no block
-size ever changes a result.
+of (samples x max(|boundary|, |second shell| + 1)), the hit count's product
+having at most one column per second-shell node plus one. Every draw is
+addressed by its trial and round, or by its position in a sequential stream,
+so no block size ever changes a result.
 
 Each source builds one ``rng.Streams`` generator per kernel call, and
 ``_starts`` one per block; they reset it per (trial, round) row.
@@ -168,17 +169,19 @@ def _draw(
     u: np.ndarray, indptr: np.ndarray, indices: np.ndarray, degs: np.ndarray
 ) -> np.ndarray:
     """Drawn neighbor of every node, from uniforms ``u`` in [0, 1) laid out
-    node by node along the last axis: slot floor(u * deg) of its CSR row.
+    node by node along the last axis: slot floor(u * deg) of its CSR row,
+    ``degs`` holding the degrees as float64.
 
     Overwrites ``u`` with u * deg, and turns one int64 array of its shape
-    into the slots, their CSR positions and the drawn nodes in turn. Every
-    position lies in its node's row, so mode "clip" never clips; unlike
-    "raise", it lets ``take`` write over its own index array without a
-    buffer of the same size.
+    into the slots, their CSR positions and the drawn nodes in turn. No slot
+    needs clamping to deg - 1: the largest uniform is 1 - 2^-53, and
+    (1 - 2^-53) * d rounds to a float below d for every integer d < 2^53, so
+    its floor is at most d - 1. Every position thus lies in its node's row,
+    so mode "clip" never clips; unlike "raise", it lets ``take`` write over
+    its own index array without a buffer of the same size.
     """
     u *= degs
     slots = u.astype(np.int64)
-    np.minimum(slots, degs - 1, out=slots)
     slots += indptr[:-1]
     return np.take(indices, slots, out=slots, mode="clip")
 
@@ -196,14 +199,20 @@ def _step(
     with each row's offset added to ``drawn``. Only positions set in
     ``drawers`` (default: all) make contact: an informed drawer pushes, an
     uninformed drawer pulls.
+
+    The pull gather (is each drawer's draw informed?) is the mask the pushes
+    are scattered into, and the nodes informed already are cleared from it in
+    place, so a round makes one gather, one scatter and one compare.
     """
-    senders = informed if drawers is None else informed & drawers
-    add = np.zeros_like(informed)
-    if variant in ("push", "pushpull"):
-        add[drawn[senders]] = True
-    if variant in ("pull", "pushpull"):
-        add |= informed[drawn] if drawers is None else informed[drawn] & drawers
-    return add & ~informed
+    if variant == "push":
+        add = np.zeros_like(informed)
+    else:
+        add = informed[drawn]
+        if drawers is not None:
+            add &= drawers
+    if variant != "pull":
+        add[drawn[informed if drawers is None else informed & drawers]] = True
+    return np.greater(add, informed, out=add)
 
 
 def _starts(g: Graph, cfg: ProtocolConfig, trials: range) -> np.ndarray:
@@ -266,7 +275,7 @@ def _spread(
     """
     n = g.n
     indptr, indices = g.csr
-    degs = np.diff(indptr)
+    degs = np.diff(indptr).astype(np.float64)
     cap = cfg.max_rounds if cfg.max_rounds is not None else default_max_rounds(n)
     half = n // 2 + 1
     nt = len(trials)
@@ -392,7 +401,7 @@ def single_round(
         raise InputError("informed set must be nonempty")
     indptr, indices = g.csr
     mask = _mask(g.n, fs)
-    drawn = _draw(generator.random(g.n), indptr, indices, np.diff(indptr))
+    drawn = _draw(generator.random(g.n), indptr, indices, np.diff(indptr).astype(np.float64))
     return frozenset(int(v) for v in np.flatnonzero(mask | _step(mask, drawn, variant)))
 
 
@@ -570,7 +579,7 @@ def pull_growth_check(
         )
 
     indptr, indices = g.csr
-    degs = np.diff(indptr)
+    degs = np.diff(indptr).astype(np.float64)
     n = g.n
     s_mask = _mask(n, s_set)
     gen = rng.stream(rng_seed, rng.LANE_GROWTH)

@@ -160,10 +160,10 @@ def naive_participating(adj: Adj, s, eps_p: Fraction, start=None) -> set[int]:
 
 
 def naive_round(adj: Adj, informed, draws, variant: str) -> set[int]:
-    """One synchronous round given every node's drawn neighbor."""
+    """One synchronous round given the drawn neighbor of every node that
+    draws (``draws`` maps node to draw; all nodes draw in a plain round)."""
     new = set(informed)
-    for u in range(len(adj)):
-        d = draws[u]
+    for u, d in draws.items():
         if variant in ("push", "pushpull") and u in informed:
             new.add(d)
         if variant in ("pull", "pushpull") and u not in informed and d in informed:

@@ -168,13 +168,41 @@ class TestBoundaryExpansion:
         assert hits.degrees.tolist() == [len(g.adj[u]) for u in sorted(bd)]
         assert not (covering and bd2)
         assert hits.exact() == oracles.naive_h(g.adj, s)
+        self.assert_counts_match_oracle(g, s, hits, seed, rand.random())
+
+    @staticmethod
+    def assert_counts_match_oracle(g, s, hits, seed, p):
         assert "contact" not in vars(hits)  # built on the first count() only
-        sampled = np.random.default_rng(seed).random((9, len(bd))) < rand.random()
+        sampled = np.random.default_rng(seed).random((9, hits.boundary.size)) < p
         want = [
             oracles.naive_shell_hits(g.adj, s, set(hits.boundary[row].tolist()))
             for row in sampled
         ]
         assert hits.count(sampled).tolist() == want
+
+    @pytest.mark.parametrize(
+        "g, s, kinds",
+        [
+            (cycle(12), frozenset({0}), {"single"}),
+            (hypercube(8), frozenset(random.Random(1).sample(range(256), 16)), {"multi"}),
+            (
+                random_regular(1024, 8, rng_seed=0),
+                frozenset(random.Random(0).sample(range(1024), 16)),
+                {"single", "multi"},
+            ),
+        ],
+        ids=["cycle-single", "hypercube-multi", "regular-mixed"],
+    )
+    def test_hit_counts_match_oracle_by_shell_kind(self, g, s, kinds):
+        # a second-shell node with one boundary neighbour is counted through
+        # the weight column, one with several through its own column
+        for seed, p in enumerate((0.1, 0.5, 0.9)):
+            hits = expansion._BoundaryHits(g, *expansion._closure(g, s))
+            self.assert_counts_match_oracle(g, s, hits, seed, p)
+        contacts = np.bincount(np.searchsorted(hits.shell, hits.outer))
+        assert {"single" if c == 1 else "multi" for c in contacts.tolist()} == kinds
+        assert hits.contact.shape == (hits.boundary.size, np.count_nonzero(contacts > 1) + 1)
+        assert hits.contact[:, -1].sum() == np.count_nonzero(contacts == 1)
 
     def test_monte_carlo_peak_memory(self):
         # the sampled arrays are bounded by the block budget, the second

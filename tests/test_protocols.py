@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import connected_graphs
-from helpers import child_peak_mb
+from helpers import child_peak_mb, random_connected
 from rumorspread import (
     GrowthCheckReport,
     IncompleteSpreadError,
@@ -203,6 +203,74 @@ class TestCoupling:
             want = oracles.naive_round(g.adj, informed, draws, variant)
             got = single_round(g, informed, variant, stream(1000 + case, 0))
             assert got == want
+
+
+class TestDrawAndStep:
+    def test_top_uniform_floors_below_every_degree(self):
+        # numpy's random() tops out at 1 - 2**-53, whose product with an
+        # integer d < 2**53 rounds below d: floor(u * d) <= d - 1, so _draw
+        # needs no clamp
+        top = np.nextafter(1.0, 0.0)
+        assert top == 1.0 - 2.0**-53
+        for lo in range(1, 2**22, 2**20):
+            d = np.arange(lo, lo + 2**20, dtype=np.int64)
+            assert ((top * d).astype(np.int64) == d - 1).all()
+        edges = sorted({2**k + j for k in range(1, 53) for j in (-1, 0, 1)})
+        d = np.array(edges, dtype=np.int64)
+        assert d[-1] == 2**52 + 1
+        assert ((top * d).astype(np.int64) == d - 1).all()
+
+    @pytest.mark.parametrize(
+        "g",
+        [star(2**12), cycle(9), complete(6), random_connected(random.Random(2), 30)],
+        ids=["star", "cycle", "complete", "random"],
+    )
+    def test_top_uniform_draws_the_last_neighbour(self, g):
+        indptr, indices = g.csr
+        u = np.full((3, g.n), np.nextafter(1.0, 0.0))
+        drawn = protocols._draw(u, indptr, indices, np.diff(indptr).astype(np.float64))
+        assert (drawn == indices[indptr[1:] - 1]).all()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 12),
+        st.integers(1, 3),
+        st.sampled_from(protocols.VARIANTS),
+        st.booleans(),
+    )
+    def test_step_matches_oracle(self, seed, n, rows, variant, restricted):
+        # rows of one batch laid out flat, each row's draws offset by its
+        # position; when restricted, only active nodes whose draw
+        # participates make contact
+        rand = random.Random(seed)
+        g = random_connected(rand, n)
+        density = [rand.random() for _ in range(rows)]
+        informed = np.array([rand.random() < p for p in density for _ in range(n)])
+        draws = [rand.choice(g.adj[v]) for _ in range(rows) for v in range(n)]
+        drawn = np.array(draws) + np.repeat(np.arange(rows) * n, n)
+        drawers = None
+        if restricted:
+            part = frozenset(v for v in range(n) if rand.random() < 0.7)
+            active = frozenset(v for v in part if rand.random() < 0.7)
+            drawers = np.array([i % n in active and d in part for i, d in enumerate(draws)])
+        given_arrays = informed.copy(), drawn.copy()
+        add = protocols._step(informed, drawn, variant, drawers)
+        assert (informed == given_arrays[0]).all() and (drawn == given_arrays[1]).all()
+        assert add.dtype == bool and not (add & informed).any()
+        for r in range(rows):
+            row = slice(r * n, (r + 1) * n)
+            start = set(np.flatnonzero(informed[row]).tolist())
+            got = start | set(np.flatnonzero(add[row]).tolist())
+            contacts = {
+                v: d for v, d in enumerate(draws[row]) if drawers is None or drawers[row][v]
+            }
+            assert got == oracles.naive_round(g.adj, start, contacts, variant)
+            if restricted and variant == "pushpull":
+                want = oracles.naive_restricted_round(
+                    g.adj, start, dict(enumerate(draws[row])), active, part
+                )
+                assert got == want
 
 
 class TestRestrictedRuns:

@@ -37,12 +37,24 @@ def test_measure_separation_csv(tmp_path, capsys):
         (measure_separation.main, ["--instances", "0"], "instances must be >= 1, got 0"),
         (measure_separation.main, ["--degrees", "3,x"], "not a comma list of integers: '3,x'"),
         (measure_separation.main, ["--degrees", ""], "not a comma list of integers: ''"),
+        (
+            run_scaling.main,
+            ["--quick", "--trials", "2", "--out-dir", f"{os.devnull}/x"],
+            f"cannot write {os.devnull}/x: Not a directory",
+        ),
+        (
+            measure_separation.main,
+            ["--degrees", "3", "--instances", "1", "--out", f"{os.devnull}/x.csv"],
+            f"cannot write {os.devnull}/x.csv: Not a directory",
+        ),
     ],
     ids=[
         "run_scaling-trials-0",
         "measure_separation-instances-0",
         "measure_separation-degrees-3,x",
         "measure_separation-degrees-empty",
+        "run_scaling-unwritable-out-dir",
+        "measure_separation-unwritable-out",
     ],
 )
 def test_bad_arguments_are_usage_errors(tmp_path, monkeypatch, capsys, main, argv, message):
