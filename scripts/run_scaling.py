@@ -64,18 +64,22 @@ def main(argv=None) -> int:
     try:
         configs = list(sweep_configs(args.quick, args.trials, args.seed))
         _write_file(args.out_dir, lambda target: os.makedirs(target, exist_ok=True))
-        for name, cfg in configs:
-            report, _ = run_experiment(cfg)
-            out = os.path.join(args.out_dir, name)
-            _write_file(f"{out}_points.csv", lambda target: write_points_csv(report, target))
-            _write_file(f"{out}_report.json", lambda target: write_report_json(report, target))
-            print(
-                f"{name}: model={report.bound_model} points={len(report.points)} "
-                f"c_hat={report.c_hat:.3g} drift={report.drift:.3g} "
-                f"within_factor_2={report.passes()}"
-            )
     except InputError as exc:
         parser.error(str(exc))
+
+    for name, cfg in configs:
+        report, _ = run_experiment(cfg)
+        out = os.path.join(args.out_dir, name)
+        try:
+            _write_file(f"{out}_points.csv", lambda target: write_points_csv(report, target))
+            _write_file(f"{out}_report.json", lambda target: write_report_json(report, target))
+        except InputError as exc:
+            parser.error(str(exc))
+        print(
+            f"{name}: model={report.bound_model} points={len(report.points)} "
+            f"c_hat={report.c_hat:.3g} drift={report.drift:.3g} "
+            f"within_factor_2={report.passes()}"
+        )
     return 0
 
 

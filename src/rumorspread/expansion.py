@@ -173,8 +173,8 @@ class _BoundaryHits:
         boundary node, the number of second-shell nodes whose only boundary
         neighbour it is."""
         col = np.searchsorted(self.shell, self.outer)  # each edge's shell index
-        contacts = np.bincount(col, minlength=self.shell.size)
-        single = contacts[col] == 1
+        contacts = np.bincount(col, minlength=self.shell.size)  # per shell node
+        single = contacts[col] == 1  # the edges of single-contact shell nodes
         multi = contacts > 1
         k = int(np.count_nonzero(multi))
         contact = np.zeros((self.boundary.size, k + 1), dtype=np.float32)
