@@ -12,8 +12,8 @@ import argparse
 import csv
 import sys
 
-from rumorspread import InputError, combined_vs_conductance_table
-from rumorspread.cli import _write_file
+from rumorspread import combined_vs_conductance_table
+from rumorspread.cli import _run, _write_file
 
 COLUMNS = ("degree", "n", "instances", "mean_conductance", "mean_combined", "mean_ratio")
 
@@ -25,32 +25,14 @@ def degree_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}") from None
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--degrees",
-        type=degree_list,
-        default="3,4,5",
-        help="comma list of component degrees to test",
+def _tabulate(args) -> int:
+    rows = combined_vs_conductance_table(
+        args.degrees,
+        c=args.c,
+        num_components=args.components,
+        instances=args.instances,
+        rng_seed=args.seed,
     )
-    parser.add_argument("--instances", type=int, default=3)
-    parser.add_argument("--components", type=int, default=2)
-    parser.add_argument("--c", type=int, default=2, help="component size factor")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", help="also write the table as CSV")
-    args = parser.parse_args(argv)
-
-    try:
-        rows = combined_vs_conductance_table(
-            args.degrees,
-            c=args.c,
-            num_components=args.components,
-            instances=args.instances,
-            rng_seed=args.seed,
-        )
-    except InputError as exc:
-        parser.error(str(exc))
-
     print(" ".join(f"{c:>16}" for c in COLUMNS))
     for row in rows:
         print(
@@ -66,11 +48,24 @@ def main(argv=None) -> int:
             writer.writerows(rows)
 
     if args.out:
-        try:
-            _write_file(args.out, write)
-        except InputError as exc:
-            parser.error(str(exc))
+        _write_file(args.out, write)
     return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--degrees",
+        type=degree_list,
+        default="3,4,5",
+        help="comma list of component degrees to test",
+    )
+    parser.add_argument("--instances", type=int, default=3)
+    parser.add_argument("--components", type=int, default=2)
+    parser.add_argument("--c", type=int, default=2, help="component size factor")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--out", help="also write the table as CSV")
+    return _run(_tabulate, parser.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -12,10 +12,8 @@ import argparse
 import os
 import sys
 
-from rumorspread import (
-    ExperimentConfig, InputError, run_experiment, write_points_csv, write_report_json,
-)
-from rumorspread.cli import _write_file
+from rumorspread import ExperimentConfig, run_experiment, write_points_csv, write_report_json
+from rumorspread.cli import _run, _write_file
 
 
 def sweep_configs(quick: bool, trials: int, seed: int):
@@ -52,6 +50,22 @@ def sweep_configs(quick: bool, trials: int, seed: int):
     )
 
 
+def _run_sweeps(args) -> int:
+    configs = list(sweep_configs(args.quick, args.trials, args.seed))
+    _write_file(args.out_dir, lambda target: os.makedirs(target, exist_ok=True))
+    for name, cfg in configs:
+        report, _ = run_experiment(cfg)
+        out = os.path.join(args.out_dir, name)
+        _write_file(f"{out}_points.csv", lambda target: write_points_csv(report, target))
+        _write_file(f"{out}_report.json", lambda target: write_report_json(report, target))
+        print(
+            f"{name}: model={report.bound_model} points={len(report.points)} "
+            f"c_hat={report.c_hat:.3g} drift={report.drift:.3g} "
+            f"within_factor_2={report.passes()}"
+        )
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out-dir", default="scaling_out")
@@ -60,27 +74,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--quick", action="store_true", help="smaller sweeps for a fast look"
     )
-    args = parser.parse_args(argv)
-    try:
-        configs = list(sweep_configs(args.quick, args.trials, args.seed))
-        _write_file(args.out_dir, lambda target: os.makedirs(target, exist_ok=True))
-    except InputError as exc:
-        parser.error(str(exc))
-
-    for name, cfg in configs:
-        report, _ = run_experiment(cfg)
-        out = os.path.join(args.out_dir, name)
-        try:
-            _write_file(f"{out}_points.csv", lambda target: write_points_csv(report, target))
-            _write_file(f"{out}_report.json", lambda target: write_report_json(report, target))
-        except InputError as exc:
-            parser.error(str(exc))
-        print(
-            f"{name}: model={report.bound_model} points={len(report.points)} "
-            f"c_hat={report.c_hat:.3g} drift={report.drift:.3g} "
-            f"within_factor_2={report.passes()}"
-        )
-    return 0
+    return _run(_run_sweeps, parser.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -4,10 +4,12 @@ Subcommands: gen, analyze, simulate, participating, experiment, report.
 Exit codes: 0 success, 2 bad input or an unreadable, undecodable or
 unwritable file, 3 problem size beyond the enumeration capability, 4 spread
 did not complete within the round cap, 5 randomized construction failed; each
-error class maps to its code in ``_EXIT_CODES``. Every file a command reads
-goes through ``_read_input`` and every file it writes through ``_write_file``.
-Relative output paths are resolved against $RUMORSPREAD_OUT_DIR when that
-variable is set.
+error class maps to its code in ``_EXIT_CODES``, which only ``_run`` reads.
+``_run`` is the one front end of ``main`` and of both research scripts under
+``scripts/``: each parses its flags and hands its body to it. Every file a
+command reads goes through ``_read_input`` and every file it writes through
+``_write_file``. Relative output paths are resolved against
+$RUMORSPREAD_OUT_DIR when that variable is set.
 """
 
 from __future__ import annotations
@@ -199,7 +201,8 @@ def cmd_analyze(args) -> int:
             )
         requested.append(name)
 
-    s = _resolve_set(args.set, args.set_file, g, mapping) if (args.set or args.set_file) else None
+    given = args.set is not None or args.set_file is not None  # --set "" is refused, not ignored
+    s = _resolve_set(args.set, args.set_file, g, mapping) if given else None
 
     # every graph-level measure comes from one enumeration, run where the
     # first of them is requested so errors keep their order
@@ -452,13 +455,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def _run(command, args) -> int:
+    """Return ``command(args)``, or, for an error of a class in ``_EXIT_CODES``,
+    print ``error: ...`` on stderr and return that class's code."""
     try:
-        return args.func(args)
+        return command(args)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    return _run(args.func, args)
 
 
 if __name__ == "__main__":

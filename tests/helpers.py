@@ -1,7 +1,10 @@
 """Deterministic random-instance builders shared by module and acceptance
-tests, and probes of a fresh Python process. Uses stdlib random only, so
-instances are independent of the package's own rng streams."""
+tests, probes of a fresh Python process, and an in-process run of a command
+line ``main``. Uses stdlib random only, so instances are independent of the
+package's own rng streams."""
 
+import contextlib
+import io
 import os
 import random
 import subprocess
@@ -9,6 +12,7 @@ import sys
 from pathlib import Path
 
 import rumorspread
+import rumorspread.cli
 from rumorspread import (
     Graph,
     complete,
@@ -136,3 +140,16 @@ def child_peak_mb(call: str) -> float:
         "if line.startswith('VmHWM:')))"
     )
     return int(peak) / 1024  # VmHWM is in kB
+
+
+def run_fuzzed(argv, main=rumorspread.cli.main):
+    """Exit code and stderr of one in-process run of ``main(argv)``, the CLI's
+    by default; argparse's own usage errors leave through SystemExit with
+    their code."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()

@@ -28,6 +28,7 @@ from rumorspread.cli import (
     build_parser,
     main,
 )
+from helpers import run_fuzzed
 
 
 def run_cli(*argv):
@@ -37,18 +38,6 @@ def run_cli(*argv):
 FUZZ_EXIT_CODES = (EXIT_OK, EXIT_INPUT, EXIT_CAPABILITY, EXIT_INCOMPLETE, EXIT_CONSTRUCTION)
 # bytes that are not UTF-8, as the content of an input file
 UNDECODABLE = b"\xff\xfe"
-
-
-def run_fuzzed(argv):
-    """Exit code and stderr of one in-process run; argparse's own usage
-    errors leave through SystemExit with their code."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return code, err.getvalue()
 
 
 @pytest.fixture
@@ -294,6 +283,13 @@ class TestAnalyze:
         code = run_cli("analyze", "--graph", k4, "--set", "9", "--measures", "h")
         assert code == EXIT_INPUT
         assert "not in the graph" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("measures", [[], ["--measures", "h"]], ids=["default", "h"])
+    @pytest.mark.parametrize("text", ["", " , "], ids=["empty", "separators"])
+    def test_empty_set_exit_2(self, k4, capsys, text, measures):
+        # a --set with no labels names the empty set, not no set
+        assert run_cli("analyze", "--graph", k4, "--set", text, *measures) == EXIT_INPUT
+        assert "set must be a nonempty proper subset" in capsys.readouterr().err
 
     def test_limit_below_n_exit_3(self, k4, capsys):
         code = run_cli("analyze", "--graph", k4, "--limit", "3")
