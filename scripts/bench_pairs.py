@@ -3,17 +3,20 @@
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload thinning --pairs 10
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload spread --pairs 10 --seed 1
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload exact-enum --workload spread
 
 Each pair runs ``BENCHMARK.json``'s command (``perfbench/run.py``) once in
 each checkout, from that checkout's root, with the same workload, seed and
-``BENCHMARK.json``'s ``run_seconds``, untraced. Even pairs run
-the parent first and odd pairs the change first, so a drift of the host
-during a session falls on both sides alike. Before every run the
+``BENCHMARK.json``'s ``run_seconds``, untraced; with ``--workload`` given
+more than once, each pair does so for every named workload in turn. Even
+pairs run the parent first and odd pairs the change first, so a drift of
+the host during a session falls on both sides alike. Before every run the
 ``__pycache__`` directories under both checkouts' ``src/`` are removed, so
 neither side runs bytecode compiled from other sources or skips the
 compile the other side pays.
 
-For every end-to-end metric of ``BENCHMARK.json`` the script prints each
+For every workload and every end-to-end metric of ``BENCHMARK.json``, in
+one table per workload, the script prints each
 side's median and quartiles, the change of the median, and the pairs the
 change won (ties count for neither side). A metric is marked ``gain`` when
 the change won at least nine tenths of the pairs and the medians differ by
@@ -83,27 +86,39 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("parent", help="checkout of the parent commit")
     p.add_argument("change", help="checkout of the change")
-    p.add_argument("--workload", required=True, choices=[w["name"] for w in benchmark["workloads"]])
+    p.add_argument("--workload", required=True, action="append",
+                   choices=[w["name"] for w in benchmark["workloads"]])
     p.add_argument("--pairs", type=positive_int, default=10)
     p.add_argument("--seed", type=int, default=0)
     args = p.parse_args(argv)
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
-    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    workloads = list(dict.fromkeys(args.workload))
+    runs = {w: {"parent": [], "change": []} for w in workloads}
     ok = True
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            for checkout in sides.values():
-                clear_bytecode(checkout)
-            result = run_workload(benchmark, args.workload, trace=False, seed=args.seed,
-                                  cwd=sides[side])["result"]
-            if not result["correct"] or result["failed"]:
-                print(f"pair {i}: {side} run incorrect or failed {result['failed']} jobs", file=sys.stderr)
-                ok = False
-            runs[side].append(result["metrics"])
+        for workload in workloads:
+            for side in order:
+                for checkout in sides.values():
+                    clear_bytecode(checkout)
+                result = run_workload(benchmark, workload, trace=False, seed=args.seed,
+                                      cwd=sides[side])["result"]
+                if not result["correct"] or result["failed"]:
+                    print(f"pair {i}: {workload} {side} run incorrect or failed {result['failed']} jobs",
+                          file=sys.stderr)
+                    ok = False
+                runs[workload][side].append(result["metrics"])
         print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr)
+    for workload in workloads:
+        ok = report(benchmark, workload, args.seed, runs[workload]) and ok
+    return 0 if ok else 1
 
-    print(f"{args.workload}, seed {args.seed}, {benchmark['run_seconds']:g} s runs, {args.pairs} pairs; "
+
+def report(benchmark: dict, workload: str, seed: int, runs: dict[str, list[dict]]) -> bool:
+    """Print one workload's table; False if any metric is beyond its bound."""
+    pairs = len(runs["parent"])
+    ok = True
+    print(f"{workload}, seed {seed}, {benchmark['run_seconds']:g} s runs, {pairs} pairs; "
           "median [q1, q3] per side, change of the median, pairs won by the change")
     for metric in benchmark["end_to_end"]:
         name = metric["name"]
@@ -115,9 +130,9 @@ def main(argv=None) -> int:
         beyond = beyond_bound(parent, change, metric)
         ok = ok and not beyond
         print(f"{name:12s} {pmed:.4g} [{pq1:.4g}, {pq3:.4g}] -> {cmed:.4g} [{cq1:.4g}, {cq3:.4g}] "
-              f"{metric['unit']}  {move:>7s}  won {wins}/{args.pairs} lost {losses}  {mark}"
+              f"{metric['unit']}  {move:>7s}  won {wins}/{pairs} lost {losses}  {mark}"
               + ("  BEYOND BOUND" if beyond else ""))
-    return 0 if ok else 1
+    return ok
 
 
 if __name__ == "__main__":

@@ -10,6 +10,8 @@ exact enumeration is exponential, so keep degrees modest.
 
 import argparse
 import csv
+import errno
+import os
 import sys
 
 from rumorspread import combined_vs_conductance_table
@@ -25,7 +27,19 @@ def degree_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}") from None
 
 
+def check_directory(target: str) -> None:
+    """Raise the OSError that writing ``target`` would raise for a missing
+    or unwritable directory, without creating the file."""
+    directory = os.path.dirname(os.path.abspath(target))
+    if not os.path.isdir(directory):
+        os.listdir(directory)  # raises: missing, or not a directory
+    if not os.access(directory, os.W_OK | os.X_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+
+
 def _tabulate(args) -> int:
+    if args.out:  # a bad directory is found before the enumeration
+        _write_file(args.out, check_directory)
     rows = combined_vs_conductance_table(
         args.degrees,
         c=args.c,

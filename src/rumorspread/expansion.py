@@ -107,15 +107,16 @@ class ExpansionReport:
         }
 
 
-def _check_enumerable(g: Graph, max_nodes: int | None, what: str) -> None:
+def _check_enumerable(n: int, max_nodes: int | None, what: str) -> None:
+    """Raise unless a graph of ``n`` nodes is within the enumeration cap."""
     if max_nodes is not None and max_nodes < 1:
         raise InputError(f"enumeration cap must be at least 1 node, got {max_nodes}")
     limit = DEFAULT_ENUMERATION_LIMIT if max_nodes is None else max_nodes
     limit = min(limit, _MAX_ENUMERATION_NODES)
-    if g.n > limit:
+    if n > limit:
         raise CapabilityError(
             f"{what} enumerates all subsets and is capped at {limit} nodes "
-            f"(got n={g.n}); evaluate the set-level measure instead"
+            f"(got n={n}); evaluate the set-level measure instead"
         )
 
 
@@ -526,7 +527,7 @@ def _enumerated(
     """The exact graph-level minimum of each of ``measures`` as a report,
     from one enumeration; a measure named twice is computed once. The cap's
     error message names the first measure."""
-    _check_enumerable(g, max_nodes, measures[0].replace("-", " "))
+    _check_enumerable(g.n, max_nodes, measures[0].replace("-", " "))
     return {
         measure: ExpansionReport(
             measure=measure,

@@ -18,7 +18,13 @@ from typing import Any, Sequence
 
 from . import expansion
 from .errors import InputError
-from .generators import _PARAM_TYPES, FamilySpec, _family_types, greedy_dominating_set
+from .generators import (
+    _PARAM_TYPES,
+    FamilySpec,
+    _clustered_order,
+    _family_types,
+    greedy_dominating_set,
+)
 from .graph import Graph
 from .protocols import (
     MonteCarloSummary,
@@ -420,7 +426,9 @@ def combined_vs_conductance_table(
     for di, degree in enumerate(degrees):
         phis: list[float] = []
         xis: list[float] = []
-        n = None
+        # an instance too large to enumerate is refused before it is drawn
+        n = _clustered_order(num_components, degree, c)
+        expansion._check_enumerable(n, enumeration_limit, "conductance")
         for k in range(instances):
             spec = FamilySpec(
                 "clustered_regular",
@@ -432,7 +440,6 @@ def combined_vs_conductance_table(
                 },
             )
             g = spec.build()
-            n = g.n
             reports = expansion._enumerated(
                 g, ["conductance", "combined-expansion"], enumeration_limit
             )

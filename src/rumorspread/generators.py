@@ -192,13 +192,9 @@ def _clustered_edge_sets(
     return intra, extra
 
 
-def clustered_regular(num_components: int, degree: int, c: int, rng_seed: int) -> Graph:
-    """Disjoint random regular components wired up by per-node random edges.
-
-    Builds ``num_components`` random degree-regular graphs, each on
-    ``c * degree`` nodes, then lets every node draw one uniform target among
-    all other nodes and adds the deduplicated edges. Redraws until connected.
-    """
+def _clustered_order(num_components: int, degree: int, c: int) -> int:
+    """The node count of ``clustered_regular`` with these parameters, once
+    they are checked, without drawing the graph."""
     if num_components < 2:
         raise InputError(f"need at least 2 components, got {num_components}")
     if c < 2:
@@ -210,6 +206,17 @@ def clustered_regular(num_components: int, degree: int, c: int, rng_seed: int) -
         raise InputError(
             f"component size {block} with degree {degree} has odd degree sum"
         )
+    return num_components * block
+
+
+def clustered_regular(num_components: int, degree: int, c: int, rng_seed: int) -> Graph:
+    """Disjoint random regular components wired up by per-node random edges.
+
+    Builds ``num_components`` random degree-regular graphs, each on
+    ``c * degree`` nodes, then lets every node draw one uniform target among
+    all other nodes and adds the deduplicated edges. Redraws until connected.
+    """
+    n = _clustered_order(num_components, degree, c)
     rng = random.Random(rng_seed)
 
     def draw() -> list[tuple[int, int]]:
@@ -217,7 +224,7 @@ def clustered_regular(num_components: int, degree: int, c: int, rng_seed: int) -
         return [e for comp in intra for e in comp] + extra
 
     failure = f"clustered_regular({num_components}, {degree}, c={c}) stayed disconnected"
-    return _redraw(num_components * block, draw, failure)
+    return _redraw(n, draw, failure)
 
 
 def greedy_dominating_set(g: Graph) -> NodeSet:

@@ -372,17 +372,21 @@ def diameter(g: Graph) -> int:
 # integer pairs (see ``_int_pairs``), shorter ones line by line, where
 # numpy's fixed cost per call would outweigh the parse. Measured on loads
 # that run between other work, as one per CLI call does (caches cold), the
-# two paths break even between 73 and 81 lines: about 0.34 ms each, against
-# 0.27 ms at 49 lines and 0.44 ms at 113 for the line-by-line path. Both
+# two paths break even between 37 and 41 lines: about 0.19 ms each, against
+# 0.15 ms at 13 lines and 0.21 ms at 61 for the line-by-line path. Both
 # give the same result.
-_NUMPY_MIN_LINES = 76
+_NUMPY_MIN_LINES = 40
 
 # Blank lines and ``#`` comment lines at the top of a file.
 _HEADER = rb"(?:[ \t]*(?:#[^\n]*)?\n)*"
 
-# True for every byte that is neither a digit nor a minus sign.
-_SEPARATOR = np.ones(256, dtype=bool)
-_SEPARATOR[list(b"0123456789-")] = False
+# Digits 1-9 as 1, so that one search finds a minus sign after any digit;
+# and 10**1..10**17, against which an |int| counts its digits, up to 18.
+_NONZERO_AS_ONE = bytes.maketrans(b"23456789", b"11111111")
+_POWERS = 10 ** np.arange(1, 18)
+
+# str(i) for i up to the largest n of a file labelled 0..n-1 loaded so far.
+_ID_LABELS: list[str] = []
 
 
 def _int_pairs(data: bytes) -> tuple[dict[str, int], np.ndarray] | None:
@@ -391,33 +395,43 @@ def _int_pairs(data: bytes) -> tuple[dict[str, int], np.ndarray] | None:
     between two integers written as ``str(int(token))`` writes them, with at
     most 18 digits so that each fits in int64. None for any other text.
 
-    The check is a fixed number of numpy passes over the bytes. The bytes
-    that are neither digits nor minus signs must alternate space, line break;
-    a minus sign may only start a token, and a token is ``0`` or an optional
-    minus and one to 18 digits, the first of them not 0."""
+    The bytes are checked before ``np.fromstring`` parses them: with its
+    digits and minus signs deleted the body reads `` \\n`` once per line,
+    and no minus sign follows a digit or a minus or comes before a 0, a space
+    or a line end. The values must then be two per line (no token is empty),
+    and the tokens must take as many bytes as the values, each counted as
+    its minus sign and its digits, at most 18 (-2**63, whose magnitude
+    overflows, counts one). A token of at most 18 digits parses exactly and
+    is that long only when canonical; a longer one, whether ``fromstring``
+    saturates it or wraps it modulo 2**64, is longer than its value so
+    counted. So equal totals rule out leading zeros and tokens of 19 digits
+    or more."""
     # compiled on first use (and cached by re), not at import
     body = data[re.compile(_HEADER).match(data).end() :]
     if not body.endswith(b"\n"):
         body += b"\n"
-    b = np.frombuffer(body, dtype=np.uint8)
-    seps = np.flatnonzero(_SEPARATOR.take(b))
-    # each pair of separators, read as one little-endian uint16, must be b" \n"
-    if seps.size % 2 or np.count_nonzero(b[seps].view("<u2") != 0x0A20):
+    lines = body.count(b"\n")
+    if body.translate(None, b"0123456789-") != b" \n" * lines:
         return None
-    starts = np.concatenate(([0], seps[:-1] + 1))
-    lengths = seps - starts
-    neg = b[starts] == ord("-")
-    lead = b[starts + neg]  # the first digit, if the token has one
-    bad = (lead - ord("1") > 8) & ((lead != ord("0")) | (lengths != 1))  # uint8 wraps
-    bad |= lengths - neg > 18
-    if np.count_nonzero(bad) or body.count(b"-") != np.count_nonzero(neg):
+    minus = body.count(b"-")
+    marked = body.translate(_NONZERO_AS_ONE) if minus else b""
+    if any(p in marked for p in (b"0-", b"1-", b"--", b"-0", b"- ", b"-\n")):
         return None
     values = np.fromstring(body, dtype=np.int64, sep=" ")
+    if values.size != 2 * lines:
+        return None
+    digits = int(np.searchsorted(_POWERS, np.abs(values), side="right").sum())
+    if values.size + digits + minus != len(body) - 2 * lines:
+        return None
     lo, hi = int(values.min()), int(values.max())
     if hi - lo < 4 * values.size:
         # ids by a presence table over the label range: no sort needed
         present = np.zeros(hi - lo + 1, dtype=bool)
         present[values - lo] = True
+        if lo == 0 and present.all():
+            # labels 0..n-1, as save_edge_list writes them: each is its own id
+            _ID_LABELS.extend(map(str, range(len(_ID_LABELS), hi + 1)))
+            return dict(zip(_ID_LABELS, range(hi + 1))), values
         labels = np.flatnonzero(present) + lo
         ids = (np.cumsum(present) - 1)[values - lo]
     else:
@@ -462,28 +476,30 @@ def load_edge_list(path: str) -> tuple[Graph, dict[str, int]]:
     are ignored. Self-loops and repeated edges are dropped with a warning; a
     disconnected result is rejected.
 
-    A file of at least ``_NUMPY_MIN_LINES`` (76) lines whose lines after a
+    A file of at least ``_NUMPY_MIN_LINES`` (40) lines whose lines after a
     block of comment and blank lines all read ``<int> <int>`` (one space
     between two canonical integers of at most 18 digits, which is what
     :func:`save_edge_list` writes) is parsed with numpy; any other text is
     tokenized line by line, with the same result. Either way the graph is
     built as :meth:`Graph.from_edges` builds it.
     """
-    # bytes decoded at once skip the text layer, which costs more than the
-    # parse of a small file; line ends are translated as text mode would
+    # bytes skip the text layer, which costs more than the parse of a small
+    # file (bad UTF-8 still raises); line ends are translated as text mode would
     with open(path, "rb") as fh:
         data = fh.read()
-    text = data.decode("utf-8")
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-        data = text.encode("utf-8")
+    if not data.isascii():
+        data.decode("utf-8")
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     parsed = None if data.count(b"\n") < _NUMPY_MIN_LINES else _int_pairs(data)
-    mapping, ids = parsed or _tokenized_pairs(path, text.split("\n"))
+    mapping, ids = parsed or _tokenized_pairs(path, data.decode("utf-8").split("\n"))
     n = len(mapping)
     u, v = np.asarray(ids, dtype=np.int64).reshape(-1, 2).T
     keep = u != v
     dropped_loops = u.size - int(np.count_nonzero(keep))
-    keys = _sorted_arcs(n, u[keep], v[keep])
+    if dropped_loops:
+        u, v = u[keep], v[keep]
+    keys = _sorted_arcs(n, u, v)
     repeat = keys[1:] == keys[:-1]
     dropped_dups = int(np.count_nonzero(repeat)) // 2  # a repeated edge repeats both arcs
     if dropped_dups:

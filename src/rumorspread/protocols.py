@@ -150,11 +150,11 @@ class MonteCarloSummary:
         )
 
     def quantile_t_all(self, q: float) -> float:
-        # the midpoint interpolation of two infinities would yield nan, so
-        # take the lower order statistic instead of interpolating
-        return float(
-            np.quantile(self._t_all_array(), q, method="inverted_cdf")
-        )
+        # the order statistic of rank ceil(k q), as numpy's "inverted_cdf"
+        # gives it: the midpoint interpolation of two infinities would yield nan
+        k = len(self.t_all)
+        ranked = sorted(math.inf if t is None else t for t in self.t_all)
+        return float(ranked[min(k - 1, max(0, math.ceil(k * q) - 1))])
 
     @property
     def median_t_all(self) -> float:

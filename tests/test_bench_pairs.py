@@ -95,3 +95,27 @@ def test_bad_arguments_exit_before_any_run(monkeypatch, capsys, extra, message):
         bench_pairs.main(["/nonexistent/parent", "/nonexistent/change", *extra])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def test_repeated_workload_runs_each_in_every_pair(monkeypatch, capsys):
+    # every pair runs each named workload on both sides, the parent first in
+    # even pairs and the change first in odd ones; one table per workload
+    calls = []
+    metrics = {m["name"]: {"value": 1.0} for m in bench_pairs.load_json(bench_pairs.BENCHMARK)["end_to_end"]}
+
+    def fake_run(benchmark, workload, *, trace, seed, cwd):
+        calls.append((workload, os.path.basename(cwd)))
+        return {"result": {"correct": True, "failed": 0, "metrics": metrics}}
+
+    monkeypatch.setattr(bench_pairs, "run_workload", fake_run)
+    monkeypatch.setattr(bench_pairs, "clear_bytecode", lambda checkout: None)
+    argv = ["/x/parent", "/x/change", "--workload", "thinning", "--workload", "spread",
+            "--workload", "thinning", "--pairs", "2"]
+    assert bench_pairs.main(argv) == 0
+    assert calls == [
+        ("thinning", "parent"), ("thinning", "change"), ("spread", "parent"), ("spread", "change"),
+        ("thinning", "change"), ("thinning", "parent"), ("spread", "change"), ("spread", "parent"),
+    ]
+    titles = [line for line in capsys.readouterr().out.splitlines() if " pairs; " in line]
+    assert [t.split(",")[0] for t in titles] == ["thinning", "spread"]
+    assert all("2 pairs" in t for t in titles)

@@ -16,6 +16,8 @@ import oracles
 from conftest import connected_graphs, graph_and_proper_subset
 from helpers import child_stdout
 from rumorspread import (
+    FAMILY_NAMES,
+    FamilySpec,
     Graph,
     InputError,
     ParticipatingConfig,
@@ -308,6 +310,24 @@ def _csr_of(adj):
 
 # a chain of canonical edges just long enough for the vectorized parser
 CHAIN = "".join(f"{i} {i + 1}\n" for i in range(_NUMPY_MIN_LINES))
+# the chain over labels 1..n, and over 0..n-1 without 5
+ONE_BASED = "".join(f"{i} {i + 1}\n" for i in range(1, _NUMPY_MIN_LINES + 1))
+GAPPED = CHAIN.replace("4 5\n5 6\n", "4 6\n") + "0 2\n"
+
+# parameters of every generator family that give it at least as many edges
+# as the vectorized parser needs lines
+FAMILY_PARAMS = {
+    "complete": {"n": 10},
+    "path": {"n": 60},
+    "cycle": {"n": 60},
+    "star": {"leaves": 60},
+    "hypercube": {"d": 6},
+    "two_cliques": {"m": 8},
+    "dumbbell": {"m": 8},
+    "random_regular": {"n": 64, "degree": 4, "rng_seed": 1},
+    "erdos_renyi": {"n": 30, "p": 0.3, "rng_seed": 1},
+    "clustered_regular": {"num_components": 2, "degree": 4, "c": 6, "rng_seed": 0},
+}
 
 
 class TestLoaderAgainstOracle:
@@ -317,6 +337,9 @@ class TestLoaderAgainstOracle:
     # str(int(label)) would write it
     @example(CHAIN + "01 7\n-0 3\n007 5\n")
     @example(CHAIN + "+1 2\n1_0 4\n")
+    # leading zeros alone, which only the fast path's length check refuses
+    @example(CHAIN + "007 5\n")
+    @example(CHAIN + "3 00\n")
     # a line that starts with two integers but holds more
     @example(CHAIN + "3 4 5\n")
     @example(CHAIN + "5 6x\n1 3")
@@ -345,6 +368,12 @@ class TestLoaderAgainstOracle:
     @example(CHAIN + "3 4\r\n5 6")
     @example("# header\n" + CHAIN[:-1])
     @example("# caf\u00e9\n" + CHAIN + "0 0\n")
+    # a minus sign before a 0 or inside a token
+    @example(CHAIN + "-5 -0\n")
+    @example(CHAIN + "-1-2 3\n")
+    # labels 1..n, and 0..n-1 with one id missing: not their own ids
+    @example(ONE_BASED)
+    @example(GAPPED)
     def test_matches_line_by_line_loader(self, text):
         with tempfile.TemporaryDirectory() as tmp:
             path = str(Path(tmp) / "g.txt")
@@ -374,6 +403,17 @@ class TestLoaderAgainstOracle:
     @example(CHAIN + "1-2 3\n")
     @example(CHAIN + "0 -0\n")
     @example("# header\n" + CHAIN[:-1])
+    # leading zeros and empty tokens, which the length check must refuse
+    @example(CHAIN + "007 5\n")
+    @example(CHAIN + "3 00\n")
+    @example(CHAIN + " 3 4\n")
+    @example(CHAIN + "3 4 \n")
+    @example(CHAIN + "3 \n")
+    @example(CHAIN + " 3\n")
+    @example(CHAIN + "-5 -0\n")
+    @example(CHAIN + "-1-2 3\n")
+    @example(ONE_BASED)
+    @example(GAPPED)
     def test_fast_path_takes_exactly_canonical_pairs(self, text):
         data = text.replace("\r\n", "\n").replace("\r", "\n").encode()
         body = data[re.match(graph_module._HEADER, data).end() :].decode()
@@ -381,6 +421,43 @@ class TestLoaderAgainstOracle:
         canonical = re.compile(r"(?:0|-?[1-9][0-9]{0,17}) (?:0|-?[1-9][0-9]{0,17})")
         want = bool(body) and all(canonical.fullmatch(line) for line in lines)
         assert (graph_module._int_pairs(data) is not None) == want
+
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_saved_families_load_as_their_own_ids(self, tmp_path, family):
+        # what save_edge_list writes, labelled 0..n-1, takes the fast path and
+        # keeps each label's value as its id
+        g = FamilySpec(family, FAMILY_PARAMS[family]).build()
+        path_ = tmp_path / "g.txt"
+        save_edge_list(g, str(path_), header=[f"family={family}"])
+        data = path_.read_bytes()
+        assert data.count(b"\n") - 1 >= _NUMPY_MIN_LINES
+        mapping, ids = graph_module._int_pairs(data)
+        assert list(mapping.items()) == [(str(i), i) for i in range(g.n)]
+        assert np.array_equal(ids, np.ravel(g.edges()))
+        loaded, loaded_mapping = load_edge_list(str(path_))
+        assert loaded == g and loaded_mapping == mapping
+
+    @pytest.mark.parametrize("chain", ["0 1\n1 2\n", CHAIN], ids=["short", "chain"])
+    def test_bad_utf8_is_named_at_its_byte_in_the_file(self, tmp_path, chain):
+        # the bytes are checked before their line ends are translated, so the
+        # error names the offset in the file as it was read
+        data = chain.replace("\n", "\r\n").encode() + b"\xff 3\r\n"
+        path_ = tmp_path / "g.txt"
+        path_.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as exc:
+            load_edge_list(str(path_))
+        assert exc.value.start == data.index(b"\xff")
+
+    def test_loads_return_distinct_mappings(self, tmp_path):
+        path_ = tmp_path / "g.txt"
+        path_.write_text(CHAIN)
+        first = load_edge_list(str(path_))[1]
+        second = load_edge_list(str(path_))[1]
+        assert first is not second
+        first["0"] = 99
+        del first["1"]
+        assert second == {str(i): i for i in range(_NUMPY_MIN_LINES + 1)}
+        assert load_edge_list(str(path_))[1] == second
 
     def test_patterns_compile_on_python_310(self):
         # possessive quantifiers (*+, ++, ?+, {m,n}+) and atomic groups are

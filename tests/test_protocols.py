@@ -7,7 +7,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -17,6 +17,7 @@ from rumorspread import (
     GrowthCheckReport,
     IncompleteSpreadError,
     InputError,
+    MonteCarloSummary,
     ProtocolConfig,
     boundary,
     complete,
@@ -373,6 +374,21 @@ class TestMonteCarlo:
         assert summary.completed_count == 0
         assert math.isinf(summary.quantile_t_all(0.5))
         assert all(t is None for t in summary.t_all)
+
+    @given(
+        st.lists(st.one_of(st.none(), st.integers(0, 40)), min_size=1, max_size=300),
+        st.one_of(st.floats(0, 1), st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9])),
+    )
+    @settings(max_examples=300)
+    @example([3, None, 1, None], 0.5)
+    @example([None, None, 2], 0.9)
+    @example(list(range(10)), 0.9)
+    def test_quantile_is_numpys_inverted_cdf(self, t_all, q):
+        summary = MonteCarloSummary(len(t_all), t_all, t_all, [t is not None for t in t_all])
+        values = [math.inf if t is None else t for t in t_all]
+        got = summary.quantile_t_all(q)
+        assert type(got) is float
+        assert got == float(np.quantile(values, q, method="inverted_cdf"))
 
     def test_trials_validation(self):
         with pytest.raises(InputError):

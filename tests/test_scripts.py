@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import run_fuzzed
+from rumorspread import FamilySpec
 from rumorspread.cli import EXIT_CAPABILITY, EXIT_CONSTRUCTION, EXIT_INPUT, EXIT_OK
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts"))
@@ -95,6 +96,28 @@ def test_bad_arguments_exit_with_cli_codes(tmp_path, monkeypatch, capsys, main, 
     assert not os.listdir(tmp_path)
 
 
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["--degrees", "1000", "--instances", "1"], 3, "capped at 20 nodes (got n=4000)"),
+        (["--degrees", "3", "--out", f"{os.devnull}/x.csv"], 2, "Not a directory"),
+        (["--degrees", "3", "--out", "missing/x.csv"], 2, "No such file or directory"),
+        # the parameter checks still come first: an odd degree sum is bad input
+        (["--degrees", "1001", "--c", "3", "--instances", "1"], 2, "odd degree sum"),
+    ],
+    ids=["oversized-instance", "out-in-a-file", "out-in-a-missing-directory", "odd-degree-sum"],
+)
+def test_measure_separation_refuses_before_any_build(tmp_path, monkeypatch, capsys, argv, code, message):
+    # an instance too large to enumerate and an output directory that cannot
+    # take the table are both found before the first graph is drawn
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(FamilySpec, "build", lambda self: pytest.fail(f"built {self}"))
+    assert measure_separation.main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+    assert not os.listdir(tmp_path)
+
+
 # the CLI's codes that a script can end in: run_scaling reaches only 0 and 2
 SCRIPT_EXIT_CODES = (EXIT_OK, EXIT_INPUT, EXIT_CAPABILITY, EXIT_CONSTRUCTION)
 # an output path inside the run's directory (missing parents included), or
@@ -150,7 +173,7 @@ def test_fuzz_run_scaling_exit_codes(trials, seed, out, junk):
 @example(degrees=[1], instances=1, c=4, components=2, seed=0, out="out", junk=None)
 def test_fuzz_measure_separation_exit_codes(degrees, instances, c, components, seed, out, junk):
     # the table enumerates only instances of at most 20 nodes, so degrees up
-    # to 7 keep every run short; a larger instance is refused after its build
+    # to 7 keep every run short; a larger instance is refused before its build
     with tempfile.TemporaryDirectory() as tmp:
         argv = [f"--degrees={','.join(map(str, degrees))}", f"--instances={instances}",
                 f"--c={c}", f"--components={components}", f"--seed={seed}"]
