@@ -41,6 +41,7 @@ expansion, whose output bytes pin its summation order over a frozenset.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -677,15 +678,11 @@ def degree_class_decomposition(
     certifying = tuple(
         name for name, contrib in zip(names, contribs) if contrib >= third
     )
-    if mid:
-        mid_degs = sorted(g.degrees[u] for u in mid)
-        best_k, best_count = None, -1
-        for k in mid_degs:
-            count = sum(1 for d in mid_degs if k <= d <= 2 * k)
-            if count > best_count:
-                best_k, best_count = k, count
-    else:
-        best_k = None
+    # the first mid degree k whose window [k, 2k] holds the most mid degrees
+    degs = sorted(g.degrees[u] for u in mid)
+    best_k = max(
+        degs, key=lambda k: bisect_right(degs, 2 * k) - bisect_left(degs, k), default=None
+    )
     lo_scale = max(low_cap, float(g.min_degree))
     hi_scale = 2.0 * min(float(size_cap), float(g.max_degree))
     scale_count = math.log2(hi_scale / lo_scale) if hi_scale > lo_scale > 0 else 0.0

@@ -26,12 +26,7 @@ from .generators import (
     greedy_dominating_set,
 )
 from .graph import Graph
-from .protocols import (
-    MonteCarloSummary,
-    ProtocolConfig,
-    _check_variant,
-    monte_carlo,
-)
+from .protocols import MonteCarloSummary, ProtocolConfig, monte_carlo
 from .rng import derive_seed
 
 # bound model -> its predictor of a graph, given the enumeration limit; the
@@ -50,9 +45,11 @@ _PREDICTORS = {
 }
 BOUND_MODELS = tuple(_PREDICTORS)
 
+# the largest ratio drift (max ratio over min ratio) a sweep's fit passes with
+_MAX_DRIFT = 2
 DRIFT_CONVENTION = (
     "acceptance convention: quantile/predictor ratio drift across the sweep "
-    "must stay within a factor 2; absolute constants are not asserted"
+    f"must stay within a factor {_MAX_DRIFT}; absolute constants are not asserted"
 )
 
 
@@ -105,11 +102,19 @@ class ExperimentConfig:
             raise InputError("give max_rounds or max_rounds_factor, not both")
         if self.enumeration_limit is not None and self.enumeration_limit < 1:
             raise InputError(f"enumeration_limit must be >= 1, got {self.enumeration_limit}")
-        # names are checked here, before the first point's graph is built
+        # names and the protocol's rules are checked here, before the first
+        # point's graph is built
         seeded = "rng_seed" in _family_types(self.family)
-        if not isinstance(self.informed, tuple) and self.informed not in ("random", "dominating"):
+        explicit = isinstance(self.informed, tuple)
+        if not explicit and self.informed not in ("random", "dominating"):
             raise InputError(f"bad informed value {self.informed!r}")
-        _check_variant(self.variant)
+        ProtocolConfig(
+            variant=self.variant,
+            initial_informed=frozenset(self.informed) if explicit else None,
+            max_rounds=self.max_rounds,
+        )
+        if explicit and min(self.informed) < 0:
+            raise InputError(f"informed node ids must be nonnegative: {self.informed}")
         for point in self.sweep:
             params = dict(point)
             if seeded:  # a placeholder for the seed that run_experiment derives
@@ -202,8 +207,8 @@ class BoundFitReport:
         rs = self.ratios
         return max(rs) / min(rs)
 
-    def passes(self, max_drift: float = 2.0) -> bool:
-        return all(math.isfinite(r) for r in self.ratios) and self.drift <= max_drift
+    def passes(self) -> bool:
+        return all(math.isfinite(r) for r in self.ratios) and self.drift <= _MAX_DRIFT
 
     def to_json_dict(self) -> dict:
         return {
@@ -276,10 +281,11 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[BoundFitReport, list[MonteCar
             max_rounds=max_rounds,
             rng_seed=derive_seed(cfg.rng_seed, index, 0),
         )
+        # the predictor draws nothing, and a point it refuses runs no trials
+        predictor = _predictor(cfg, index, g)
         summary, _ = monte_carlo(g, pcfg, cfg.trials)
         summaries.append(summary)
 
-        predictor = _predictor(cfg, index, g)
         quantile_values = {q: summary.quantile_t_all(q) for q in cfg.quantiles}
         primary = quantile_values[cfg.quantiles[0]]
         # an incomplete quantile is infinite and so is its ratio; a finite
@@ -398,7 +404,7 @@ def combine_point_rows(rows: Sequence[dict]) -> dict:
         "sources": sorted({row.get("source", "?") for row in rows}),
         "c_hat": max(ratios),
         "drift": max(ratios) / min(ratios),
-        "within_factor_2": max(ratios) / min(ratios) <= 2.0,
+        "within_factor_2": max(ratios) / min(ratios) <= _MAX_DRIFT,
     }
 
 

@@ -43,6 +43,7 @@ stepped nor, past a short gap, drawn.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from typing import Callable, Collection, Sequence
 
@@ -106,8 +107,10 @@ class SpreadTrace:
     """Per-round history of one run.
 
     Index t holds the state after t rounds; index 0 is the initial state.
-    ``psi`` is the informed count plus half the boundary count, a strictly
-    increasing progress potential that reaches n exactly at completion.
+    ``psi`` is the informed count plus half the boundary count, a progress
+    potential that reaches n exactly at completion. It never decreases: a
+    newly informed node leaves the boundary, so psi rises by at least 1/2
+    per node informed, and it stays put on a round that informs nobody.
     """
 
     informed: list[int]
@@ -554,16 +557,14 @@ def pull_growth_check(
     s: Collection[int],
     trials: int,
     rng_seed: int,
-    *,
-    slack_sigmas: float = 4.0,
 ) -> GrowthCheckReport:
     """Estimate mean one-round closure growth from ``s`` under pushpull.
 
     Repeatedly simulates a single round starting at informed set ``s`` and
     measures how much the informed closure grows, comparing the sample mean
     against the analytic floor: boundary expansion times boundary size. The
-    check passes when the mean is no more than ``slack_sigmas`` standard
-    errors below the floor.
+    check passes when the mean is no more than four standard errors below
+    the floor.
     """
     s_set = _proper_subset(g, s)
     if trials < 2:
@@ -593,7 +594,7 @@ def pull_growth_check(
         growth[done : done + b] = hits.count(new_mask[:, hits.boundary])
     mean = float(growth.mean())
     stderr = float(growth.std(ddof=1) / math.sqrt(trials))
-    passed = mean >= floor - slack_sigmas * stderr
+    passed = mean >= floor - 4.0 * stderr
     return GrowthCheckReport(trials, mean, stderr, floor, hits.boundary.size, passed)
 
 
@@ -603,37 +604,21 @@ def doubling_times(trace: SpreadTrace) -> list[tuple[int, int]]:
     Checkpoints are the first rounds where psi crosses successive powers of
     two times its initial value. Each window is the number of extra rounds
     until psi doubles again or the informed set exceeds half the graph.
+    Neither psi nor the informed count decreases along a run, so each of
+    these rounds is a bisection.
     """
     if not trace.completed:
         raise InputError("doubling_times needs a completed trace")
-    psi = trace.psi
-    informed = trace.informed
-    n_rounds = len(psi) - 1
-    # Recover n from the completed end state.
-    n = informed[-1]
-    checkpoints: list[int] = []
-    level = psi[0]
-    t = 0
-    while True:
-        while t <= n_rounds and psi[t] < level:
-            t += 1
-        if t > n_rounds:
-            break
-        if not checkpoints or checkpoints[-1] != t:
-            checkpoints.append(t)
-        level *= 2
+    psi, informed = trace.psi, trace.informed
+    # the first round past half the graph: a completed trace informs all n
+    past_half = bisect_right(informed, informed[-1] / 2)
     out: list[tuple[int, int]] = []
-    for tc in checkpoints:
-        window = None
-        for i in range(0, n_rounds - tc + 1):
-            if psi[tc + i] >= 2 * psi[tc] or informed[tc + i] > n / 2:
-                window = i
-                break
-        if window is None:
-            # Complete traces end with everything informed, so the half-graph
-            # condition must trigger by the final round.
-            raise AssertionError("unresolved doubling window on a completed trace")
-        out.append((tc, window))
+    level = psi[0]
+    while (tc := bisect_left(psi, level)) < len(psi):
+        if not out or out[-1][0] != tc:
+            end = min(bisect_left(psi, 2 * psi[tc]), max(tc, past_half))
+            out.append((tc, end - tc))
+        level *= 2
     return out
 
 

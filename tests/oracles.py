@@ -359,3 +359,51 @@ def naive_first_arrival_times(g, start, watched, variant, trials, rng_seed, max_
             )
         out[done : done + b] = times
     return out
+
+
+# -- proof diagnostics ---------------------------------------------------------
+#
+# Linear scans that the bisections in `doubling_times` and
+# `degree_class_decomposition` must agree with.
+
+
+def naive_doubling_times(psi, informed) -> list[tuple[int, int]]:
+    n_rounds = len(psi) - 1
+    # Recover n from the completed end state.
+    n = informed[-1]
+    checkpoints: list[int] = []
+    level = psi[0]
+    t = 0
+    while True:
+        while t <= n_rounds and psi[t] < level:
+            t += 1
+        if t > n_rounds:
+            break
+        if not checkpoints or checkpoints[-1] != t:
+            checkpoints.append(t)
+        level *= 2
+    out: list[tuple[int, int]] = []
+    for tc in checkpoints:
+        window = None
+        for i in range(0, n_rounds - tc + 1):
+            if psi[tc + i] >= 2 * psi[tc] or informed[tc + i] > n / 2:
+                window = i
+                break
+        if window is None:
+            # Complete traces end with everything informed, so the half-graph
+            # condition must trigger by the final round.
+            raise AssertionError("unresolved doubling window on a completed trace")
+        out.append((tc, window))
+    return out
+
+
+def naive_densest_window(degrees):
+    """The first k of sorted(degrees) whose [k, 2k] holds the most of them,
+    or None when there are none."""
+    mid_degs = sorted(degrees)
+    best_k, best_count = None, -1
+    for k in mid_degs:
+        count = sum(1 for d in mid_degs if k <= d <= 2 * k)
+        if count > best_count:
+            best_k, best_count = k, count
+    return best_k

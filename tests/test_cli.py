@@ -786,6 +786,48 @@ class TestExperimentAndReport:
         assert code == EXIT_OK
         assert ",7," in points.read_text()
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("max_rounds", 0, "max_rounds must be >= 1, got 0"),
+            ("informed", [], "initial_informed must be nonempty when given"),
+            ("informed", [-1], "informed node ids must be nonnegative: (-1,)"),
+        ],
+        ids=["max-rounds-0", "informed-empty", "informed-negative"],
+    )
+    def test_protocol_rules_refused_before_any_build(
+        self, tmp_path, capsys, monkeypatch, key, value, message
+    ):
+        def build(spec):
+            raise AssertionError(f"built {spec.describe()} before the config was checked")
+
+        monkeypatch.setattr(generators.FamilySpec, "build", build)
+        cfg = self.write_config(
+            tmp_path, family="random_regular", sweep=[{"n": 4096, "degree": 8}], **{key: value}
+        )
+        points = tmp_path / "p.csv"
+        code = run_cli("experiment", "--config", cfg, "--points-out", str(points))
+        assert code == EXIT_INPUT
+        assert message in capsys.readouterr().err
+        assert not points.exists()
+
+    def test_over_cap_point_refused_before_its_trials(self, tmp_path, capsys, monkeypatch):
+        # hypercube(9) has 512 nodes, too many to enumerate its conductance
+        sizes = []
+        monte_carlo = rumorspread.experiment.monte_carlo
+
+        def spy(g, cfg, trials):
+            sizes.append(g.n)
+            return monte_carlo(g, cfg, trials)
+
+        monkeypatch.setattr(rumorspread.experiment, "monte_carlo", spy)
+        cfg = self.write_config(
+            tmp_path, sweep=[{"d": 4}, {"d": 9}], bound_model="logn_over_phi", trials=2000
+        )
+        code = run_cli("experiment", "--config", cfg, "--points-out", str(tmp_path / "p.csv"))
+        assert code == EXIT_CAPABILITY
+        assert sizes == [16]
+
     def test_report_empty_table_exit_2(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("index,params,n,ratio\n")

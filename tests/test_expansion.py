@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -17,6 +17,7 @@ from helpers import child_peak_mb, random_connected
 from rumorspread import expansion
 from rumorspread import (
     CapabilityError,
+    Graph,
     InputError,
     augmented_combined_expansion_set,
     boundary,
@@ -499,6 +500,25 @@ class TestDegreeClasses:
             degree_class_decomposition(cycle(6), {0}, 0.0)
         with pytest.raises(InputError):
             degree_class_decomposition(cycle(6), {0}, 1.0)
+
+    @given(st.lists(st.integers(1, 12), max_size=20))
+    @settings(max_examples=150)
+    @example([])
+    @example([5, 9, 1, 2, 2, 5])  # [1, 2] and [5, 10] hold three each; the first wins
+    def test_densest_window_matches_naive_scan(self, degs):
+        # S is a path on k nodes; boundary node i has degree degs[i] into S,
+        # so the mid class's degrees are exactly degs, and one more boundary
+        # node with k pendants has degree k + 1 > |S| and is high
+        k = max(degs, default=1)
+        edges = [(v, v + 1) for v in range(k - 1)]
+        for i, d in enumerate(degs):
+            edges += [(v, k + i) for v in range(d)]
+        high = k + len(degs)
+        edges += [(0, high)] + [(high, high + j) for j in range(1, k + 1)]
+        g = Graph.from_edges(high + k + 1, edges)
+        dec = degree_class_decomposition(g, range(k), 0.5)
+        assert sorted(g.degrees[u] for u in dec.mid) == sorted(degs)
+        assert dec.mid_heaviest_degree == oracles.naive_densest_window(degs)
 
     def test_class_thresholds_respected(self):
         g = star(12)

@@ -137,13 +137,19 @@ class TestTraceInvariants:
             assert trace.psi[-1] == g.n
             assert trace.t_all == trace.rounds
 
-    @given(connected_graphs(max_nodes=10), st.integers(0, 5))
-    @settings(max_examples=40)
-    def test_psi_monotone_and_half_time(self, g, seed):
-        cfg = ProtocolConfig(rng_seed=seed)
+    @given(connected_graphs(max_nodes=10), st.integers(0, 5), st.sampled_from(protocols.VARIANTS))
+    @settings(max_examples=60)
+    @example(star(30), 3, "pull")  # psi stays 1.5 until the centre pulls from a leaf
+    def test_psi_monotone_and_half_time(self, g, seed, variant):
+        # doubling_times bisects both lists, which is sound only because
+        # neither decreases; psi may stay put on a round that informs nobody
+        cfg = ProtocolConfig(variant=variant, rng_seed=seed)
         trace = run(g, cfg)
-        for a, b in zip(trace.psi, trace.psi[1:]):
-            assert a <= b
+        steps = zip(trace.psi, trace.psi[1:], trace.informed, trace.informed[1:])
+        for psi_a, psi_b, inf_a, inf_b in steps:
+            assert inf_a <= inf_b
+            # each newly informed node leaves the boundary
+            assert psi_b - psi_a >= (inf_b - inf_a) / 2
         half = g.n // 2 + 1
         if trace.t_half is not None:
             assert trace.informed[trace.t_half] >= half
@@ -694,6 +700,23 @@ class TestDoubling:
         for t, window in checkpoints:
             assert window >= 0
             assert t + window <= trace.rounds
+
+    @given(
+        connected_graphs(max_nodes=12),
+        st.sampled_from(protocols.VARIANTS),
+        st.integers(0, 50),
+        st.one_of(st.none(), st.sets(st.integers(0, 11), min_size=1, max_size=3)),
+    )
+    @settings(max_examples=200)
+    @example(star(30), "pull", 3, {1})  # psi 1.5, 1.5, 1.5, 1.5, 16.5, 31.0
+    @example(path(12), "push", 0, {0})
+    def test_matches_naive_scan(self, g, variant, seed, start):
+        initial = None if start is None else frozenset(v % g.n for v in start)
+        cfg = ProtocolConfig(variant=variant, initial_informed=initial, rng_seed=seed)
+        trace = run(g, cfg)
+        assert trace.completed
+        expected = oracles.naive_doubling_times(trace.psi, trace.informed)
+        assert doubling_times(trace) == expected
 
     def test_requires_completed(self):
         cfg = ProtocolConfig(
