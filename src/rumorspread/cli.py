@@ -60,27 +60,20 @@ _EXIT_CODES = {
     ConstructionError: EXIT_CONSTRUCTION,
 }
 
-# Short measure names accepted on the command line.
-MEASURE_ALIASES = {
-    "alpha": "vertex-expansion",
-    "phi": "conductance",
-    "h": "boundary-expansion",
-    "xi": "combined-expansion",
-    "rho": "augmented-combined-expansion",
+# Each measure: its short name on the command line, its function of one node
+# set, and whether its graph-level minimum is enumerable. The function is an
+# ``expansion`` attribute looked up at call time, so a wrapper installed on
+# the module (perfbench's tracer) sees the call; the graph-level minima of
+# the enumerable measures come from one enumeration, and the others need a set.
+_MEASURES = {
+    "vertex-expansion": ("alpha", "vertex_expansion_set", True),
+    "conductance": ("phi", "conductance_set", True),
+    "boundary-expansion": ("h", "boundary_expansion_exact", False),
+    "combined-expansion": ("xi", "combined_expansion_set", True),
+    "augmented-combined-expansion": ("rho", "augmented_combined_expansion_set", False),
 }
-MEASURES = tuple(MEASURE_ALIASES.values())
-# each measure's function of one node set, named as an ``expansion``
-# attribute and looked up at call time, so a wrapper installed on the module
-# (perfbench's tracer) sees the call; the graph-level minima of the
-# enumerable measures come from one enumeration, and the others need a set
-_SET_MEASURES = {
-    "vertex-expansion": "vertex_expansion_set",
-    "conductance": "conductance_set",
-    "boundary-expansion": "boundary_expansion_exact",
-    "combined-expansion": "combined_expansion_set",
-    "augmented-combined-expansion": "augmented_combined_expansion_set",
-}
-_ENUMERABLE = ("vertex-expansion", "conductance", "combined-expansion")
+MEASURES = tuple(_MEASURES)
+MEASURE_ALIASES = {alias: name for name, (alias, _, _) in _MEASURES.items()}
 # gen's flag (dest) for each family parameter: rng_seed is spelled --seed
 _GEN_DESTS = {name: "seed" if name == "rng_seed" else name for name in _PARAM_TYPES}
 
@@ -210,16 +203,16 @@ def cmd_analyze(args) -> int:
     reports = []
     for name in requested:
         if s is None:
-            if name not in _ENUMERABLE:
+            if not _MEASURES[name][2]:
                 raise InputError(f"{name} needs a node set (--set)")
             if not enumerated:
-                graph_level = [m for m in requested if m in _ENUMERABLE]
+                graph_level = [m for m in requested if _MEASURES[m][2]]
                 enumerated = expansion._enumerated(g, graph_level, args.limit)
             rep = enumerated[name]
         elif name == "boundary-expansion" and args.samples:
             rep = expansion.boundary_expansion_mc(g, s, samples=args.samples, rng_seed=args.seed)
         else:
-            value = getattr(expansion, _SET_MEASURES[name])(g, s)
+            value = getattr(expansion, _MEASURES[name][1])(g, s)
             rep = expansion.ExpansionReport(
                 measure=name, value=value, witness=tuple(sorted(s)), method="set"
             )
@@ -232,18 +225,12 @@ def cmd_analyze(args) -> int:
         if s is None:
             raise InputError("--decompose needs a node set (--set)")
         dec = expansion.degree_class_decomposition(g, s, args.threshold)
-        payload["degree_classes"] = {
-            "split_threshold": dec.split_threshold,
-            "cheap_degree_cap": dec.c,
-            "low": sorted(dec.low),
-            "mid": sorted(dec.mid),
-            "high": sorted(dec.high),
-            "contributions": list(dec.contributions),
-            "certifying_classes": list(dec.certifying_classes),
-            "mid_heaviest_degree": dec.mid_heaviest_degree,
-            "mid_scale_count": dec.mid_scale_count,
-            "high_degree_floor": dec.high_degree_floor,
-        }
+        # the fields in order, c under its JSON name and each class sorted
+        classes = payload["degree_classes"] = {}
+        for f in dataclasses.fields(expansion.DegreeClassDecomposition):
+            value = getattr(dec, f.name)
+            key = "cheap_degree_cap" if f.name == "c" else f.name
+            classes[key] = sorted(value) if isinstance(value, frozenset) else value
     _write_json(payload, args.out)
     return EXIT_OK
 

@@ -52,8 +52,8 @@ import numpy as np
 from . import rng
 from .errors import CapabilityError, InputError
 from .graph import (
-    Graph, NodeSet, _closure, _neighbour_lists, _proper_subset, boundary, cut_size, edges_between,
-    volume,
+    Graph, NodeSet, _check_count, _closure, _neighbour_lists, _proper_subset, boundary, cut_size,
+    edges_between, volume,
 )
 
 DEFAULT_ENUMERATION_LIMIT = 20
@@ -247,8 +247,7 @@ def boundary_expansion_mc(
 ) -> ExpansionReport:
     """Monte-Carlo estimate of the boundary expansion with standard error."""
     fs = _proper_subset(g, s)
-    if samples < 2:
-        raise InputError("need at least 2 samples")
+    _check_count("samples", samples, 2)  # two for a standard error
     hits = _BoundaryHits(g, *_closure(g, fs))
     mean = stderr = 0.0  # without a second shell there is nothing to hit
     if hits.shell.size:

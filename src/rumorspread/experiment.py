@@ -25,7 +25,7 @@ from .generators import (
     _family_types,
     greedy_dominating_set,
 )
-from .graph import Graph
+from .graph import Graph, _check_count
 from .protocols import MonteCarloSummary, ProtocolConfig, monte_carlo
 from .rng import derive_seed
 
@@ -85,8 +85,7 @@ class ExperimentConfig:
             )
         if not self.sweep:
             raise InputError("sweep must have at least one point")
-        if self.trials < 1:
-            raise InputError("trials must be >= 1")
+        _check_count("trials", self.trials, 1)
         predictors = self.predictor_values
         if predictors is not None and len(predictors) != len(self.sweep):
             raise InputError("predictor_values must match the sweep length")
@@ -418,13 +417,13 @@ def combined_vs_conductance_table(
     num_components: int = 2,
     instances: int = 3,
     rng_seed: int = 0,
-    enumeration_limit: int | None = None,
 ) -> list[dict]:
     """Mean combined-expansion to conductance ratio on clustered graphs.
 
     Builds small clustered-regular instances for each degree and enumerates
-    both graph-level measures exactly. The interesting trend: the ratio grows
-    with the degree while conductance shrinks.
+    both graph-level measures exactly, under the default enumeration cap
+    (``expansion.DEFAULT_ENUMERATION_LIMIT`` nodes). The interesting trend:
+    the ratio grows with the degree while conductance shrinks.
     """
     if instances < 1:
         raise InputError(f"instances must be >= 1, got {instances}")
@@ -434,7 +433,7 @@ def combined_vs_conductance_table(
         xis: list[float] = []
         # an instance too large to enumerate is refused before it is drawn
         n = _clustered_order(num_components, degree, c)
-        expansion._check_enumerable(n, enumeration_limit, "conductance")
+        expansion._check_enumerable(n, None, "conductance")
         for k in range(instances):
             spec = FamilySpec(
                 "clustered_regular",
@@ -446,9 +445,7 @@ def combined_vs_conductance_table(
                 },
             )
             g = spec.build()
-            reports = expansion._enumerated(
-                g, ["conductance", "combined-expansion"], enumeration_limit
-            )
+            reports = expansion._enumerated(g, ["conductance", "combined-expansion"], None)
             phis.append(reports["conductance"].value)
             xis.append(reports["combined-expansion"].value)
         mean_phi = sum(phis) / len(phis)

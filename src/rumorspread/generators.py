@@ -52,8 +52,8 @@ def star(leaves: int) -> Graph:
 
 def hypercube(d: int) -> Graph:
     """d-dimensional hypercube: ids 0..2^d-1 adjacent iff Hamming distance 1."""
-    if d < 1:
-        raise InputError(f"hypercube needs d >= 1, got {d}")
+    if not 1 <= d <= 62:  # 2**d nodes, an int64
+        raise InputError(f"hypercube needs 1 <= d <= 62, got {d}")
     n = 1 << d
     edges = [(u, u ^ (1 << b)) for u in range(n) for b in range(d) if u < u ^ (1 << b)]
     return Graph.from_edges(n, edges)

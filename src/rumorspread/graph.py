@@ -187,6 +187,17 @@ def _check_order(n: int) -> None:
         raise InputError(f"graph needs at least 2 nodes, got n={n}")
 
 
+# the largest trial or sample count: numpy sizes an array of that many 8-byte values
+_MAX_COUNT = np.iinfo(np.intp).max // 8
+
+
+def _check_count(what: str, count: int, least: int) -> None:
+    if count < least:
+        raise InputError(f"{what} must be >= {least}, got {count}")
+    if count > _MAX_COUNT:
+        raise InputError(f"{what} must be at most {_MAX_COUNT}, got {count}")
+
+
 def _check_edges(n: int, pairs: Iterable[tuple[int, int]]) -> None:
     """Check edges in input order, so that the first one that is out of
     range, a self-loop, a repeat or not a pair of integers is the one named."""

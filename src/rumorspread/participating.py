@@ -17,10 +17,10 @@ Zaversnik's O(m) cores decomposition): a node that violates keeps violating as
 the pool shrinks, and a removal changes the state of its own neighbours only,
 so each removal costs O(deg) and the whole run O(n + m) besides the queue.
 With ``track_potential`` the potential (phi1, phi2) is audited at every step:
-both components are kept twice, summed from the sender side and from the
-receiver side, each updated by O(deg) deltas of the removed node, and the two
-forms must agree exactly after each step. A full recompute checks the start
-state and must reproduce the end state.
+both components are kept twice, from the sender side by a walk over the
+removed node's neighbours and from the receiver side by the counts the
+worklist keeps for it, and the two forms must agree exactly after each step.
+A full recompute checks the start state and must reproduce the end state.
 
 Each call validates its set and derives one state from it, once: the closure
 masks and the sampling masses (``_thinning_state``), which the potential, the
@@ -211,27 +211,31 @@ def restricted_start(g: Graph, s: Collection[int], cfg: ParticipatingConfig) -> 
 
 
 class _RunningPotential:
-    """phi1 and phi2 of a shrinking pool, each kept twice: summed from the
-    sender side and from the receiver side, as in ``_potential_parts``.
+    """phi1 and phi2 of a shrinking pool, each kept twice, as exact
+    numerators over ``scale`` (see ``_sampling_units``) from the (phi1, phi2)
+    numerators ``start``.
 
-    The four sums are exact numerators over ``scale`` (see
-    ``_sampling_units``), starting from the (phi1, phi2) numerators
-    ``start``. ``remove(x)`` applies the O(deg x) change of taking
-    ``x`` out of the pool and must run while ``x`` is still pooled. The
-    sender path charges x's own edges by count, then the one changed edge of
-    each closure neighbour; the receiver path charges what x starts or stops
-    receiving, then what each neighbour receives from x. ``parts()`` compares
-    the two forms and returns the (phi1, phi2) numerators.
+    ``remove(x, active_mass, pool_nbrs)`` takes ``x`` out of the pool and
+    must run while ``x`` is still pooled, with the worklist's counts for x:
+    its active neighbours' sampling mass and its pooled neighbours. The
+    sender path walks x's neighbours: it counts x's pooled neighbours afresh
+    to charge x's own edges, then charges the one changed edge of each
+    closure neighbour. The receiver path is O(1) from the counts: x, now a
+    hole, receives ``active_mass`` and no longer receives the rest of its
+    closure neighbours' mass ``closure_mass[x]``; a closure x stops sending
+    to its holes and starts sending to its pooled neighbours. ``parts()``
+    compares the forms, so it fails when the counts disagree with the graph,
+    and returns the (phi1, phi2) numerators.
     """
 
-    def __init__(self, g: Graph, unit, in_closure, in_pool, start) -> None:
+    def __init__(self, g: Graph, unit, in_closure, in_pool, closure_mass, start) -> None:
         self.ptr, self.flat = g.csr_lists
-        self.unit = unit
+        self.unit, self.closure_mass = unit, closure_mass
         self.in_closure, self.in_pool = in_closure, in_pool
         self.phi1_send = self.phi1_recv = start[0]
         self.phi2_send = self.phi2_recv = start[1]
 
-    def remove(self, x: int) -> None:
+    def remove(self, x: int, active_mass: int, pool_nbrs: int) -> None:
         unit, in_closure, in_pool = self.unit, self.in_closure, self.in_pool
         nbrs = self.flat[self.ptr[x] : self.ptr[x + 1]]
         # sender side: an active x stops sending into its holes and becomes
@@ -247,21 +251,12 @@ class _RunningPotential:
                     self.phi1_send += unit[w]
                 else:
                     self.phi2_send -= unit[w]
-        # receiver side: x, now a hole, receives from its active neighbours
-        # and, out of the pool, no longer receives from removed closure
-        # neighbours; a closure x changes what every neighbour receives
-        x_closure = in_closure[x]
-        for v in nbrs:
-            if in_closure[v]:
-                if in_pool[v]:
-                    self.phi1_recv += unit[v]
-                else:
-                    self.phi2_recv -= unit[v]
-            if x_closure:
-                if in_pool[v]:
-                    self.phi2_recv += unit[x]
-                else:
-                    self.phi1_recv -= unit[x]
+        # receiver side, from the worklist's counts
+        self.phi1_recv += active_mass
+        self.phi2_recv -= self.closure_mass[x] - active_mass
+        if in_closure[x]:
+            self.phi1_recv -= unit[x] * (len(nbrs) - pool_nbrs)
+            self.phi2_recv += unit[x] * pool_nbrs
 
     def parts(self) -> tuple[int, int]:
         if self.phi1_send != self.phi1_recv or self.phi2_send != self.phi2_recv:
@@ -321,15 +316,19 @@ def _fixed_point(
     least = -(-cfg.eps_p.numerator * scale // cfg.eps_p.denominator)
     violators = pool_mask & (active_mass + np.where(closure_mask, pool_nbrs * units, 0) < least)
 
-    # the potential after each step, as numerators over scale
-    pairs: list[tuple[int, int]] = []
-    if track_potential:
-        pairs.append(_potential_parts(g, closure_mask, pool_mask, units))
-
     # the worklist runs on Python lists
     ptr, flat = g.csr_lists
     in_pool, in_closure, unit = pool_mask.tolist(), closure_mask.tolist(), units.tolist()
     pool_nbrs, active_mass = pool_nbrs.tolist(), active_mass.tolist()
+
+    # the potential after each step, as numerators over scale, and its audit,
+    # which also reads the sampling mass of each node's closure neighbours
+    pairs: list[tuple[int, int]] = []
+    running = None
+    if track_potential:
+        pairs.append(_potential_parts(g, closure_mask, pool_mask, units))
+        closure_mass = _neighbour_sums(g, np.where(closure_mask, units, 0)).tolist()
+        running = _RunningPotential(g, unit, in_closure, in_pool, closure_mass, pairs[0])
 
     def violates(u: int) -> bool:
         lhs_num = active_mass[u]
@@ -344,11 +343,10 @@ def _fixed_point(
     # "batch" the violators found since the last batch.
     queued = violators.tolist()
     queue = np.flatnonzero(violators).tolist()
-    running = _RunningPotential(g, unit, in_closure, in_pool, pairs[0]) if pairs else None
 
     def remove(u: int) -> None:
         if running is not None:
-            running.remove(u)
+            running.remove(u, active_mass[u], pool_nbrs[u])
         in_pool[u] = False
         nbrs = flat[ptr[u] : ptr[u + 1]]
         if in_closure[u]:

@@ -52,7 +52,7 @@ import numpy as np
 from . import rng
 from .errors import IncompleteSpreadError, InputError
 from .expansion import _block_rows, _BoundaryHits, boundary_expansion_exact
-from .graph import Graph, NodeSet, _closure, _mask, _neighbour_lists, _proper_subset
+from .graph import Graph, NodeSet, _check_count, _closure, _mask, _neighbour_lists, _proper_subset
 
 VARIANTS = ("push", "pull", "pushpull")
 # Trials per first_arrival_times batch; the batch size decides which sampler
@@ -457,8 +457,7 @@ def monte_carlo(
     keyed by i, so results depend neither on the kernel's block size nor on
     execution order.
     """
-    if trials < 1:
-        raise InputError(f"trials must be >= 1, got {trials}")
+    _check_count("trials", trials, 1)
     t_half, t_all, _, traces = _spread(
         g, cfg, range(trials), _round_streams(cfg.rng_seed), traces=keep_traces
     )
@@ -512,8 +511,7 @@ def first_arrival_times(
     stepping finished trials. Raises IncompleteSpreadError if a trial of a
     batch exhausts the round cap first.
     """
-    if trials < 1:
-        raise InputError("trials must be >= 1")
+    _check_count("trials", trials, 1)
     start_set = g.check_set(start)
     watched_set = g.check_set(watched)
     if not start_set or not watched_set:
@@ -567,8 +565,7 @@ def pull_growth_check(
     the floor.
     """
     s_set = _proper_subset(g, s)
-    if trials < 2:
-        raise InputError("need at least 2 trials for a standard error")
+    _check_count("trials", trials, 2)  # two for a standard error
     hits = _BoundaryHits(g, *_closure(g, s_set))
     h = boundary_expansion_exact(g, s_set)
     floor = h * hits.boundary.size

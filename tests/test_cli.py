@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rumorspread
+import rumorspread.expansion as expansion
 import rumorspread.generators as generators
 from rumorspread import diameter, load_edge_list
 from rumorspread.experiment import BOUND_MODELS
@@ -25,6 +26,7 @@ from rumorspread.cli import (
     EXIT_OK,
     MEASURE_ALIASES,
     MEASURES,
+    _MEASURES,
     build_parser,
     main,
 )
@@ -306,6 +308,21 @@ class TestAnalyze:
         code = run_cli("analyze", "--graph", k4, "--limit", "1")
         assert code == EXIT_CAPABILITY
         assert "capped at 1 nodes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", MEASURES)
+    def test_measure_table(self, k4, capsys, name):
+        # an enumerable measure is one the enumeration computes, its witness
+        # scoring the minimum under the measure's set function; any other
+        # needs a set
+        alias, set_function, enumerable = _MEASURES[name]
+        assert MEASURE_ALIASES[alias] == name
+        if enumerable:
+            g = generators.dumbbell(4)
+            best, witness = expansion._exact_minima(g, [name])[name]
+            assert getattr(expansion, set_function)(g, witness) == pytest.approx(float(best))
+        else:
+            assert run_cli("analyze", "--graph", k4, "--measures", alias) == EXIT_INPUT
+            assert f"error: {name} needs a node set (--set)" in capsys.readouterr().err
 
     def test_set_only_measure_first_exit_2(self, k4, capsys):
         # the set-only measure comes before the graph-level one, so its
@@ -908,3 +925,73 @@ class TestExperimentAndReport:
             code, err = run_fuzzed(["report", *map(str, paths)])
         assert code in FUZZ_EXIT_CODES
         assert "Traceback" not in err
+
+
+class TestCountsTooLargeToSize:
+    """A count numpy cannot size, 2**60 or more, is bad input: exit 2, never a
+    traceback, and no graph built for it. No test here hands numpy a count it
+    would try to allocate."""
+
+    HUGE = "99999999999999999999"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--trials", HUGE],
+            ["analyze", "--set", "0", "--measures", "h", "--samples", HUGE],
+            ["analyze", "--set", "0", "--measures", "h", "--samples", str(2**60)],
+        ],
+        ids=["simulate-trials", "analyze-samples", "analyze-samples-2**60"],
+    )
+    def test_main_exit_2(self, k4, capsys, argv):
+        assert run_cli(*argv, "--graph", k4) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "at most 1152921504606846975" in err
+
+    @pytest.mark.parametrize(
+        "config, override",
+        [
+            ({"family": "hypercube", "sweep": [{"d": 2}], "trials": int(HUGE)}, []),
+            ({"family": "hypercube", "sweep": [{"d": 2}], "trials": 2**60}, []),
+            ({"family": "hypercube", "sweep": [{"d": 2}]}, ["--trials", HUGE]),
+        ],
+        ids=["config", "config-2**60", "override"],
+    )
+    def test_experiment_trials_refused_before_any_build(
+        self, tmp_path, capsys, monkeypatch, config, override
+    ):
+        def build(spec):
+            raise AssertionError(f"built {spec.describe()} before the config was checked")
+
+        monkeypatch.setattr(generators.FamilySpec, "build", build)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        code = run_cli("experiment", "--config", str(path), *override,
+                       "--points-out", str(tmp_path / "p.csv"))
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: trials must be at most ")
+
+    @pytest.mark.parametrize("d", [63, int(HUGE)])
+    def test_hypercube_d(self, tmp_path, capsys, d):
+        out = tmp_path / "q.txt"
+        assert run_cli("gen", "hypercube", "--d", str(d), "--out", str(out)) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: hypercube needs 1 <= d <= 62")
+        assert not out.exists()
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"family": "hypercube", "sweep": [{"d": d}], "trials": 2}))
+        code = run_cli("experiment", "--config", str(path), "--points-out", str(tmp_path / "p.csv"))
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: hypercube needs 1 <= d <= 62")
+
+    @pytest.mark.parametrize("count", [2**60, 2**61])
+    def test_library_refuses(self, count):
+        g = generators.cycle(6)
+        calls = [
+            lambda: rumorspread.monte_carlo(g, rumorspread.ProtocolConfig(), count),
+            lambda: rumorspread.first_arrival_times(g, {0}, {3}, "push", count, 0),
+            lambda: rumorspread.pull_growth_check(g, {0}, count, 0),
+            lambda: rumorspread.boundary_expansion_mc(g, {0}, count, 0),
+        ]
+        for call in calls:
+            with pytest.raises(rumorspread.InputError, match="must be at most"):
+                call()

@@ -286,21 +286,53 @@ class TestRunningPotential:
     def test_disagreeing_forms_raise(self, monkeypatch):
         remove = part_mod._RunningPotential.remove
 
-        def skewed(self, x):
-            remove(self, x)
+        def skewed(self, x, *counts):
+            remove(self, x, *counts)
             self.phi2_recv += 1
 
         monkeypatch.setattr(part_mod._RunningPotential, "remove", skewed)
         with pytest.raises(AssertionError, match="dual forms disagree"):
             compute_participating(cycle(6), {0}, ParticipatingConfig())
 
+    # S = {0} at eps_p = 3/5 removes 2, 5 and 6 (passive), then 3 (active)
+    LATE_ACTIVE = (
+        Graph.from_edges(7, [(0, 1), (0, 3), (0, 4), (1, 4), (1, 5), (2, 3), (3, 5), (3, 6), (5, 6)]),
+        frozenset({0}),
+    )
+
+    @pytest.mark.parametrize(
+        "skew, raised_after",
+        [((1, 0), [2]), ((0, 1), [2, 5, 6, 3])],
+        ids=["active_mass", "pool_nbrs"],
+    )
+    def test_wrong_worklist_count_raises_where_used(self, monkeypatch, skew, raised_after):
+        # the receiver form reads the worklist's counts for the removed node:
+        # a wrong active mass fails at the first removal, a wrong pooled
+        # count at the first removal of a closure node, the only one to read it
+        g, s = self.LATE_ACTIVE
+        cfg = ParticipatingConfig(eps_p=Fraction(3, 5))
+        assert [(e.node, e.reason) for e in compute_participating(g, s, cfg).removal_log] == [
+            (2, "passive"), (5, "passive"), (6, "passive"), (3, "active")
+        ]
+        remove = part_mod._RunningPotential.remove
+        removed = []
+
+        def skewed(self, x, active_mass, pool_nbrs):
+            removed.append(x)
+            remove(self, x, active_mass + skew[0], pool_nbrs + skew[1])
+
+        monkeypatch.setattr(part_mod._RunningPotential, "remove", skewed)
+        with pytest.raises(AssertionError, match="dual forms disagree"):
+            compute_participating(g, s, cfg)
+        assert removed == raised_after
+
     def test_drift_from_recompute_raises(self, monkeypatch):
         # both forms skewed alike pass the per-step comparison; the end-state
         # recompute still catches them
         remove = part_mod._RunningPotential.remove
 
-        def skewed(self, x):
-            remove(self, x)
+        def skewed(self, x, *counts):
+            remove(self, x, *counts)
             self.phi1_send += 1
             self.phi1_recv += 1
 
