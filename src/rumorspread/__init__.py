@@ -120,92 +120,8 @@ from .rng import derive_seed, stream
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ActiveFractionReport",
-    "BOUND_MODELS",
-    "BoundFitReport",
-    "DRIFT_CONVENTION",
-    "CapabilityError",
-    "ConstructionError",
-    "DEFAULT_ENUMERATION_LIMIT",
-    "DegreeClassDecomposition",
-    "ExpansionReport",
-    "ExperimentConfig",
-    "FAMILY_NAMES",
-    "FamilySpec",
-    "Graph",
-    "GrowthCheckReport",
-    "IncompleteSpreadError",
-    "InputError",
-    "MonteCarloSummary",
-    "NodeSet",
-    "ParticipatingConfig",
-    "ParticipatingResult",
-    "ProtocolConfig",
-    "SpreadTrace",
-    "SweepPointResult",
-    "VARIANTS",
-    "active_fraction_check",
-    "augmented_combined_expansion_set",
-    "boundary",
-    "boundary_expansion_due_to",
-    "boundary_expansion_exact",
-    "boundary_expansion_fraction",
-    "boundary_expansion_mc",
-    "closure",
-    "clustered_regular",
-    "combine_point_rows",
-    "combined_expansion_graph",
-    "combined_expansion_set",
-    "combined_vs_conductance_table",
-    "complete",
-    "compute_participating",
-    "compute_participating_modified",
-    "conductance_graph",
-    "conductance_set",
-    "cut_size",
-    "diameter",
-    "cycle",
-    "default_max_rounds",
-    "degree_class_decomposition",
-    "derive_seed",
-    "doubling_times",
-    "dumbbell",
-    "edges_between",
-    "erdos_renyi",
-    "first_arrival_times",
-    "greedy_dominating_set",
-    "harmonic_mass",
-    "hypercube",
-    "is_dominating",
-    "load_edge_list",
-    "load_node_set",
-    "monte_carlo",
-    "participating_fixed_point",
-    "path",
-    "potential",
-    "pull_growth_check",
-    "random_regular",
-    "read_points_csv",
-    "regular_h_sandwich",
-    "regular_s_factor",
-    "restricted_start",
-    "run",
-    "run_experiment",
-    "run_restricted",
-    "sandwich_alpha_phi",
-    "save_edge_list",
-    "save_node_set",
-    "single_round",
-    "star",
-    "stream",
-    "two_cliques_shared_vertex",
-    "vertex_expansion_graph",
-    "vertex_expansion_set",
-    "volume",
-    "write_points_csv",
-    "write_removal_log_csv",
-    "write_report_json",
-    "write_summary_csv",
-    "write_trace_csv",
-]
+# every name imported above, less the submodules they bind
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and type(value) is not type(errors)
+)

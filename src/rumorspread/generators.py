@@ -66,14 +66,10 @@ def two_cliques_shared_vertex(m: int) -> Graph:
     """
     if m < 2:
         raise InputError(f"two_cliques_shared_vertex needs m >= 2, got {m}")
-    left = [0] + list(range(1, m))
-    right = [0] + list(range(m, 2 * m - 1))
-    edges = set()
-    for block in (left, right):
-        for i, u in enumerate(block):
-            for v in block[i + 1 :]:
-                edges.add((min(u, v), max(u, v)))
-    return Graph.from_edges(2 * m - 1, sorted(edges))
+    edges = []
+    for block in (range(m), [0, *range(m, 2 * m - 1)]):
+        edges.extend((u, v) for u in block for v in block if u < v)
+    return Graph.from_edges(2 * m - 1, edges)
 
 
 def dumbbell(m: int) -> Graph:
@@ -126,7 +122,7 @@ def _pair_stubs(n: int, degree: int, rng: random.Random) -> list[tuple[int, int]
         if not progress:
             return None
         stubs = retry
-    return sorted(edges)
+    return list(edges)
 
 
 def random_regular(n: int, degree: int, rng_seed: int) -> Graph:

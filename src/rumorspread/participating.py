@@ -281,17 +281,21 @@ def participating_fixed_point(
     order: str = "lowest",
     rng: random.Random | None = None,
     track_potential: bool = True,
-    start_rule: str = "custom",
 ) -> ParticipatingResult:
     """Run the thinning procedure from a start pool to its fixed point.
 
+    The pool starts as ``start``, or as every node when ``start`` is None;
+    the result's ``start_rule`` is "custom" or "full" accordingly.
     ``order`` selects which violator goes next: "lowest" removes the lowest
     id (the canonical log order), "batch" removes all current violators at
     once, "random" draws one using ``rng``. The fixed point itself does not
     depend on this choice.
     """
     state = _thinning_state(g, s)
-    pool = np.ones(g.n, dtype=bool) if start is None else _mask(g.n, g.check_set(start))
+    if start is None:
+        pool, start_rule = np.ones(g.n, dtype=bool), "full"
+    else:
+        pool, start_rule = _mask(g.n, g.check_set(start)), "custom"
     return _fixed_point(g, state, cfg, pool, start_rule, order, rng, track_potential)
 
 
@@ -414,7 +418,7 @@ def compute_participating(
     g: Graph, s: Collection[int], cfg: ParticipatingConfig, **kwargs
 ) -> ParticipatingResult:
     """Fixed point from the full node set (the canonical construction)."""
-    return participating_fixed_point(g, s, cfg, start=None, start_rule="full", **kwargs)
+    return participating_fixed_point(g, s, cfg, start=None, **kwargs)
 
 
 def compute_participating_modified(

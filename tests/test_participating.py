@@ -183,6 +183,8 @@ class TestFixedPoint:
         a = participating_fixed_point(g, {0, 1}, cfg)
         b = participating_fixed_point(g, {0, 1}, cfg, start=g.node_set)
         assert a.participating == b.participating
+        assert a.start_rule == "full"
+        assert b.start_rule == "custom"
 
     @given(graph_and_proper_subset(min_nodes=3), EPS_P)
     @example(STAR_CASE, Fraction(2, 5))

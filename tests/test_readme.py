@@ -1,10 +1,12 @@
-"""Every figure the README quotes for a module constant equals the constant."""
+"""Every figure the README quotes for a module constant equals the constant,
+and the package root exports what the README says it does."""
 
 import re
 from pathlib import Path
 
 import pytest
 
+import rumorspread
 from rumorspread import expansion, graph, protocols
 
 # the README's line breaks folded to single spaces
@@ -21,7 +23,7 @@ QUOTES = {
     "_BLOCK_ELEMENTS": (expansion._BLOCK_ELEMENTS, [r"One budget of (2\^\d+) elements"]),
     "DEFAULT_ENUMERATION_LIMIT": (
         expansion.DEFAULT_ENUMERATION_LIMIT,
-        [r"the limit is still (\d+) nodes", r"It refuses graphs above (\d+) nodes unless"],
+        [r"the limit is (\d+) nodes", r"It refuses graphs above (\d+) nodes unless"],
     ),
     "_MAX_ENUMERATION_NODES": (
         expansion._MAX_ENUMERATION_NODES,
@@ -42,3 +44,19 @@ def test_quoted_figures_match_the_code(name):
         figures = re.findall(phrase, README)
         assert figures, f"the README no longer quotes {name} as {phrase!r}"
         assert [_figure(f) for f in figures] == [value] * len(figures), (name, phrase)
+
+
+def test_root_exports_its_public_imports():
+    ns: dict = {}
+    exec("from rumorspread import *", ns)
+    del ns["__builtins__"]
+    names = rumorspread.__all__
+    assert sorted(ns) == names == sorted(set(names))
+    assert not [n for n in names if n.startswith("_") or isinstance(ns[n], type(rumorspread))]
+    # each name the README keeps in its module (`rng.LANE_*` a prefix) is there, not at the root
+    sentence = README.split("stay in their modules: ")[1].split(". ")[0]
+    for module, name, star in re.findall(r"`(\w+)\.(\w+)(\*?)`", sentence):
+        if module != "rumorspread":
+            kept = [k for k in vars(getattr(rumorspread, module))
+                    if k == name or star and k.startswith(name)]
+            assert kept and not set(kept) & set(names), (module, name)
