@@ -144,19 +144,50 @@ def naive_participating(adj: Adj, s, eps_p: Fraction, start=None) -> set[int]:
     sp = naive_closure(adj, s)
     pool = set(range(len(adj))) if start is None else set(start)
     while True:
-        keep = set()
-        for u in pool:
-            score = sum(
-                (Fraction(1, len(adj[v])) for v in adj[u] if v in pool and v in sp),
-                Fraction(0),
-            )
-            if u in sp:
-                score += Fraction(sum(1 for v in adj[u] if v in pool), len(adj[u]))
-            if score >= eps_p:
-                keep.add(u)
+        keep = {u for u in pool if _naive_score(adj, sp, pool, u) >= eps_p}
         if keep == pool:
             return pool
         pool = keep
+
+
+def _naive_score(adj: Adj, sp: set[int], pool: set[int], u: int) -> Fraction:
+    """The inverse-degree mass of u's pooled closure neighbors, plus u's
+    pooled-neighbor fraction if u is in the closure ``sp``."""
+    score = sum(
+        (Fraction(1, len(adj[v])) for v in adj[u] if v in pool and v in sp),
+        Fraction(0),
+    )
+    if u in sp:
+        score += Fraction(sum(1 for v in adj[u] if v in pool), len(adj[u]))
+    return score
+
+
+def naive_removal_steps(adj: Adj, s, eps_p: Fraction, order: str, rng=None, start=None):
+    """The thinning's removal log as (step, node, reason) triples, rescanning
+    the whole pool for violators before every step.
+
+    "lowest" removes the smallest violator, "random" the
+    ``rng.randrange(k)``-th smallest of the k violators, "batch" all of them
+    in ascending order. The reason is "active" for a closure node, else
+    "passive".
+    """
+    sp = naive_closure(adj, s)
+    pool = set(range(len(adj))) if start is None else set(start)
+    steps = []
+    step = 0
+    while True:
+        violators = sorted(u for u in pool if _naive_score(adj, sp, pool, u) < eps_p)
+        if not violators:
+            return steps
+        step += 1
+        if order == "lowest":
+            batch = violators[:1]
+        elif order == "random":
+            batch = [violators[rng.randrange(len(violators))]]
+        else:
+            batch = violators
+        steps += [(step, u, "active" if u in sp else "passive") for u in batch]
+        pool -= set(batch)
 
 
 def naive_round(adj: Adj, informed, draws, variant: str) -> set[int]:

@@ -1,6 +1,7 @@
 """Thinning fixed point, its potential accounting, and the guarantee audit."""
 
 import dataclasses
+import functools
 import math
 import random
 from fractions import Fraction
@@ -71,6 +72,33 @@ def assert_trajectory_matches_oracle(g, s, res):
     # a list of (Fraction, Fraction) tuples, printed exactly as the
     # independently built list is
     assert repr(res.trajectory) == repr(eager)
+
+
+# Instances on which the three removal orders log different steps: from the
+# full pool most nodes violate at once, and later steps remove one or several.
+ORDER_INSTANCES = [
+    (n, degree, seed, s, eps_p)
+    for n, degree, seeds in ((64, 8, range(6)), (128, 6, range(3)))
+    for seed in seeds
+    for s in (frozenset({0}), frozenset({0, 1}))
+    for eps_p in (Fraction(2, 5), Fraction(3, 20))
+]
+
+
+@functools.cache
+def order_instance(i: int, start_kind: str):
+    """Graph, set, eps_p and start pool of ``ORDER_INSTANCES[i]``; a custom
+    start is the closure of the set's closure."""
+    n, degree, seed, s, eps_p = ORDER_INSTANCES[i]
+    g = random_regular(n, degree, rng_seed=seed)
+    start = None if start_kind == "full" else closure(g, closure(g, s))
+    return g, s, eps_p, start
+
+
+@functools.cache
+def oracle_removal_steps(i: int, start_kind: str, order: str):
+    g, s, eps_p, start = order_instance(i, start_kind)
+    return oracles.naive_removal_steps(g.adj, s, eps_p, order, random.Random(i), start)
 
 
 def wide_degree_graph() -> Graph:
@@ -627,6 +655,21 @@ class TestRemovalLog:
         assert len(lines) == 2
         step, node, reason, *_ = lines[1].split(",")
         assert (step, node, reason) == ("1", "3", "passive")
+
+    @pytest.mark.parametrize("start_kind", ["full", "custom"])
+    @pytest.mark.parametrize("tracked", [True, False], ids=["tracked", "untracked"])
+    @pytest.mark.parametrize("order", ["lowest", "batch", "random"])
+    def test_matches_rescanning_oracle(self, order, tracked, start_kind):
+        """Every step removes what a full rescan of the pool picks, in the
+        logged order, whichever order, start and tracking."""
+        for i, instance in enumerate(ORDER_INSTANCES):
+            g, s, eps_p, start = order_instance(i, start_kind)
+            res = participating_fixed_point(
+                g, s, ParticipatingConfig(eps_p=eps_p), start=start, order=order,
+                rng=random.Random(i), track_potential=tracked,
+            )
+            got = [(e.step, e.node, e.reason) for e in res.removal_log]
+            assert got == oracle_removal_steps(i, start_kind, order), instance
 
     def test_reasons_track_membership(self):
         g = erdos_renyi(25, 0.12, rng_seed=9)
