@@ -1,10 +1,10 @@
 """Command line front end.
 
 Subcommands: gen, analyze, simulate, participating, experiment, report.
-Exit codes: 0 success, 2 bad input or an unreadable, undecodable or
-unwritable file, 3 problem size beyond the enumeration capability, 4 spread
-did not complete within the round cap, 5 randomized construction failed; each
-error class maps to its code in ``_EXIT_CODES``, which only ``_run`` reads.
+Exit codes: 0 success, 2 bad input, an unreadable, undecodable or
+unwritable file, or a count too large to allocate, 3 problem size beyond the
+enumeration capability, 4 spread did not complete within the round cap, 5
+randomized construction failed; each error class maps to its code in ``_EXIT_CODES``, which only ``_run`` reads.
 ``_run`` is the one front end of ``main`` and of both research scripts under
 ``scripts/``: each parses its flags and hands its body to it. Every file a
 command reads goes through ``_read_input`` and every file it writes through
@@ -58,6 +58,7 @@ _EXIT_CODES = {
     CapabilityError: EXIT_CAPABILITY,
     IncompleteSpreadError: EXIT_INCOMPLETE,
     ConstructionError: EXIT_CONSTRUCTION,
+    MemoryError: EXIT_INPUT,
 }
 
 # Each measure: its short name on the command line, its function of one node
@@ -297,9 +298,7 @@ def cmd_participating(args) -> int:
         "active": sorted(back[v] for v in result.active),
         "passive": sorted(back[v] for v in result.passive),
         "removals": len(result.removal_log),
-        "potential_start": float(result.trajectory[0][0] + result.trajectory[0][1])
-        if result.trajectory
-        else None,
+        "potential_start": float(result.phi(0)),
     }
     if args.check:
         # the audit needs both fixed points; this one is already computed

@@ -148,9 +148,6 @@ class Graph:
     def is_regular(self) -> bool:
         return self.min_degree == self.max_degree
 
-    def nodes(self) -> range:
-        return range(self.n)
-
     @cached_property
     def node_set(self) -> NodeSet:
         return frozenset(range(self.n))

@@ -15,11 +15,12 @@ regardless of removal order.
 The thinning runs as a worklist (the peeling scheme of Batagelj and
 Zaversnik's O(m) cores decomposition): a node that violates keeps violating as
 the pool shrinks, and a removal changes the state of its own neighbours only,
-so each removal costs O(deg) and the whole run O(n + m) besides the queue.
-With ``track_potential`` the potential (phi1, phi2) is audited at every step:
-both components are kept twice, from the sender side by a walk over the
-removed node's neighbours and from the receiver side by the counts the
-worklist keeps for it, and the two forms must agree exactly after each step.
+so each removal walks its neighbours once, updating and re-testing each, and
+the whole run costs O(n + m) besides the queue. With ``track_potential`` the
+potential (phi1, phi2) is audited at every step: both components are kept
+twice, from the sender side by one more walk over the removed node's
+neighbours and from the receiver side by the counts the worklist keeps for
+it, and the two forms must agree exactly after each step.
 A full recompute checks the start state and must reproduce the end state.
 
 Each call validates its set and derives one state from it, once: the closure
@@ -218,9 +219,9 @@ class _RunningPotential:
     ``remove(x, active_mass, pool_nbrs)`` takes ``x`` out of the pool and
     must run while ``x`` is still pooled, with the worklist's counts for x:
     its active neighbours' sampling mass and its pooled neighbours. The
-    sender path walks x's neighbours: it counts x's pooled neighbours afresh
-    to charge x's own edges, then charges the one changed edge of each
-    closure neighbour. The receiver path is O(1) from the counts: x, now a
+    sender path walks x's neighbours once: it charges the one changed edge of
+    each closure neighbour and counts x's pooled neighbours afresh to charge
+    x's own edges. The receiver path is O(1) from the counts: x, now a
     hole, receives ``active_mass`` and no longer receives the rest of its
     closure neighbours' mass ``closure_mass[x]``; a closure x stops sending
     to its holes and starts sending to its pooled neighbours. ``parts()``
@@ -238,19 +239,20 @@ class _RunningPotential:
     def remove(self, x: int, active_mass: int, pool_nbrs: int) -> None:
         unit, in_closure, in_pool = self.unit, self.in_closure, self.in_pool
         nbrs = self.flat[self.ptr[x] : self.ptr[x + 1]]
-        # sender side: an active x stops sending into its holes and becomes
-        # a removed closure node sending into the pool; each closure
-        # neighbour gains a hole (if pooled) or loses a pooled target
+        # sender side, in one walk: each closure neighbour gains a hole (if
+        # pooled) or loses a pooled target; an active x stops sending into
+        # its holes and becomes a removed closure node sending into the pool
+        pooled = 0
+        for w in nbrs:
+            if in_pool[w]:
+                pooled += 1
+                if in_closure[w]:
+                    self.phi1_send += unit[w]
+            elif in_closure[w]:
+                self.phi2_send -= unit[w]
         if in_closure[x]:
-            pooled = sum(1 for w in nbrs if in_pool[w])
             self.phi1_send -= unit[x] * (len(nbrs) - pooled)
             self.phi2_send += unit[x] * pooled
-        for w in nbrs:
-            if in_closure[w]:
-                if in_pool[w]:
-                    self.phi1_send += unit[w]
-                else:
-                    self.phi2_send -= unit[w]
         # receiver side, from the worklist's counts
         self.phi1_recv += active_mass
         self.phi2_recv -= self.closure_mass[x] - active_mass
@@ -334,42 +336,32 @@ def _fixed_point(
         closure_mass = _neighbour_sums(g, np.where(closure_mask, units, 0)).tolist()
         running = _RunningPotential(g, unit, in_closure, in_pool, closure_mass, pairs[0])
 
-    def violates(u: int) -> bool:
-        lhs_num = active_mass[u]
-        if in_closure[u]:
-            lhs_num += pool_nbrs[u] * unit[u]
-        return lhs_num < least
-
     # The queue holds exactly the pooled violators: violation is monotone in
     # the pool, so a queued node stays a violator, and a removal can only
-    # turn its own neighbours into violators. "lowest" keeps a min-heap,
-    # "random" a sorted list (indexed like the ascending violator list),
-    # "batch" the violators found since the last batch.
+    # turn its own neighbours into violators. "random" keeps a sorted list
+    # (indexed like the ascending violator list), "lowest" and "batch" a
+    # min-heap, which "batch" sorts when it takes it.
     queued = violators.tolist()
     queue = np.flatnonzero(violators).tolist()
+    push = bisect.insort if order == "random" else heapq.heappush
 
     def remove(u: int) -> None:
+        # one walk over u's neighbours: each one's counts lose u, and it is
+        # queued if that makes it violate (it occurs once in u's row, and its
+        # test reads only its own counts)
         if running is not None:
             running.remove(u, active_mass[u], pool_nbrs[u])
         in_pool[u] = False
-        nbrs = flat[ptr[u] : ptr[u + 1]]
-        if in_closure[u]:
-            mass = unit[u]
-            for w in nbrs:
-                pool_nbrs[w] -= 1
+        mass = unit[u] if in_closure[u] else 0  # u's share of active_mass
+        for w in flat[ptr[u] : ptr[u + 1]]:
+            pool_nbrs[w] -= 1
+            if mass:
                 active_mass[w] -= mass
-        else:
-            for w in nbrs:
-                pool_nbrs[w] -= 1
-        for w in nbrs:
-            if in_pool[w] and not queued[w] and violates(w):
+            if in_pool[w] and not queued[w] and (
+                active_mass[w] + (pool_nbrs[w] * unit[w] if in_closure[w] else 0) < least
+            ):
                 queued[w] = True
-                if order == "lowest":
-                    heapq.heappush(queue, w)
-                elif order == "random":
-                    bisect.insort(queue, w)
-                else:
-                    queue.append(w)
+                push(queue, w)
 
     log: list[RemovalStep] = []
     step = 0

@@ -929,8 +929,9 @@ class TestExperimentAndReport:
 
 class TestCountsTooLargeToSize:
     """A count numpy cannot size, 2**60 or more, is bad input: exit 2, never a
-    traceback, and no graph built for it. No test here hands numpy a count it
-    would try to allocate."""
+    traceback, and no graph built for it. A smaller count that numpy sizes but
+    cannot allocate exits 2 as well. No test here hands numpy a count it could
+    allocate."""
 
     HUGE = "99999999999999999999"
 
@@ -982,6 +983,30 @@ class TestCountsTooLargeToSize:
         code = run_cli("experiment", "--config", str(path), "--points-out", str(tmp_path / "p.csv"))
         assert code == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: hypercube needs 1 <= d <= 62")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--set", "0", "--measures", "h", "--samples", str(2**59 - 1)],
+            ["simulate", "--trials", str(2**59 - 1)],
+            ["experiment", "--trials", str(2**59 - 1)],
+        ],
+        ids=["analyze-samples", "simulate-trials", "experiment-trials"],
+    )
+    def test_count_too_large_to_allocate_exit_2(self, tmp_path, capsys, argv):
+        # 2**59 - 1 passes the count check; numpy refuses its 4 EiB array at
+        # once (a count below 2**50 could be allocated, and is never tried)
+        graph = tmp_path / "c6.txt"
+        assert run_cli("gen", "cycle", "--n", "6", "--out", str(graph)) == EXIT_OK
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"family": "hypercube", "sweep": [{"d": 2}]}))
+        if argv[0] == "experiment":
+            argv = [*argv, "--config", str(config), "--points-out", str(tmp_path / "p.csv")]
+        else:
+            argv = [*argv, "--graph", str(graph)]
+        assert run_cli(*argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate ") and "Traceback" not in err
 
     @pytest.mark.parametrize("count", [2**60, 2**61])
     def test_library_refuses(self, count):
