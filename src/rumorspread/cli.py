@@ -4,7 +4,8 @@ Subcommands: gen, analyze, simulate, participating, experiment, report.
 Exit codes: 0 success, 2 bad input, an unreadable, undecodable or
 unwritable file, or a count too large to allocate, 3 problem size beyond the
 enumeration capability, 4 spread did not complete within the round cap, 5
-randomized construction failed; each error class maps to its code in ``_EXIT_CODES``, which only ``_run`` reads.
+randomized construction failed; each error class maps to its code in
+``_EXIT_CODES``, which only ``_run`` reads.
 ``_run`` is the one front end of ``main`` and of both research scripts under
 ``scripts/``: each parses its flags and hands its body to it. Every file a
 command reads goes through ``_read_input`` and every file it writes through

@@ -996,13 +996,13 @@ class TestCountsTooLargeToSize:
     def test_count_too_large_to_allocate_exit_2(self, tmp_path, capsys, argv):
         # 2**59 - 1 passes the count check; numpy refuses its 4 EiB array at
         # once (a count below 2**50 could be allocated, and is never tried)
-        graph = tmp_path / "c6.txt"
-        assert run_cli("gen", "cycle", "--n", "6", "--out", str(graph)) == EXIT_OK
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"family": "hypercube", "sweep": [{"d": 2}]}))
         if argv[0] == "experiment":
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps({"family": "hypercube", "sweep": [{"d": 2}]}))
             argv = [*argv, "--config", str(config), "--points-out", str(tmp_path / "p.csv")]
         else:
+            graph = tmp_path / "c6.txt"
+            assert run_cli("gen", "cycle", "--n", "6", "--out", str(graph)) == EXIT_OK
             argv = [*argv, "--graph", str(graph)]
         assert run_cli(*argv) == EXIT_INPUT
         err = capsys.readouterr().err
